@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .curvature import (
     InvalidCurvatureError,
@@ -24,7 +23,7 @@ from .curvature import (
     sigma_tilde,
     weyl_part,
 )
-from .scalars import Scalar
+from .scalars import Scalar, fraction_from_str
 from .suites import run_decompose, run_project, run_relations
 from .symbols import check_complex, check_exactness
 from .symplectic import Covector, canonical_covector, standard_space
@@ -40,7 +39,7 @@ def _parse_xi(sp, text):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != sp.dim:
         raise ValueError(f"--xi needs {sp.dim} comma-separated components or 'canonical'")
-    comps = tuple(Scalar(Fraction(p)) for p in parts)
+    comps = tuple(Scalar(fraction_from_str(p)) for p in parts)
     xi = Covector(comps)
     if xi.is_zero():
         raise ValueError("--xi must be nonzero")

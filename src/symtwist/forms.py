@@ -19,7 +19,7 @@ from bisect import bisect_left
 from itertools import combinations
 from math import comb
 
-from .linalg import OperatorMatrix, WindowLabel
+from .linalg import OperatorMatrix, accumulate
 from .scalars import Scalar, scalar_from_json, scalar_to_json
 from .spinors import Spinor, clifford_apply, monomial_key
 from .symplectic import Covector, SymplecticSpace
@@ -70,12 +70,7 @@ class SpinorForm:
             raise ValueError("mixing forms over different spaces")
         out = dict(self.terms)
         for k, c in other.terms.items():
-            acc = out.get(k)
-            s = c if acc is None else acc + c
-            if s:
-                out[k] = s
-            elif acc is not None:
-                del out[k]
+            accumulate(out, k, c)
         return SpinorForm(self.l, out)
 
     def __neg__(self):
@@ -127,14 +122,7 @@ def wedge(xi: Covector, psi: SpinorForm) -> SpinorForm:
             nidx, sign = _insert(idx, k)
             if nidx is None:
                 continue
-            key = (nidx, e)
-            t = xk * c if sign == 1 else -(xk * c)
-            acc = out.get(key)
-            s = t if acc is None else acc + t
-            if s:
-                out[key] = s
-            elif acc is not None:
-                del out[key]
+            accumulate(out, (nidx, e), xk * c if sign == 1 else -(xk * c))
     return SpinorForm(psi.l, out)
 
 
@@ -148,14 +136,7 @@ def contract(sp: SymplecticSpace, v, psi: SpinorForm) -> SpinorForm:
             nidx, sign = _remove(idx, k)
             if nidx is None:
                 continue
-            key = (nidx, e)
-            t = vk * c if sign == 1 else -(vk * c)
-            acc = out.get(key)
-            s = t if acc is None else acc + t
-            if s:
-                out[key] = s
-            elif acc is not None:
-                del out[key]
+            accumulate(out, (nidx, e), vk * c if sign == 1 else -(vk * c))
     return SpinorForm(psi.l, out)
 
 
@@ -165,13 +146,7 @@ def clifford_on_form(sp: SymplecticSpace, v, psi: SpinorForm) -> SpinorForm:
     for (idx, e), c in psi.terms.items():
         img = clifford_apply(sp, v, Spinor(psi.l, {e: c}))
         for e2, c2 in img.terms.items():
-            key = (idx, e2)
-            acc = out.get(key)
-            s = c2 if acc is None else acc + c2
-            if s:
-                out[key] = s
-            elif acc is not None:
-                del out[key]
+            accumulate(out, (idx, e2), c2)
     return SpinorForm(psi.l, out)
 
 
@@ -182,7 +157,7 @@ class FormWindow:
     (total degree, lexicographic exponents); stable across runs.
     """
 
-    __slots__ = ("l", "r", "D", "basis", "index", "label")
+    __slots__ = ("l", "r", "D", "basis", "index")
 
     def __init__(self, l, r, D):
         if not (0 <= r <= 2 * l):
@@ -199,7 +174,6 @@ class FormWindow:
             (idx, e) for idx in combinations(range(2 * l), r) for e in monos
         )
         self.index = {b: k for k, b in enumerate(self.basis)}
-        self.label = WindowLabel("form", l, r, D)
         assert len(self.basis) == comb(2 * l, r) * comb(l + D, l)
 
     @property
@@ -209,6 +183,15 @@ class FormWindow:
     def element(self, k) -> SpinorForm:
         idx, e = self.basis[k]
         return basis_form(self.l, idx, e)
+
+    # a window is also the sequence of its basis elements
+    __getitem__ = element
+
+    def __len__(self):
+        return len(self.basis)
+
+    def __repr__(self):
+        return f"FormWindow(l={self.l}, r={self.r}, D={self.D})"
 
 
 def enumerate_basis(win: FormWindow):
@@ -231,26 +214,25 @@ def coords_to_form(coords: dict, win: FormWindow) -> SpinorForm:
     return SpinorForm(win.l, terms)
 
 
-def operator_matrix(fn, domain: FormWindow, codomain: FormWindow) -> OperatorMatrix:
-    """Matrix of a linear map, built column by column on the domain basis.
+def operator_matrix(fn, domain, codomain) -> OperatorMatrix:
+    """Matrix of a linear map, built column by column from the images of an
+    explicit domain basis.
 
+    ``domain`` is any sequence of domain vectors, a window included;
+    ``codomain`` is a window whose index places each image term in a row.
     Raises when an image sticks out of the codomain window: nothing is
     truncated silently, callers must state a window that holds the image.
     """
     entries = {}
-    for col in range(domain.dim):
-        img = fn(domain.element(col))
-        for key, c in img.terms.items():
+    for col, b in enumerate(domain):
+        for key, c in fn(b).terms.items():
             row = codomain.index.get(key)
             if row is None:
                 raise ValueError(
-                    f"image term {key} not contained in codomain window "
-                    f"{codomain.label}"
+                    f"image term {key} not contained in codomain window {codomain!r}"
                 )
             entries[(row, col)] = c
-    return OperatorMatrix(
-        codomain.dim, domain.dim, entries, domain.label, codomain.label
-    )
+    return OperatorMatrix(codomain.dim, len(domain), entries)
 
 
 def weight(l, idx, exp) -> tuple:
@@ -272,14 +254,6 @@ def weight(l, idx, exp) -> tuple:
 
 def window_weights(win: FormWindow):
     return [weight(win.l, idx, e) for (idx, e) in win.basis]
-
-
-def shifted_weights(win: FormWindow, shift) -> list:
-    out = []
-    for (idx, e) in win.basis:
-        w = weight(win.l, idx, e)
-        out.append(tuple(a + b for a, b in zip(w, shift)))
-    return out
 
 
 def covector_weight_shift(l, k) -> tuple:

@@ -2,54 +2,51 @@
 
 Matrices are maps between explicitly enumerated finite bases, stored as
 ``{(row, col): Scalar}`` with no zero entries.  Rank, kernel bases and
-linear solving all run through one fraction-free (Bareiss-style) forward
-elimination with exact division; since the scalars form a field, every
-division is exact, and the cross-multiplied update keeps intermediate
-fractions close to minors of the input on integer-seeded data.
+linear solving all run through one path: the nonzeros are grouped into
+per-block rows in a single pass, and one fraction-free (Bareiss-style)
+forward elimination with exact division runs on each block.  Since the
+scalars form a field, every division is exact, and the cross-multiplied
+update keeps intermediate fractions close to minors of the input on
+integer-seeded data.
+
+The blocks come from ``row_keys``/``col_keys``: every nonzero entry must
+couple a row and a column with equal keys (true for all the operator
+matrices in this package thanks to the torus weight grading), and an entry
+coupling two blocks is an error.  Without keys the whole matrix is one
+block.
 
 Pivoting is deterministic: columns are scanned left to right and the first
 not-yet-used row with a nonzero entry wins.  Kernel vectors are the unique
 solutions with one free coordinate set to 1 and the other free coordinates
-set to 0, so the output is reproducible across runs and across the
-block-diagonal fast path below.
-
-``row_keys``/``col_keys`` enable that fast path: when every nonzero entry
-of the matrix couples a row and a column with equal keys (true for all the
-operator matrices in this package thanks to the torus weight grading), the
-computation splits into independent small blocks.  The result is exactly
-the one the unblocked scan would produce.
+set to 0, and a solve fixes every free variable to 0, so the output does
+not depend on how the matrix is cut into blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .scalars import ONE, Scalar, scalar_from_json, scalar_to_json
 
 
-@dataclass(frozen=True)
-class WindowLabel:
-    """Basis descriptor: space kind, form degree r (None for plain spinor
-    windows) and polynomial degree bound."""
-
-    kind: str
-    l: int
-    r: "int | None"
-    degree: int
+def accumulate(out: dict, key, c) -> None:
+    """Add c to the sparse map ``out`` at ``key``; a zero sum drops the key."""
+    acc = out.get(key)
+    s = c if acc is None else acc + c
+    if s:
+        out[key] = s
+    elif acc is not None:
+        del out[key]
 
 
 class OperatorMatrix:
     """Exact sparse matrix between two enumerated bases."""
 
-    __slots__ = ("rows", "cols", "entries", "domain_label", "codomain_label")
+    __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows, cols, entries, domain_label=None, codomain_label=None):
+    def __init__(self, rows, cols, entries):
         self.rows = rows
         self.cols = cols
         # drop explicit zeros so equality of maps is equality of dicts
         self.entries = {rc: v for rc, v in entries.items() if v}
-        self.domain_label = domain_label
-        self.codomain_label = codomain_label
         for (r, c) in self.entries:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry index {(r, c)} outside {rows}x{cols}")
@@ -95,11 +92,32 @@ class OperatorMatrix:
         return f"OperatorMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
-def _row_major(m: OperatorMatrix):
+def _partition(m: OperatorMatrix, row_keys, col_keys):
+    """Blocks of m as (global rows, global cols, local rows) triples.
+
+    The local rows are ``{local col: Scalar}`` dicts, filled in one pass
+    over the nonzeros; every nonzero entry must stay inside a block.
+    Blocks come in order of first appearance of their key among the
+    columns, then among the rows.
+    """
+    if row_keys is None and col_keys is None:
+        row_keys, col_keys = [None] * m.rows, [None] * m.cols
+    if len(row_keys) != m.rows or len(col_keys) != m.cols:
+        raise ValueError("key lists must match matrix shape")
+    groups: dict = {}
+    col_pos = []
+    for c, k in enumerate(col_keys):
+        cols = groups.setdefault(k, ([], []))[1]
+        col_pos.append(len(cols))
+        cols.append(c)
+    for r, k in enumerate(row_keys):
+        groups.setdefault(k, ([], []))[0].append(r)
     rows = [dict() for _ in range(m.rows)]
     for (r, c), v in m.entries.items():
-        rows[r][c] = v
-    return rows
+        if row_keys[r] != col_keys[c]:
+            raise ValueError("matrix entry couples different blocks")
+        rows[r][col_pos[c]] = v
+    return [(rsel, csel, [rows[r] for r in rsel]) for rsel, csel in groups.values()]
 
 
 def _eliminate(rows, ncols, rhs=None):
@@ -135,6 +153,7 @@ def _eliminate(rows, ncols, rhs=None):
             if not fac:
                 continue
             d = prev[r]
+            nfac = -fac
             new = {}
             for c, v in rows[r].items():
                 if c == col:
@@ -143,17 +162,7 @@ def _eliminate(rows, ncols, rhs=None):
             for c, v in prow_items:
                 if c == col:
                     continue
-                w = new.get(c, None)
-                t = fac * v / d
-                if w is None:
-                    if t:
-                        new[c] = -t
-                else:
-                    w = w - t
-                    if w:
-                        new[c] = w
-                    else:
-                        del new[c]
+                accumulate(new, c, nfac * v / d)
             rows[r] = new
             if rhs is not None:
                 rhs[r] = (piv * rhs[r] - fac * rhs[prow]) / d
@@ -162,9 +171,8 @@ def _eliminate(rows, ncols, rhs=None):
 
 
 def rank(m: OperatorMatrix) -> int:
-    rows = _row_major(m)
-    pivots, _ = _eliminate(rows, m.cols)
-    return len(pivots)
+    blocks = _partition(m, None, None)
+    return sum(len(_eliminate(rows, len(csel))[0]) for _rsel, csel, rows in blocks)
 
 
 def kernel_basis(m: OperatorMatrix, row_keys=None, col_keys=None):
@@ -172,35 +180,28 @@ def kernel_basis(m: OperatorMatrix, row_keys=None, col_keys=None):
 
     Each basis vector has value 1 at "its" free column and 0 at every other
     free column; the list is ordered by that free column.  This makes the
-    basis unique, independent of elimination details, so the blocked path
-    returns bit-identical output.
+    basis unique, independent of elimination details and of the blocks.
     """
-    if row_keys is not None or col_keys is not None:
-        return _blocked(m, row_keys, col_keys, _kernel_block, _merge_kernel)
-    return [v for _, v in _kernel_block(m)]
-
-
-def _kernel_block(m: OperatorMatrix):
-    """Kernel basis as (free_col, vector) pairs, ordered by free column."""
-    rows = _row_major(m)
-    pivots, free_cols = _eliminate(rows, m.cols)
-    basis = []
-    for f in free_cols:
-        v = {f: ONE}
-        for prow, pcol in reversed(pivots):
-            acc = None
-            for c, coef in rows[prow].items():
-                if c == pcol:
-                    continue
-                x = v.get(c)
-                if x is None:
-                    continue
-                t = coef * x
-                acc = t if acc is None else acc + t
-            if acc is not None and acc:
-                v[pcol] = -acc / rows[prow][pcol]
-        basis.append((f, v))
-    return basis
+    tagged = []
+    for _rsel, csel, rows in _partition(m, row_keys, col_keys):
+        pivots, free_cols = _eliminate(rows, len(csel))
+        for f in free_cols:
+            v = {f: ONE}
+            for prow, pcol in reversed(pivots):
+                acc = None
+                for c, coef in rows[prow].items():
+                    if c == pcol:
+                        continue
+                    x = v.get(c)
+                    if x is None:
+                        continue
+                    t = coef * x
+                    acc = t if acc is None else acc + t
+                if acc is not None and acc:
+                    v[pcol] = -acc / rows[prow][pcol]
+            tagged.append((csel[f], {csel[c]: x for c, x in v.items()}))
+    tagged.sort(key=lambda t: t[0])
+    return [v for _, v in tagged]
 
 
 def solve(m: OperatorMatrix, b, row_keys=None, col_keys=None):
@@ -212,101 +213,27 @@ def solve(m: OperatorMatrix, b, row_keys=None, col_keys=None):
     for r in b:
         if not (0 <= r < m.rows):
             raise ValueError(f"rhs index {r} outside {m.rows} rows")
-    if row_keys is not None or col_keys is not None:
-        return _blocked_solve(m, b, row_keys, col_keys)
-    return _solve_block(m, b)
-
-
-def _solve_block(m: OperatorMatrix, b):
-    rows = _row_major(m)
-    rhs = [b.get(r, Scalar(0)) for r in range(m.rows)]
-    pivots, _ = _eliminate(rows, m.cols, rhs)
-    pivot_rows = {pr for pr, _ in pivots}
-    for r in range(m.rows):
-        if r not in pivot_rows and rhs[r]:
-            return None
     x: dict = {}
-    for prow, pcol in reversed(pivots):
-        acc = rhs[prow]
-        for c, coef in rows[prow].items():
-            if c == pcol:
-                continue
-            xv = x.get(c)
-            if xv is not None:
-                acc = acc - coef * xv
-        if acc:
-            x[pcol] = acc / rows[prow][pcol]
-    return x
-
-
-def _partition(m: OperatorMatrix, row_keys, col_keys):
-    """Group rows/cols by key; every nonzero entry must stay inside a block."""
-    if len(row_keys) != m.rows or len(col_keys) != m.cols:
-        raise ValueError("key lists must match matrix shape")
-    col_groups: dict = {}
-    for c, k in enumerate(col_keys):
-        col_groups.setdefault(k, []).append(c)
-    row_groups: dict = {}
-    for r, k in enumerate(row_keys):
-        row_groups.setdefault(k, []).append(r)
-    for (r, c) in m.entries:
-        if row_keys[r] != col_keys[c]:
-            raise ValueError("matrix entry couples different blocks")
-    return row_groups, col_groups
-
-
-def _submatrix(m, rows_sel, cols_sel):
-    rpos = {r: i for i, r in enumerate(rows_sel)}
-    cpos = {c: i for i, c in enumerate(cols_sel)}
-    sub = {}
-    for (r, c), v in m.entries.items():
-        if r in rpos and c in cpos:
-            sub[(rpos[r], cpos[c])] = v
-    return OperatorMatrix(len(rows_sel), len(cols_sel), sub)
-
-
-def _blocked(m, row_keys, col_keys, per_block, merge):
-    row_groups, col_groups = _partition(m, row_keys, col_keys)
-    pieces = []
-    for key, cols_sel in col_groups.items():
-        rows_sel = row_groups.get(key, [])
-        sub = _submatrix(m, rows_sel, cols_sel)
-        pieces.append((cols_sel, per_block(sub)))
-    return merge(pieces)
-
-
-def _merge_kernel(pieces):
-    tagged = []
-    for cols_sel, vecs in pieces:
-        for f, v in vecs:
-            glob = {cols_sel[c]: x for c, x in v.items()}
-            tagged.append((cols_sel[f], glob))
-    tagged.sort(key=lambda t: t[0])
-    return [g for _, g in tagged]
-
-
-def _blocked_solve(m, b, row_keys, col_keys):
-    row_groups, col_groups = _partition(m, row_keys, col_keys)
-    x: dict = {}
-    covered_rows = set()
-    for key, cols_sel in col_groups.items():
-        rows_sel = row_groups.get(key, [])
-        covered_rows.update(rows_sel)
-        sub_b = {}
-        for i, r in enumerate(rows_sel):
-            if b.get(r):
-                sub_b[i] = b[r]
-        if not sub_b and not cols_sel:
-            continue
-        sub = _submatrix(m, rows_sel, cols_sel)
-        sx = _solve_block(sub, sub_b)
-        if sx is None:
-            return None
+    for rsel, csel, rows in _partition(m, row_keys, col_keys):
+        rhs = [b.get(r, Scalar(0)) for r in rsel]
+        pivots, _ = _eliminate(rows, len(csel), rhs)
+        pivot_rows = {pr for pr, _ in pivots}
+        for r in range(len(rows)):
+            if r not in pivot_rows and rhs[r]:
+                return None
+        sx: dict = {}
+        for prow, pcol in reversed(pivots):
+            acc = rhs[prow]
+            for c, coef in rows[prow].items():
+                if c == pcol:
+                    continue
+                xv = sx.get(c)
+                if xv is not None:
+                    acc = acc - coef * xv
+            if acc:
+                sx[pcol] = acc / rows[prow][pcol]
         for c, v in sx.items():
-            x[cols_sel[c]] = v
-    for r, v in b.items():
-        if v and r not in covered_rows:
-            return None
+            x[csel[c]] = v
     return x
 
 

@@ -39,7 +39,7 @@ from .forms import (
     wedge,
     window_weights,
 )
-from .linalg import OperatorMatrix, kernel_basis
+from .linalg import accumulate, kernel_basis
 from .scalars import I, ONE, Scalar
 from .symplectic import SymplecticSpace, basis_covector, basis_vector, sharp
 
@@ -55,15 +55,6 @@ def raising(sp: SymplecticSpace, psi: SpinorForm) -> SpinorForm:
     l = sp.l
     half_i = I * Scalar(Fraction(1, 2))
     out: dict = {}
-
-    def put(key, c):
-        acc = out.get(key)
-        s = c if acc is None else acc + c
-        if s:
-            out[key] = s
-        elif acc is not None:
-            del out[key]
-
     for (idx, e), c in psi.terms.items():
         for k in range(2 * l):
             nidx, sign = _insert(idx, k)
@@ -73,13 +64,13 @@ def raising(sp: SymplecticSpace, psi: SpinorForm) -> SpinorForm:
             if k < l:
                 e2 = list(e)
                 e2[k] += 1
-                put((nidx, tuple(e2)), I * base)
+                accumulate(out, (nidx, tuple(e2)), I * base)
             else:
                 kk = k - l
                 if e[kk]:
                     e2 = list(e)
                     e2[kk] -= 1
-                    put((nidx, tuple(e2)), base * e[kk])
+                    accumulate(out, (nidx, tuple(e2)), base * e[kk])
     return SpinorForm(psi.l, out)
 
 
@@ -90,15 +81,6 @@ def lowering(sp: SymplecticSpace, psi: SpinorForm) -> SpinorForm:
     l = sp.l
     half = Scalar(Fraction(1, 2))
     out: dict = {}
-
-    def put(key, c):
-        acc = out.get(key)
-        s = c if acc is None else acc + c
-        if s:
-            out[key] = s
-        elif acc is not None:
-            del out[key]
-
     for (idx, e), c in psi.terms.items():
         for k in range(l):
             nidx, sign = _remove(idx, k)
@@ -106,13 +88,13 @@ def lowering(sp: SymplecticSpace, psi: SpinorForm) -> SpinorForm:
                 base = half * c if sign == 1 else -(half * c)
                 e2 = list(e)
                 e2[k] -= 1
-                put((nidx, tuple(e2)), base * e[k])
+                accumulate(out, (nidx, tuple(e2)), base * e[k])
             nidx, sign = _remove(idx, k + l)
             if nidx is not None:
                 base = half * c if sign == 1 else -(half * c)
                 e2 = list(e)
                 e2[k] += 1
-                put((nidx, tuple(e2)), -(I * base))
+                accumulate(out, (nidx, tuple(e2)), -(I * base))
     return SpinorForm(psi.l, out)
 
 
@@ -228,20 +210,6 @@ def edge_projector(sp: SymplecticSpace, r: int, psi: SpinorForm) -> SpinorForm:
 # exact bases of primitive and general components on windows
 
 
-def _ffplus_minus_c_matrix(sp, win: FormWindow, cowin: FormWindow, c: Scalar):
-    mat = operator_matrix(lambda p: ff_plus(sp, p), win, cowin)
-    entries = dict(mat.entries)
-    for col, key in enumerate(win.basis):
-        row = cowin.index[key]
-        acc = entries.get((row, col))
-        v = (acc if acc is not None else Scalar(0)) - c
-        if v:
-            entries[(row, col)] = v
-        elif acc is not None:
-            del entries[(row, col)]
-    return OperatorMatrix(cowin.dim, win.dim, entries, win.label, cowin.label)
-
-
 def primitive_basis(sp: SymplecticSpace, j: int, D: int):
     """Exact basis of ker(F-) on the degree-D window of j-forms.
 
@@ -268,7 +236,8 @@ def component_basis(sp: SymplecticSpace, r: int, j: int, D: int):
         raise ValueError(f"(r, j)=({r}, {j}) outside the component triangle")
     win = FormWindow(l, r, D)
     cowin = FormWindow(l, r, D + 2)
-    mat = _ffplus_minus_c_matrix(sp, win, cowin, component_scalar(l, r, j))
+    c = component_scalar(l, r, j)
+    mat = operator_matrix(lambda p: ff_plus(sp, p) - p.scale(c), win, cowin)
     vecs = kernel_basis(mat, row_keys=window_weights(cowin), col_keys=window_weights(win))
     return [coords_to_form(v, win) for v in vecs]
 

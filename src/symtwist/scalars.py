@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-RationalLike = "int | Fraction"
-
 
 class Scalar:
     """Gaussian rational re + im*i."""
@@ -33,7 +31,8 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real scalar equals its real part, so it must hash like it
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __neg__(self):
         return Scalar(-self.re, -self.im)
@@ -87,9 +86,6 @@ class Scalar:
             return NotImplemented
         return other / self
 
-    def conjugate(self):
-        return Scalar(self.re, -self.im)
-
     def __repr__(self):
         return f"Scalar({self.re!r}, {self.im!r})"
 
@@ -110,7 +106,6 @@ def _coerce(x):
     return None
 
 
-ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)
 
@@ -121,7 +116,13 @@ def fraction_to_str(f: Fraction) -> str:
 
 
 def fraction_from_str(s: str) -> Fraction:
-    return Fraction(s.strip())
+    """Parse "p/q" (or an integer or decimal); ValueError on anything else."""
+    if not isinstance(s, str):
+        raise ValueError(f"a rational must be a string 'p/q', got {s!r}")
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def scalar_to_json(z: Scalar) -> dict:

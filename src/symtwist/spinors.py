@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from math import comb
 
-from .linalg import OperatorMatrix, WindowLabel, kernel_basis
+from .linalg import OperatorMatrix, accumulate, kernel_basis
 from .scalars import I, Scalar, scalar_from_json, scalar_to_json
 
 
@@ -53,12 +53,7 @@ class Spinor:
             raise ValueError("mixing spinors in different variable counts")
         out = dict(self.terms)
         for e, c in other.terms.items():
-            acc = out.get(e)
-            s = c if acc is None else acc + c
-            if s:
-                out[e] = s
-            elif acc is not None:
-                del out[e]
+            accumulate(out, e, c)
         return Spinor(self.l, out)
 
     def __neg__(self):
@@ -102,7 +97,7 @@ def monomials_upto(l, D):
 class SpinorWindow:
     """Degree-truncated spinor space with an enumerated monomial basis."""
 
-    __slots__ = ("l", "D", "basis", "index", "label")
+    __slots__ = ("l", "D", "basis", "index")
 
     def __init__(self, l, D):
         if l < 1 or D < 0:
@@ -111,27 +106,29 @@ class SpinorWindow:
         self.D = D
         self.basis = tuple(monomials_upto(l, D))
         self.index = {e: k for k, e in enumerate(self.basis)}
-        self.label = WindowLabel("spinor", l, None, D)
         assert len(self.basis) == comb(l + D, l)
 
     @property
     def dim(self):
         return len(self.basis)
 
+    def element(self, k) -> Spinor:
+        return monomial(self.l, self.basis[k])
+
+    # a window is also the sequence of its basis elements
+    __getitem__ = element
+
+    def __len__(self):
+        return len(self.basis)
+
+    def __repr__(self):
+        return f"SpinorWindow(l={self.l}, D={self.D})"
+
 
 def clifford_apply(sp, v, s: Spinor) -> Spinor:
     """Action of the vector v (2l Scalar components) on the spinor s."""
     l = sp.l
     out: dict = {}
-
-    def put(e, c):
-        acc = out.get(e)
-        t = c if acc is None else acc + c
-        if t:
-            out[e] = t
-        elif acc is not None:
-            del out[e]
-
     for e, c in s.terms.items():
         for k in range(l):
             vk = v[k]
@@ -139,13 +136,13 @@ def clifford_apply(sp, v, s: Spinor) -> Spinor:
                 # e_k . s = i x^k s
                 e2 = list(e)
                 e2[k] += 1
-                put(tuple(e2), I * vk * c)
+                accumulate(out, tuple(e2), I * vk * c)
             vkl = v[k + l]
             if vkl and e[k]:
                 # e_{k+l} . s = ds/dx^k
                 e2 = list(e)
                 e2[k] -= 1
-                put(tuple(e2), vkl * c * e[k])
+                accumulate(out, tuple(e2), vkl * c * e[k])
     return Spinor(l, out)
 
 
@@ -161,15 +158,9 @@ def commutator_defect(sp, v, w, s: Spinor) -> Spinor:
 
 
 def clifford_matrix(sp, v, win: SpinorWindow, cowin: SpinorWindow) -> OperatorMatrix:
-    entries = {}
-    for col, e in enumerate(win.basis):
-        img = clifford_apply(sp, v, monomial(win.l, e))
-        for e2, c in img.terms.items():
-            row = cowin.index.get(e2)
-            if row is None:
-                raise ValueError("codomain window too small for image degree")
-            entries[(row, col)] = c
-    return OperatorMatrix(cowin.dim, win.dim, entries, win.label, cowin.label)
+    from .forms import operator_matrix  # forms imports this module
+
+    return operator_matrix(lambda s: clifford_apply(sp, v, s), win, cowin)
 
 
 def clifford_kernel(sp, v, win: SpinorWindow):

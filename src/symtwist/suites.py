@@ -15,9 +15,10 @@ from .forms import (
     clifford_on_form,
     contract,
     form_to_coords,
+    operator_matrix,
     wedge,
 )
-from .linalg import OperatorMatrix, rank, solve
+from .linalg import rank, solve
 from .osp import (
     chain_model,
     component_basis,
@@ -210,11 +211,7 @@ def run_decompose(sp: SymplecticSpace, D: int) -> dict:
         if not slice_vectors:
             continue
         bigwin = FormWindow(l, r, D + r)
-        cols = {}
-        for ccol, (_j, v) in enumerate(slice_vectors):
-            for key, val in v.terms.items():
-                cols[(bigwin.index[key], ccol)] = val
-        mat = OperatorMatrix(bigwin.dim, len(slice_vectors), cols)
+        mat = operator_matrix(lambda v: v, [v for _j, v in slice_vectors], bigwin)
         if rank(mat) != len(slice_vectors):
             indep_ok = False
         for (rr, j), vecs in sorted(cm.chains.items()):
@@ -247,11 +244,7 @@ def run_decompose(sp: SymplecticSpace, D: int) -> dict:
         DD = D + (r - j)
         target = component_basis(sp, r, j, DD)
         win = FormWindow(l, r, DD)
-        cols = {}
-        for ccol, b in enumerate(target):
-            for key, val in b.terms.items():
-                cols[(win.index[key], ccol)] = val
-        mat = OperatorMatrix(win.dim, len(target), cols)
+        mat = operator_matrix(lambda v: v, target, win)
         for v in prim:
             w = v
             for _ in range(r - j):

@@ -32,11 +32,12 @@ from .forms import (
     coords_to_form,
     covector_weight_shift,
     form_to_coords,
+    operator_matrix,
     wedge,
     weight,
     window_weights,
 )
-from .linalg import OperatorMatrix, kernel_basis, solve
+from .linalg import accumulate, kernel_basis, solve
 from .osp import component_basis, m_index, project_wedge
 from .symplectic import Covector, SymplecticSpace, sharp
 
@@ -69,38 +70,40 @@ def _form_weight(psi: SpinorForm):
     return ws.pop()
 
 
-def _symbol_matrix(sp, i, xi, basis, codomain: FormWindow):
-    """Matrix of the symbol map over an explicit edge basis, together with
-    row/col weight keys when xi allows blocking."""
-    entries = {}
-    images = []
-    for col, b in enumerate(basis):
-        img = symbol_apply(sp, i, xi, b)
-        images.append(img)
-        for key, c in img.terms.items():
-            row = codomain.index.get(key)
-            if row is None:
-                raise ValueError("codomain window too small for symbol image")
-            entries[(row, col)] = c
-    mat = OperatorMatrix(codomain.dim, len(basis), entries, None, codomain.label)
+def _wedge_matrix(sp, fn, xi, domain, codomain: FormWindow):
+    """Matrix of a map that raises the weight like wedging with xi, with the
+    row/col weight keys that block it.
+
+    The keys exist when xi is a multiple of a single basis covector and
+    every domain vector has one weight: columns then carry that weight
+    shifted by the covector, rows the codomain weights.  Otherwise both key
+    lists are None and the matrix is one block.
+    """
+    mat = operator_matrix(fn, domain, codomain)
     k = xi_basis_index(xi)
     if k is None:
-        return mat, None, None, images
+        return mat, None, None
     shift = covector_weight_shift(sp.l, k)
     col_keys = []
-    for b in basis:
+    for b in domain:
         w = _form_weight(b)
         if w is None:
-            return mat, None, None, images
+            return mat, None, None
         col_keys.append(tuple(a + s for a, s in zip(w, shift)))
-    return mat, window_weights(codomain), col_keys, images
+    return mat, window_weights(codomain), col_keys
+
+
+def _symbol_matrix(sp, i, xi, basis, codomain: FormWindow):
+    """Matrix of the symbol map over an explicit edge basis, with its keys."""
+    return _wedge_matrix(sp, lambda b: symbol_apply(sp, i, xi, b), xi, basis, codomain)
 
 
 def _combine(basis, coeffs: dict, l) -> SpinorForm:
-    out = SpinorForm(l)
+    out: dict = {}
     for k, c in coeffs.items():
-        out = out + basis[k].scale(c)
-    return out
+        for key, v in basis[k].terms.items():
+            accumulate(out, key, c * v)
+    return SpinorForm(l, out)
 
 
 def _edge_basis(sp, i, D, cache):
@@ -195,7 +198,7 @@ def check_exactness(sp: SymplecticSpace, D: int, xi: Covector, slack: int = 4, x
 def _kernel_forms(sp, i, D, xi, cache):
     basis = _edge_basis(sp, i, D, cache)
     codomain = FormWindow(sp.l, i + 1, D + 2)
-    mat, row_keys, col_keys, _ = _symbol_matrix(sp, i, xi, basis, codomain)
+    mat, row_keys, col_keys = _symbol_matrix(sp, i, xi, basis, codomain)
     vecs = kernel_basis(mat, row_keys=row_keys, col_keys=col_keys)
     return basis, [_combine(basis, v, sp.l) for v in vecs]
 
@@ -205,7 +208,7 @@ def _preimage(sp, i_prev, Dbig, xi, phi: SpinorForm, cache):
     returns the witness or None."""
     basis = _edge_basis(sp, i_prev, Dbig, cache)
     codomain = FormWindow(sp.l, i_prev + 1, Dbig + 2)
-    mat, row_keys, col_keys, _ = _symbol_matrix(sp, i_prev, xi, basis, codomain)
+    mat, row_keys, col_keys = _symbol_matrix(sp, i_prev, xi, basis, codomain)
     rhs = {}
     for key, c in phi.terms.items():
         row = codomain.index.get(key)
@@ -321,21 +324,9 @@ def _untruncated_solver(sp, i, D, xi, slack, cache):
     if key not in cache:
         dom = FormWindow(sp.l, i - 1, D + slack)
         cod = FormWindow(sp.l, i, D + slack + 2)
-        entries = {}
-        for col in range(dom.dim):
-            img = edge_projector(sp, i, wedge(xi, dom.element(col)))
-            for kk, c in img.terms.items():
-                entries[(cod.index[kk], col)] = c
-        mat = OperatorMatrix(cod.dim, dom.dim, entries)
-        row_keys = col_keys = None
-        k = xi_basis_index(xi)
-        if k is not None:
-            shift = covector_weight_shift(sp.l, k)
-            row_keys = window_weights(cod)
-            col_keys = [
-                tuple(a + s for a, s in zip(weight(sp.l, idx, e), shift))
-                for (idx, e) in dom.basis
-            ]
+        mat, row_keys, col_keys = _wedge_matrix(
+            sp, lambda p: edge_projector(sp, i, wedge(xi, p)), xi, dom, cod
+        )
         cache[key] = (mat, cod, row_keys, col_keys)
     mat, cod, row_keys, col_keys = cache[key]
 
@@ -369,21 +360,7 @@ def cartan_preimage(sp: SymplecticSpace, xi: Covector, omega: SpinorForm) -> Spi
     sd = int(omega.spinor_degree())
     dom = FormWindow(sp.l, r - 1, sd)
     cod = FormWindow(sp.l, r, sd)
-    entries = {}
-    for col in range(dom.dim):
-        img = wedge(xi, dom.element(col))
-        for key, c in img.terms.items():
-            entries[(cod.index[key], col)] = c
-    mat = OperatorMatrix(cod.dim, dom.dim, entries, dom.label, cod.label)
-    k = xi_basis_index(xi)
-    row_keys = col_keys = None
-    if k is not None:
-        shift = covector_weight_shift(sp.l, k)
-        row_keys = window_weights(cod)
-        col_keys = [
-            tuple(a + s for a, s in zip(weight(sp.l, idx, e), shift))
-            for (idx, e) in dom.basis
-        ]
+    mat, row_keys, col_keys = _wedge_matrix(sp, lambda p: wedge(xi, p), xi, dom, cod)
     rhs = form_to_coords(omega, cod)
     x = solve(mat, rhs, row_keys=row_keys, col_keys=col_keys)
     if x is None:

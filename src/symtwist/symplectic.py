@@ -44,10 +44,6 @@ class SymplecticSpace:
         self.omega_lower = omega_lower
         self.omega_upper = omega_upper
 
-    def partner(self, k):
-        """Index paired with k by the standard form."""
-        return k + self.l if k < self.l else k - self.l
-
 
 def standard_space(l: int) -> SymplecticSpace:
     if l < 1:

@@ -107,6 +107,28 @@ def test_curvature_missing_file():
     assert "error" in res.stderr
 
 
+def _assert_bad_input(res):
+    assert res.returncode == 2
+    assert "error:" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("coef", [5, "1/0"])
+def test_curvature_bad_coefficient_rejected(tmp_path, coef):
+    from symtwist.curvature import curvature_to_json, zero_curvature
+    from symtwist.symplectic import standard_space
+
+    obj = curvature_to_json(zero_curvature(standard_space(1)))
+    obj["entries"][0][0][0][1]["re"] = coef
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    _assert_bad_input(run_cli("curvature", "--input", str(path)))
+
+
+def test_xi_zero_denominator_rejected():
+    _assert_bad_input(run_cli("symbol-check", "--l", "1", "--xi", "1/0,1"))
+
+
 def test_text_format(tmp_path):
     res = run_cli("relations", "--l", "1", "--degree", "1", "--format", "text")
     assert res.returncode == 0

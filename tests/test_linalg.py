@@ -107,23 +107,28 @@ def test_solve_iff_augmented_rank_matches():
 
 def test_blocked_paths_match_plain():
     rng = random.Random(2)
-    for _ in range(60):
-        nblocks = rng.randint(1, 3)
-        row_keys, col_keys = [], []
+    for trial in range(120):
+        nblocks = rng.randint(1, 4)
+        # blocks may have no rows or no columns
+        sizes = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(nblocks)]
+        row_slots = [(blk, r) for blk, (rows, _) in enumerate(sizes) for r in range(rows)]
+        col_slots = [(blk, c) for blk, (_, cols) in enumerate(sizes) for c in range(cols)]
+        if trial % 2:
+            # interleaved keys, as the weight grading produces them
+            rng.shuffle(row_slots)
+            rng.shuffle(col_slots)
+        row_keys = [(blk, -blk) for blk, _ in row_slots]
+        col_keys = [(blk, -blk) for blk, _ in col_slots]
         entries = {}
-        for blk in range(nblocks):
-            rows = rng.randint(1, 3)
-            cols = rng.randint(1, 3)
-            r0, c0 = len(row_keys), len(col_keys)
-            row_keys += [blk] * rows
-            col_keys += [blk] * cols
-            for r in range(rows):
-                for c in range(cols):
-                    v = rng.choice(SMALL)
-                    if v:
-                        entries[(r0 + r, c0 + c)] = v
+        for r, (rblk, _) in enumerate(row_slots):
+            for c, (cblk, _) in enumerate(col_slots):
+                v = rng.choice(SMALL)
+                if rblk == cblk and v:
+                    entries[(r, c)] = v
         m = M(len(row_keys), len(col_keys), entries)
-        assert kernel_basis(m, row_keys=row_keys, col_keys=col_keys) == kernel_basis(m)
+        kernel = kernel_basis(m, row_keys=row_keys, col_keys=col_keys)
+        assert kernel == kernel_basis(m)
+        assert rank(m) == m.cols - len(kernel)
         b = {r: rng.choice(SMALL) for r in range(m.rows)}
         b = {r: v for r, v in b.items() if v}
         xb = solve(m, b, row_keys=row_keys, col_keys=col_keys)

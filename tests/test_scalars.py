@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from symtwist.scalars import I, ONE, Scalar, scalar_from_json, scalar_to_json
+from symtwist.scalars import (
+    I,
+    ONE,
+    Scalar,
+    fraction_from_str,
+    scalar_from_json,
+    scalar_to_json,
+)
 
 
 def test_imaginary_unit_squares_to_minus_one():
@@ -44,6 +51,21 @@ def test_truthiness_and_equality():
     assert Scalar(0, 1)
     assert Scalar(3) == 3
     assert Scalar(3, 1) != 3
+
+
+def test_hash_agrees_with_equality():
+    assert 1 in {Scalar(1)}
+    assert Scalar(1) in {1}
+    assert Fraction(1, 2) in {Scalar(Fraction(1, 2))}
+    assert hash(Scalar(-3)) == hash(-3)
+    assert hash(Scalar(2, 1)) == hash(Scalar(Fraction(4, 2), Fraction(1)))
+
+
+def test_fraction_from_str_rejects_bad_input():
+    assert fraction_from_str(" -3/6 ") == Fraction(-1, 2)
+    for bad in (5, None, "1/0", "x"):
+        with pytest.raises(ValueError):
+            fraction_from_str(bad)
 
 
 def test_json_round_trip():
