@@ -3,8 +3,9 @@
 Each case runs ``cli.main`` in-process, writes its report to a file and
 compares the exit code and the sha256 of the report bytes with values
 recorded once.  The configurations are the four of acceptance criterion 9,
-``project --l 2 --degree 1``, and ``curvature --input`` on the tensor from
-``gen-curvature --l 2 --seed 7``.  A mismatch means the report changed; the
+``project --l 2 --degree 1``, ``symbol-check`` at the covector (0, 0, 1, 1)
+(standard regime, not a multiple of one basis covector), and
+``curvature --input`` on the tensor from ``gen-curvature --l 2 --seed 7``.  A mismatch means the report changed; the
 recorded values are not to be rewritten to make a change pass.
 """
 
@@ -29,6 +30,11 @@ GOLDEN = {
         ("symbol-check", "--l", "2", "--degree", "1", "--slack", "4"),
         1,
         "3ed59a638b1e00bfa3ad046336d5d33f9af488d155b0c8d089f43c3e794f6758",
+    ),
+    "symbol-check-l2d1-xi0011": (
+        ("symbol-check", "--l", "2", "--degree", "1", "--xi", "0,0,1,1"),
+        1,
+        "f95c93661c868956324d224c56868fdc0d163831868007dd9e3f6835f1181d5a",
     ),
     "gen-curvature-l3s11": (
         ("gen-curvature", "--l", "3", "--seed", "11"),
