@@ -6,11 +6,6 @@ permutation sign on insertion/removal, so every value has one canonical
 representation and equality is dict equality.  A single SpinorForm is
 homogeneous in form degree; non-homogeneous data is handled as sequences
 of homogeneous pieces.
-
-The torus weight defined at the bottom grades every construction in this
-package: the five operator-algebra maps preserve it and wedging with a
-basis covector shifts it uniformly.  That turns the big kernel/solve
-problems into many independent small blocks (see linalg).
 """
 
 from __future__ import annotations
@@ -115,10 +110,10 @@ def _remove(idx: tuple, k: int):
 def wedge(xi: Covector, psi: SpinorForm) -> SpinorForm:
     """Left exterior multiplication by the covector xi."""
     out: dict = {}
+    # zero tests once per call, not once per term (none for an empty psi)
+    nonzero = [(k, xk) for k, xk in enumerate(xi.components) if xk] if psi.terms else []
     for (idx, e), c in psi.terms.items():
-        for k, xk in enumerate(xi.components):
-            if not xk:
-                continue
+        for k, xk in nonzero:
             nidx, sign = _insert(idx, k)
             if nidx is None:
                 continue
@@ -129,10 +124,9 @@ def wedge(xi: Covector, psi: SpinorForm) -> SpinorForm:
 def contract(sp: SymplecticSpace, v, psi: SpinorForm) -> SpinorForm:
     """Interior product by the vector v (graded derivation of degree -1)."""
     out: dict = {}
+    nonzero = [(k, vk) for k, vk in enumerate(v) if vk] if psi.terms else []
     for (idx, e), c in psi.terms.items():
-        for k, vk in enumerate(v):
-            if not vk:
-                continue
+        for k, vk in nonzero:
             nidx, sign = _remove(idx, k)
             if nidx is None:
                 continue
@@ -233,37 +227,6 @@ def operator_matrix(fn, domain, codomain) -> OperatorMatrix:
                 )
             entries[(row, col)] = c
     return OperatorMatrix(codomain.dim, len(domain), entries)
-
-
-def weight(l, idx, exp) -> tuple:
-    """Torus weight of a basis element (index tuple, exponent tuple).
-
-    Covectors dual to the first Lagrangian count -1, those dual to the
-    second +1, and monomial exponents add on top.  All five operator maps
-    preserve this weight; wedge/contraction/Clifford by a basis (co)vector
-    shift it by a fixed amount.
-    """
-    w = list(exp)
-    for k in idx:
-        if k < l:
-            w[k] -= 1
-        else:
-            w[k - l] += 1
-    return tuple(w)
-
-
-def window_weights(win: FormWindow):
-    return [weight(win.l, idx, e) for (idx, e) in win.basis]
-
-
-def covector_weight_shift(l, k) -> tuple:
-    """Weight shift of wedging with the basis covector number k (0-based)."""
-    w = [0] * l
-    if k < l:
-        w[k] -= 1
-    else:
-        w[k - l] += 1
-    return tuple(w)
 
 
 def form_to_json(psi: SpinorForm) -> dict:

@@ -2,24 +2,21 @@
 
 Matrices are maps between explicitly enumerated finite bases, stored as
 ``{(row, col): Scalar}`` with no zero entries.  Rank, kernel bases and
-linear solving all run through one path: the nonzeros are grouped into
-per-block rows in a single pass, and one fraction-free (Bareiss-style)
-forward elimination with exact division runs on each block.  Since the
-scalars form a field, every division is exact, and the cross-multiplied
-update keeps intermediate fractions close to minors of the input on
-integer-seeded data.
-
-The blocks come from ``row_keys``/``col_keys``: every nonzero entry must
-couple a row and a column with equal keys (true for all the operator
-matrices in this package thanks to the torus weight grading), and an entry
-coupling two blocks is an error.  Without keys the whole matrix is one
-block.
+linear solving all run through one path: the matrix is split into the
+connected components of its nonzero pattern (rows and columns are the
+nodes, every nonzero entry an edge), found in one pass over the entries,
+and one fraction-free (Bareiss-style) forward elimination with exact
+division runs on each component.  Since the scalars form a field, every
+division is exact, and the cross-multiplied update keeps intermediate
+fractions close to minors of the input on integer-seeded data.
 
 Pivoting is deterministic: columns are scanned left to right and the first
-not-yet-used row with a nonzero entry wins.  Kernel vectors are the unique
-solutions with one free coordinate set to 1 and the other free coordinates
-set to 0, and a solve fixes every free variable to 0, so the output does
-not depend on how the matrix is cut into blocks.
+not-yet-used row with a nonzero entry wins.  A column is a pivot exactly
+when it is not in the span of the columns before it, which a direct-sum
+split does not change, so the free columns are the same for any split.
+Kernel vectors are the unique solutions with one free coordinate set to 1
+and the other free coordinates set to 0, and a solve fixes every free
+variable to 0, so the output does not depend on the components either.
 """
 
 from __future__ import annotations
@@ -92,30 +89,38 @@ class OperatorMatrix:
         return f"OperatorMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
-def _partition(m: OperatorMatrix, row_keys, col_keys):
-    """Blocks of m as (global rows, global cols, local rows) triples.
+def _partition(m: OperatorMatrix):
+    """Connected components of the nonzero pattern of m, as
+    (global rows, global cols, local rows) triples.
 
-    The local rows are ``{local col: Scalar}`` dicts, filled in one pass
-    over the nonzeros; every nonzero entry must stay inside a block.
-    Blocks come in order of first appearance of their key among the
-    columns, then among the rows.
+    Rows are the nodes ``0..rows-1`` and columns ``rows..rows+cols-1`` of a
+    union-find; each nonzero joins its row and column.  The local rows are
+    ``{local col: Scalar}`` dicts.  A row or column without nonzeros is a
+    component of its own.  Components come in order of first appearance
+    among the columns, then among the rows, each with ascending indices.
     """
-    if row_keys is None and col_keys is None:
-        row_keys, col_keys = [None] * m.rows, [None] * m.cols
-    if len(row_keys) != m.rows or len(col_keys) != m.cols:
-        raise ValueError("key lists must match matrix shape")
+    parent = list(range(m.rows + m.cols))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for r, c in m.entries:
+        a, b = find(r), find(m.rows + c)
+        if a != b:
+            parent[b] = a
     groups: dict = {}
     col_pos = []
-    for c, k in enumerate(col_keys):
-        cols = groups.setdefault(k, ([], []))[1]
+    for c in range(m.cols):
+        cols = groups.setdefault(find(m.rows + c), ([], []))[1]
         col_pos.append(len(cols))
         cols.append(c)
-    for r, k in enumerate(row_keys):
-        groups.setdefault(k, ([], []))[0].append(r)
+    for r in range(m.rows):
+        groups.setdefault(find(r), ([], []))[0].append(r)
     rows = [dict() for _ in range(m.rows)]
     for (r, c), v in m.entries.items():
-        if row_keys[r] != col_keys[c]:
-            raise ValueError("matrix entry couples different blocks")
         rows[r][col_pos[c]] = v
     return [(rsel, csel, [rows[r] for r in rsel]) for rsel, csel in groups.values()]
 
@@ -171,19 +176,18 @@ def _eliminate(rows, ncols, rhs=None):
 
 
 def rank(m: OperatorMatrix) -> int:
-    blocks = _partition(m, None, None)
-    return sum(len(_eliminate(rows, len(csel))[0]) for _rsel, csel, rows in blocks)
+    return sum(len(_eliminate(rows, len(csel))[0]) for _rsel, csel, rows in _partition(m))
 
 
-def kernel_basis(m: OperatorMatrix, row_keys=None, col_keys=None):
+def kernel_basis(m: OperatorMatrix):
     """Exact basis of ker(m) as sparse {col: Scalar} vectors.
 
     Each basis vector has value 1 at "its" free column and 0 at every other
     free column; the list is ordered by that free column.  This makes the
-    basis unique, independent of elimination details and of the blocks.
+    basis unique, independent of elimination details and of the components.
     """
     tagged = []
-    for _rsel, csel, rows in _partition(m, row_keys, col_keys):
+    for _rsel, csel, rows in _partition(m):
         pivots, free_cols = _eliminate(rows, len(csel))
         for f in free_cols:
             v = {f: ONE}
@@ -204,7 +208,7 @@ def kernel_basis(m: OperatorMatrix, row_keys=None, col_keys=None):
     return [v for _, v in tagged]
 
 
-def solve(m: OperatorMatrix, b, row_keys=None, col_keys=None):
+def solve(m: OperatorMatrix, b):
     """A particular x with m@x = b, or None when inconsistent.
 
     ``b`` is a sparse {row: Scalar} dict (missing = zero).  Free variables
@@ -214,7 +218,7 @@ def solve(m: OperatorMatrix, b, row_keys=None, col_keys=None):
         if not (0 <= r < m.rows):
             raise ValueError(f"rhs index {r} outside {m.rows} rows")
     x: dict = {}
-    for rsel, csel, rows in _partition(m, row_keys, col_keys):
+    for rsel, csel, rows in _partition(m):
         rhs = [b.get(r, Scalar(0)) for r in rsel]
         pivots, _ = _eliminate(rows, len(csel), rhs)
         pivot_rows = {pr for pr, _ in pivots}

@@ -37,7 +37,6 @@ from .forms import (
     coords_to_form,
     operator_matrix,
     wedge,
-    window_weights,
 )
 from .linalg import accumulate, kernel_basis
 from .scalars import I, ONE, Scalar
@@ -223,7 +222,7 @@ def primitive_basis(sp: SymplecticSpace, j: int, D: int):
         return [win.element(k) for k in range(win.dim)]
     cowin = FormWindow(l, j - 1, D + 1)
     mat = operator_matrix(lambda p: lowering(sp, p), win, cowin)
-    vecs = kernel_basis(mat, row_keys=window_weights(cowin), col_keys=window_weights(win))
+    vecs = kernel_basis(mat)
     return [coords_to_form(v, win) for v in vecs]
 
 
@@ -238,7 +237,7 @@ def component_basis(sp: SymplecticSpace, r: int, j: int, D: int):
     cowin = FormWindow(l, r, D + 2)
     c = component_scalar(l, r, j)
     mat = operator_matrix(lambda p: ff_plus(sp, p) - p.scale(c), win, cowin)
-    vecs = kernel_basis(mat, row_keys=window_weights(cowin), col_keys=window_weights(win))
+    vecs = kernel_basis(mat)
     return [coords_to_form(v, win) for v in vecs]
 
 
@@ -250,7 +249,7 @@ def edge_kernel_dim(sp: SymplecticSpace, r: int, D: int) -> int:
         return win.dim  # no forms above the top degree, F+ is zero there
     cowin = FormWindow(sp.l, r + 1, D + 1)
     mat = operator_matrix(lambda p: raising(sp, p), win, cowin)
-    return len(kernel_basis(mat, row_keys=window_weights(cowin), col_keys=window_weights(win)))
+    return len(kernel_basis(mat))
 
 
 # ---------------------------------------------------------------------------

@@ -129,20 +129,21 @@ def clifford_apply(sp, v, s: Spinor) -> Spinor:
     """Action of the vector v (2l Scalar components) on the spinor s."""
     l = sp.l
     out: dict = {}
+    # nonzero components in the order v_0, v_l, v_1, v_{l+1}, ..., tested
+    # once per call, not once per term (none for an empty s)
+    nonzero = [(k, v[k]) for kk in range(l) for k in (kk, kk + l) if v[k]] if s.terms else []
     for e, c in s.terms.items():
-        for k in range(l):
-            vk = v[k]
-            if vk:
+        for k, vk in nonzero:
+            if k < l:
                 # e_k . s = i x^k s
                 e2 = list(e)
                 e2[k] += 1
                 accumulate(out, tuple(e2), I * vk * c)
-            vkl = v[k + l]
-            if vkl and e[k]:
+            elif e[k - l]:
                 # e_{k+l} . s = ds/dx^k
                 e2 = list(e)
-                e2[k] -= 1
-                accumulate(out, tuple(e2), vkl * c * e[k])
+                e2[k - l] -= 1
+                accumulate(out, tuple(e2), vk * c * e[k - l])
     return Spinor(l, out)
 
 

@@ -30,12 +30,9 @@ from .forms import (
     clifford_on_form,
     contract,
     coords_to_form,
-    covector_weight_shift,
     form_to_coords,
     operator_matrix,
     wedge,
-    weight,
-    window_weights,
 )
 from .linalg import accumulate, kernel_basis, solve
 from .osp import component_basis, m_index, project_wedge
@@ -49,13 +46,6 @@ def symbol_apply(sp: SymplecticSpace, i: int, xi: Covector, psi: SpinorForm) -> 
     return project_wedge(sp, i, xi, psi)
 
 
-def xi_basis_index(xi: Covector):
-    """Index k when xi is a scalar multiple of the k-th basis covector,
-    else None.  Single-index covectors unlock the weight-blocked solves."""
-    nz = [k for k, c in enumerate(xi.components) if c]
-    return nz[0] if len(nz) == 1 else None
-
-
 def xi_regime(sp: SymplecticSpace, xi: Covector) -> str:
     xs = sharp(sp, xi)
     if any(xs[: sp.l]):
@@ -63,39 +53,13 @@ def xi_regime(sp: SymplecticSpace, xi: Covector) -> str:
     return "pure-derivative (outside polynomial-model injectivity)"
 
 
-def _form_weight(psi: SpinorForm):
-    ws = {weight(psi.l, idx, e) for (idx, e) in psi.terms}
-    if len(ws) != 1:
+def _coords_in(phi: SpinorForm, codomain: FormWindow):
+    """Coordinates of phi in the codomain window as a solve right-hand
+    side; None when phi sticks out of the window."""
+    try:
+        return form_to_coords(phi, codomain)
+    except ValueError:
         return None
-    return ws.pop()
-
-
-def _wedge_matrix(sp, fn, xi, domain, codomain: FormWindow):
-    """Matrix of a map that raises the weight like wedging with xi, with the
-    row/col weight keys that block it.
-
-    The keys exist when xi is a multiple of a single basis covector and
-    every domain vector has one weight: columns then carry that weight
-    shifted by the covector, rows the codomain weights.  Otherwise both key
-    lists are None and the matrix is one block.
-    """
-    mat = operator_matrix(fn, domain, codomain)
-    k = xi_basis_index(xi)
-    if k is None:
-        return mat, None, None
-    shift = covector_weight_shift(sp.l, k)
-    col_keys = []
-    for b in domain:
-        w = _form_weight(b)
-        if w is None:
-            return mat, None, None
-        col_keys.append(tuple(a + s for a, s in zip(w, shift)))
-    return mat, window_weights(codomain), col_keys
-
-
-def _symbol_matrix(sp, i, xi, basis, codomain: FormWindow):
-    """Matrix of the symbol map over an explicit edge basis, with its keys."""
-    return _wedge_matrix(sp, lambda b: symbol_apply(sp, i, xi, b), xi, basis, codomain)
 
 
 def _combine(basis, coeffs: dict, l) -> SpinorForm:
@@ -198,31 +162,37 @@ def check_exactness(sp: SymplecticSpace, D: int, xi: Covector, slack: int = 4, x
 def _kernel_forms(sp, i, D, xi, cache):
     basis = _edge_basis(sp, i, D, cache)
     codomain = FormWindow(sp.l, i + 1, D + 2)
-    mat, row_keys, col_keys = _symbol_matrix(sp, i, xi, basis, codomain)
-    vecs = kernel_basis(mat, row_keys=row_keys, col_keys=col_keys)
-    return basis, [_combine(basis, v, sp.l) for v in vecs]
+    mat = operator_matrix(lambda b: symbol_apply(sp, i, xi, b), basis, codomain)
+    return basis, [_combine(basis, v, sp.l) for v in kernel_basis(mat)]
 
 
-def _preimage(sp, i_prev, Dbig, xi, phi: SpinorForm, cache):
-    """Solve sigma_{i_prev}(x) = phi over the edge window at degree Dbig;
-    returns the witness or None."""
+def _preimage_degrees(sp, i_prev, Dbig, xi, targets, cache):
+    """Solve sigma_{i_prev}(x) = phi over the edge window at degree Dbig for
+    each phi in targets, all on one symbol matrix; returns the spinor degree
+    of each witness, None for a target without one."""
     basis = _edge_basis(sp, i_prev, Dbig, cache)
     codomain = FormWindow(sp.l, i_prev + 1, Dbig + 2)
-    mat, row_keys, col_keys = _symbol_matrix(sp, i_prev, xi, basis, codomain)
-    rhs = {}
-    for key, c in phi.terms.items():
-        row = codomain.index.get(key)
-        if row is None:
-            return None
-        rhs[row] = c
-    x = solve(mat, rhs, row_keys=row_keys, col_keys=col_keys)
-    if x is None:
-        return None
-    witness = _combine(basis, x, sp.l)
-    # belt and braces: re-apply the symbol to the witness
-    if not (symbol_apply(sp, i_prev, xi, witness) - phi).is_zero():
-        return None
-    return witness
+    mat = operator_matrix(lambda b: symbol_apply(sp, i_prev, xi, b), basis, codomain)
+    degrees = []
+    for phi in targets:
+        rhs = _coords_in(phi, codomain)
+        x = None if rhs is None else solve(mat, rhs)
+        witness = None if x is None else _combine(basis, x, sp.l)
+        # belt and braces: re-apply the symbol to the witness
+        ok = witness is not None and (symbol_apply(sp, i_prev, xi, witness) - phi).is_zero()
+        degrees.append(witness.spinor_degree() if ok else None)
+    return degrees
+
+
+def _record_preimages(rec, D, degrees):
+    """Write the preimage count, the largest witness degree, the slack it
+    used and the status into rec."""
+    found = [d for d in degrees if d is not None]
+    max_deg = max(found, default=None)
+    rec["preimages_found"] = len(found)
+    rec["max_preimage_degree"] = max_deg
+    rec["slack_used"] = None if max_deg is None else max(0, int(max_deg) - D)
+    rec["status"] = "pass" if len(found) == rec["dim_kernel"] else "fail"
 
 
 def _left_position(sp, i, D, xi, xs, slack, cache):
@@ -248,22 +218,10 @@ def _left_position(sp, i, D, xi, xs, slack, cache):
         if kernel:
             rec["note"] = "kernel of the first symbol map should be trivial"
         return rec
-    found = 0
-    max_deg = None
-    for phi in kernel:
-        w = _preimage(sp, i - 1, D + slack, xi, phi, cache)
-        if w is not None:
-            found += 1
-            d = w.spinor_degree()
-            if max_deg is None or d > max_deg:
-                max_deg = d
-    rec["preimages_found"] = found
-    rec["max_preimage_degree"] = max_deg
-    rec["slack_used"] = None if max_deg is None else max(0, int(max_deg) - D)
     # status reflects constructed preimages only; the contraction identity
     # of the kernel vectors is reported as its own count (it can fail on
     # kernel vectors that nevertheless have preimages)
-    rec["status"] = "pass" if found == len(kernel) else "fail"
+    _record_preimages(rec, D, _preimage_degrees(sp, i - 1, D + slack, xi, kernel, cache))
     return rec
 
 
@@ -289,29 +247,16 @@ def _right_position(sp, i, D, xi, slack, cache):
             "dim_domain": len(basis),
             "dim_kernel": len(targets),
         }
-    found = 0
-    max_deg = None
-    unreachable = []
-    for phi in targets:
-        w = _preimage(sp, i - 1, D + slack, xi, phi, cache)
-        if w is not None:
-            found += 1
-            d = w.spinor_degree()
-            if max_deg is None or d > max_deg:
-                max_deg = d
-        else:
-            unreachable.append(phi)
-    rec["preimages_found"] = found
-    rec["max_preimage_degree"] = max_deg
-    rec["slack_used"] = None if max_deg is None else max(0, int(max_deg) - D)
-    rec["status"] = "pass" if found == rec["dim_kernel"] else "fail"
+    degrees = _preimage_degrees(sp, i - 1, D + slack, xi, targets, cache)
+    _record_preimages(rec, D, degrees)
+    unreachable = [phi for phi, d in zip(targets, degrees) if d is None]
     if unreachable:
         # Diagnostic for the junction phenomenon: kernel vectors typically do
         # have preimages under the projected wedge acting on ALL spinor-valued
         # (i-1)-forms; what fails is reachability from the edge component the
         # preceding twistor operator is actually defined on.
         solver = _untruncated_solver(sp, i, D, xi, slack, cache)
-        rec["preimages_from_untruncated_domain"] = found + sum(
+        rec["preimages_from_untruncated_domain"] = rec["preimages_found"] + sum(
             1 for phi in unreachable if solver(phi)
         )
     return rec
@@ -324,20 +269,13 @@ def _untruncated_solver(sp, i, D, xi, slack, cache):
     if key not in cache:
         dom = FormWindow(sp.l, i - 1, D + slack)
         cod = FormWindow(sp.l, i, D + slack + 2)
-        mat, row_keys, col_keys = _wedge_matrix(
-            sp, lambda p: edge_projector(sp, i, wedge(xi, p)), xi, dom, cod
-        )
-        cache[key] = (mat, cod, row_keys, col_keys)
-    mat, cod, row_keys, col_keys = cache[key]
+        mat = operator_matrix(lambda p: edge_projector(sp, i, wedge(xi, p)), dom, cod)
+        cache[key] = (mat, cod)
+    mat, cod = cache[key]
 
     def attempt(phi):
-        rhs = {}
-        for kk, c in phi.terms.items():
-            row = cod.index.get(kk)
-            if row is None:
-                return False
-            rhs[row] = c
-        return solve(mat, rhs, row_keys=row_keys, col_keys=col_keys) is not None
+        rhs = _coords_in(phi, cod)
+        return rhs is not None and solve(mat, rhs) is not None
 
     return attempt
 
@@ -360,9 +298,8 @@ def cartan_preimage(sp: SymplecticSpace, xi: Covector, omega: SpinorForm) -> Spi
     sd = int(omega.spinor_degree())
     dom = FormWindow(sp.l, r - 1, sd)
     cod = FormWindow(sp.l, r, sd)
-    mat, row_keys, col_keys = _wedge_matrix(sp, lambda p: wedge(xi, p), xi, dom, cod)
-    rhs = form_to_coords(omega, cod)
-    x = solve(mat, rhs, row_keys=row_keys, col_keys=col_keys)
+    mat = operator_matrix(lambda p: wedge(xi, p), dom, cod)
+    x = solve(mat, form_to_coords(omega, cod))
     if x is None:
         raise ArithmeticError("exterior division failed; input violates the Cartan condition")
     return coords_to_form(x, dom)

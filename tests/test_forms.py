@@ -14,8 +14,6 @@ from symtwist.forms import (
     from_spinor,
     operator_matrix,
     wedge,
-    weight,
-    window_weights,
 )
 from symtwist.scalars import I, ONE
 from symtwist.spinors import monomial
@@ -153,14 +151,6 @@ def test_coords_round_trip(sp2):
     psi = win.element(3) + win.element(5).scale(I)
     coords = form_to_coords(psi, win)
     assert coords_to_form(coords, win) == psi
-
-
-def test_weight_function():
-    # first-Lagrangian covectors count -1, second +1, exponents add
-    assert weight(2, (0, 2), (1, 1)) == (1, 1)
-    assert weight(2, (1,), (0, 0)) == (0, -1)
-    ws = window_weights(FormWindow(2, 1, 0))
-    assert ws[0] == (-1, 0)
 
 
 def test_json_round_trip_uses_one_based_indices():

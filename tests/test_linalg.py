@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
 
 from symtwist.linalg import (
     OperatorMatrix,
@@ -105,43 +108,112 @@ def test_solve_iff_augmented_rank_matches():
                 assert residual.get(r, Scalar(0)) == b.get(r, Scalar(0))
 
 
-def test_blocked_paths_match_plain():
+def _to_qqi(z: Scalar):
+    return QQ_I(QQ(z.re.numerator, z.re.denominator), QQ(z.im.numerator, z.im.denominator))
+
+
+def _from_qqi(z) -> Scalar:
+    return Scalar(
+        Fraction(int(z.x.numerator), int(z.x.denominator)),
+        Fraction(int(z.y.numerator), int(z.y.denominator)),
+    )
+
+
+def _oracle_rref(m, b=None):
+    """SymPy's reduced row echelon form of m (augmented by the column b when
+    given) over QQ_I, as (dense rows of Scalars, pivot columns)."""
+    rows: dict = {}
+    for (r, c), v in m.entries.items():
+        rows.setdefault(r, {})[c] = _to_qqi(v)
+    cols = m.cols
+    if b is not None:
+        for r, v in b.items():
+            rows.setdefault(r, {})[cols] = _to_qqi(v)
+        cols += 1
+    red, pivots = DomainMatrix(rows, (m.rows, cols), QQ_I).rref()
+    return [[_from_qqi(z) for z in row] for row in red.to_list()], pivots
+
+
+def _oracle_kernel(cols, red, pivots):
+    basis = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = {f: ONE}
+        for k, p in enumerate(pivots):
+            if red[k][f]:
+                v[p] = -red[k][f]
+        basis.append(v)
+    return basis
+
+
+def _oracle_solve(m, b):
+    red, pivots = _oracle_rref(m, b)
+    if m.cols in pivots:
+        return None
+    return {p: red[k][m.cols] for k, p in enumerate(pivots) if red[k][m.cols]}
+
+
+def _interleaved_blocks(rng):
+    nblocks = rng.randint(1, 4)
+    # blocks may have no rows or no columns
+    sizes = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(nblocks)]
+    row_blk = [blk for blk, (rows, _) in enumerate(sizes) for _ in range(rows)]
+    col_blk = [blk for blk, (_, cols) in enumerate(sizes) for _ in range(cols)]
+    rng.shuffle(row_blk)
+    rng.shuffle(col_blk)
+    entries = {}
+    for r, rb in enumerate(row_blk):
+        for c, cb in enumerate(col_blk):
+            v = rng.choice(SMALL)
+            if rb == cb and v:
+                entries[(r, c)] = v
+    return M(len(row_blk), len(col_blk), entries)
+
+
+def _dense(rng):
+    rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+    entries = {}
+    for r in range(rows):
+        for c in range(cols):
+            entries[(r, c)] = Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
+    return M(rows, cols, entries)
+
+
+def _l2_matrices():
+    from symtwist.forms import FormWindow, operator_matrix
+    from symtwist.osp import component_basis, component_scalar, ff_plus, m_index
+    from symtwist.symbols import symbol_apply
+    from symtwist.symplectic import Covector, canonical_covector, standard_space
+
+    sp = standard_space(2)
+    mats = []
+    general = Covector((Scalar(0), Scalar(0), ONE, ONE))
+    for xi in (canonical_covector(sp), general):
+        for i in range(4):
+            basis = component_basis(sp, i, m_index(2, i), 2)
+            cod = FormWindow(2, i + 1, 4)
+            mats.append(operator_matrix(lambda p: symbol_apply(sp, i, xi, p), basis, cod))
+    c = component_scalar(2, 2, 1)
+    win, cowin = FormWindow(2, 2, 1), FormWindow(2, 2, 3)
+    mats.append(operator_matrix(lambda p: ff_plus(sp, p) - p.scale(c), win, cowin))
+    return mats
+
+
+def test_matches_sympy_oracle():
     rng = random.Random(2)
-    for trial in range(120):
-        nblocks = rng.randint(1, 4)
-        # blocks may have no rows or no columns
-        sizes = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(nblocks)]
-        row_slots = [(blk, r) for blk, (rows, _) in enumerate(sizes) for r in range(rows)]
-        col_slots = [(blk, c) for blk, (_, cols) in enumerate(sizes) for c in range(cols)]
-        if trial % 2:
-            # interleaved keys, as the weight grading produces them
-            rng.shuffle(row_slots)
-            rng.shuffle(col_slots)
-        row_keys = [(blk, -blk) for blk, _ in row_slots]
-        col_keys = [(blk, -blk) for blk, _ in col_slots]
-        entries = {}
-        for r, (rblk, _) in enumerate(row_slots):
-            for c, (cblk, _) in enumerate(col_slots):
-                v = rng.choice(SMALL)
-                if rblk == cblk and v:
-                    entries[(r, c)] = v
-        m = M(len(row_keys), len(col_keys), entries)
-        kernel = kernel_basis(m, row_keys=row_keys, col_keys=col_keys)
-        assert kernel == kernel_basis(m)
-        assert rank(m) == m.cols - len(kernel)
-        b = {r: rng.choice(SMALL) for r in range(m.rows)}
-        b = {r: v for r, v in b.items() if v}
-        xb = solve(m, b, row_keys=row_keys, col_keys=col_keys)
-        xp = solve(m, b)
-        assert (xb is None) == (xp is None)
-        if xb is not None:
-            assert xb == xp
-
-
-def test_blocked_rejects_coupling_entries():
-    m = M(2, 2, {(0, 1): ONE})
-    with pytest.raises(ValueError):
-        kernel_basis(m, row_keys=[0, 1], col_keys=[0, 1])
+    cases = [_interleaved_blocks(rng) for _ in range(120)]
+    cases += [_dense(rng) for _ in range(40)]
+    cases += _l2_matrices()
+    for m in cases:
+        red, pivots = _oracle_rref(m)
+        assert rank(m) == len(pivots)
+        assert kernel_basis(m) == _oracle_kernel(m.cols, red, pivots)
+        # one right-hand side in the image and one drawn at random
+        x0 = {c: rng.choice(SMALL) for c in range(m.cols)}
+        for b in (m.apply(x0), {r: rng.choice(SMALL) for r in range(m.rows)}):
+            b = {r: v for r, v in b.items() if v}
+            assert solve(m, b) == _oracle_solve(m, b)
 
 
 def test_matrix_json_round_trip():

@@ -5,14 +5,13 @@ import pytest
 
 from symtwist.forms import SpinorForm, basis_form, contract, from_spinor, wedge
 from symtwist.osp import component_basis, omega_trace
-from symtwist.scalars import I, ONE, Scalar
+from symtwist.scalars import I, Scalar
 from symtwist.spinors import monomial
 from symtwist.symbols import (
     cartan_preimage,
     check_complex,
     check_exactness,
     symbol_apply,
-    xi_basis_index,
     xi_regime,
 )
 from symtwist.symplectic import (
@@ -63,8 +62,6 @@ def test_regime_flag(sp2):
     assert xi_regime(sp2, canonical_covector(sp2)) == "standard"
     # dual of a first-Lagrangian vector has a pure second-Lagrangian sharp
     assert "pure-derivative" in xi_regime(sp2, basis_covector(sp2, 0))
-    assert xi_basis_index(canonical_covector(sp2)) == 2
-    assert xi_basis_index(Covector((ONE, ONE, Scalar(0), Scalar(0)))) is None
 
 
 def test_check_complex_exact_zero(sp2):
