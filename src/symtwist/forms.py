@@ -16,7 +16,7 @@ from math import comb
 
 from .linalg import OperatorMatrix, accumulate
 from .scalars import Scalar, scalar_from_json, scalar_to_json
-from .spinors import Spinor, clifford_apply, monomial_key
+from .spinors import Spinor, _clifford_factors, _clifford_terms, monomial_key
 from .symplectic import Covector, SymplecticSpace
 
 
@@ -137,10 +137,11 @@ def contract(sp: SymplecticSpace, v, psi: SpinorForm) -> SpinorForm:
 def clifford_on_form(sp: SymplecticSpace, v, psi: SpinorForm) -> SpinorForm:
     """Clifford multiplication through the spinor factor; form part fixed."""
     out: dict = {}
+    l = sp.l
+    factors = _clifford_factors(l, v) if psi.terms else []
     for (idx, e), c in psi.terms.items():
-        img = clifford_apply(sp, v, Spinor(psi.l, {e: c}))
-        for e2, c2 in img.terms.items():
-            accumulate(out, (idx, e2), c2)
+        for e2, t in _clifford_terms(l, factors, e, c):
+            accumulate(out, (idx, e2), t)
     return SpinorForm(psi.l, out)
 
 

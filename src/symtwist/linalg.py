@@ -17,6 +17,9 @@ split does not change, so the free columns are the same for any split.
 Kernel vectors are the unique solutions with one free coordinate set to 1
 and the other free coordinates set to 0, and a solve fixes every free
 variable to 0, so the output does not depend on the components either.
+A solve eliminates only the components its right-hand side touches: on an
+untouched component the right-hand side is zero, which is consistent and
+gives that component's part of the solution as zero.
 """
 
 from __future__ import annotations
@@ -213,12 +216,20 @@ def solve(m: OperatorMatrix, b):
 
     ``b`` is a sparse {row: Scalar} dict (missing = zero).  Free variables
     are fixed to zero, which makes the returned solution deterministic.
+    Only the components holding a row of ``b`` are eliminated; every other
+    component is consistent and contributes nothing to x.
     """
     for r in b:
         if not (0 <= r < m.rows):
             raise ValueError(f"rhs index {r} outside {m.rows} rows")
+    parts = _partition(m)
+    owner = [0] * m.rows
+    for k, (rsel, _csel, _rows) in enumerate(parts):
+        for r in rsel:
+            owner[r] = k
     x: dict = {}
-    for rsel, csel, rows in _partition(m):
+    for k in sorted({owner[r] for r in b}):
+        rsel, csel, rows = parts[k]
         rhs = [b.get(r, Scalar(0)) for r in rsel]
         pivots, _ = _eliminate(rows, len(csel), rhs)
         pivot_rows = {pr for pr, _ in pivots}

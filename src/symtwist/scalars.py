@@ -4,6 +4,12 @@ The single number type of the whole package: a + b*i with rational a, b.
 ``fractions.Fraction`` keeps numerators and denominators in lowest terms
 with positive denominators after every operation, so exactness needs no
 extra bookkeeping here.
+
+Most operands in practice are pure-phase: real or purely imaginary.  The
+operators have branches for those (one ``Fraction`` product or quotient per
+multiply or divide, no addition of a zero part) and fall back to the general
+complex formulas otherwise.  Both paths return the same ``Fraction`` values,
+so the fast paths change no result.
 """
 
 from __future__ import annotations
@@ -35,50 +41,68 @@ class Scalar:
         return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _make(-self.re, -self.im)
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.re + other.re, self.im + other.im)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _make((a + c if a else c) if c else a, (b + d if b else d) if d else b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.re - other.re, self.im - other.im)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _make((a - c if a else -c) if c else a, (b - d if b else -d) if d else b)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return Scalar(other.re - self.re, other.im - self.im)
+        return _make(other.re - self.re, other.im - self.im)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, d = self.re, self.im, other.re, other.im
+        # pure-phase operands (real or imaginary) need one Fraction product
+        if not b:
+            if not d:
+                return _make(a * c, _ZERO)
+            if not c:
+                return _make(_ZERO, a * d)
+        elif not a:
+            if not d:
+                return _make(_ZERO, b * c)
+            if not c:
+                return _make(-(b * d), _ZERO)
+        return _make(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        n = other.re * other.re + other.im * other.im
-        if not n:
-            raise ZeroDivisionError("division by zero Scalar")
-        return Scalar(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, d = self.re, self.im, other.re, other.im
+        # a real or an imaginary divisor divides each part once
+        if not d:
+            if not c:
+                raise ZeroDivisionError("division by zero Scalar")
+            return _make(a / c if a else a, b / c if b else b)
+        if not c:
+            return _make(b / d if b else b, -a / d if a else a)
+        n = c * c + d * d
+        return _make((a * c + b * d) / n, (b * c - a * d) / n)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -96,6 +120,18 @@ class Scalar:
             return f"{self.im}i"
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
+
+
+_ZERO = Fraction(0)
+_new = object.__new__
+
+
+def _make(re: Fraction, im: Fraction) -> Scalar:
+    """A Scalar from two Fractions, without __init__'s conversions."""
+    z = _new(Scalar)
+    z.re = re
+    z.im = im
+    return z
 
 
 def _coerce(x):

@@ -125,25 +125,36 @@ class SpinorWindow:
         return f"SpinorWindow(l={self.l}, D={self.D})"
 
 
+def _clifford_factors(l, v):
+    """Nonzero components of v as (k, factor) in the order v_0, v_l, v_1,
+    v_{l+1}, ...; the factor is i*v_k on the first Lagrangian, v_k on the
+    second.  Computed once per action, not once per term."""
+    return [(k, I * v[k] if k < l else v[k]) for kk in range(l) for k in (kk, kk + l) if v[k]]
+
+
+def _clifford_terms(l, factors, e, c):
+    """(exponent, coefficient) terms of the action on the monomial c x^e."""
+    for k, f in factors:
+        if k < l:
+            # e_k . s = i x^k s
+            e2 = list(e)
+            e2[k] += 1
+            yield tuple(e2), f * c
+        elif e[k - l]:
+            # e_{k+l} . s = ds/dx^k
+            e2 = list(e)
+            e2[k - l] -= 1
+            yield tuple(e2), f * c * e[k - l]
+
+
 def clifford_apply(sp, v, s: Spinor) -> Spinor:
     """Action of the vector v (2l Scalar components) on the spinor s."""
     l = sp.l
     out: dict = {}
-    # nonzero components in the order v_0, v_l, v_1, v_{l+1}, ..., tested
-    # once per call, not once per term (none for an empty s)
-    nonzero = [(k, v[k]) for kk in range(l) for k in (kk, kk + l) if v[k]] if s.terms else []
+    factors = _clifford_factors(l, v) if s.terms else []
     for e, c in s.terms.items():
-        for k, vk in nonzero:
-            if k < l:
-                # e_k . s = i x^k s
-                e2 = list(e)
-                e2[k] += 1
-                accumulate(out, tuple(e2), I * vk * c)
-            elif e[k - l]:
-                # e_{k+l} . s = ds/dx^k
-                e2 = list(e)
-                e2[k - l] -= 1
-                accumulate(out, tuple(e2), vk * c * e[k - l])
+        for e2, t in _clifford_terms(l, factors, e, c):
+            accumulate(out, e2, t)
     return Spinor(l, out)
 
 

@@ -233,6 +233,40 @@ def test_criterion_7_symbol_sequences():
     assert not failures, line
 
 
+# (i, side, status, preimages_found, dim_kernel, kernel_contraction_violations)
+# of every position at the canonical covector, slack 4: criterion 7's red
+# result, pinned so that a drift in either direction shows.
+CRITERION_7_POSITIONS = {
+    (2, 1): [(0, "left", "pass", 0, 0, 0), (3, "right", "fail", 1, 3, None),
+             (4, "right", "pass", 3, 3, None)],
+    (2, 2): [(0, "left", "pass", 0, 0, 0), (3, "right", "fail", 5, 8, None),
+             (4, "right", "pass", 6, 6, None)],
+    (2, 3): [(0, "left", "pass", 0, 0, 0), (3, "right", "fail", 10, 15, None),
+             (4, "right", "pass", 10, 10, None)],
+    (3, 1): [(0, "left", "pass", 0, 0, 0), (1, "left", "pass", 0, 0, 0),
+             (4, "right", "fail", 1, 6, None), (5, "right", "pass", 10, 10, None),
+             (6, "right", "pass", 4, 4, None)],
+    (3, 2): [(0, "left", "pass", 0, 0, 0), (1, "left", "pass", 1, 1, 1),
+             (4, "right", "fail", 12, 25, None), (5, "right", "pass", 30, 30, None),
+             (6, "right", "pass", 10, 10, None)],
+    (3, 3): [(0, "left", "pass", 0, 0, 0), (1, "left", "pass", 4, 4, 4),
+             (4, "right", "fail", 33, 61, None), (5, "right", "pass", 65, 65, None),
+             (6, "right", "pass", 20, 20, None)],
+}
+
+
+def test_criterion_7_red_result_pinned():
+    for (l, D), expected in CRITERION_7_POSITIONS.items():
+        sp = standard_space(l)
+        ce = check_exactness(sp, D, canonical_covector(sp), 4)
+        got = [
+            (p["i"], p["side"], p["status"], p["preimages_found"], p["dim_kernel"],
+             p.get("kernel_contraction_violations"))
+            for p in ce["positions"]
+        ]
+        assert got == expected, (l, D)
+
+
 def test_criterion_8_curvature_split():
     from symtwist.curvature import (
         random_symmetric_ricci,

@@ -168,7 +168,7 @@ def _interleaved_blocks(rng):
             v = rng.choice(SMALL)
             if rb == cb and v:
                 entries[(r, c)] = v
-    return M(len(row_blk), len(col_blk), entries)
+    return M(len(row_blk), len(col_blk), entries), row_blk
 
 
 def _dense(rng):
@@ -202,7 +202,7 @@ def _l2_matrices():
 
 def test_matches_sympy_oracle():
     rng = random.Random(2)
-    cases = [_interleaved_blocks(rng) for _ in range(120)]
+    cases = [_interleaved_blocks(rng)[0] for _ in range(120)]
     cases += [_dense(rng) for _ in range(40)]
     cases += _l2_matrices()
     for m in cases:
@@ -213,6 +213,45 @@ def test_matches_sympy_oracle():
         x0 = {c: rng.choice(SMALL) for c in range(m.cols)}
         for b in (m.apply(x0), {r: rng.choice(SMALL) for r in range(m.rows)}):
             b = {r: v for r, v in b.items() if v}
+            assert solve(m, b) == _oracle_solve(m, b)
+
+
+def _three_components():
+    """Rows 0-1 and columns 0-1 form a rank-1 component (row 1 = i * row 0),
+    row 2 and column 2 a second one, row 3 is a zero row and column 3 a zero
+    column."""
+    return M(4, 4, {(0, 0): ONE, (0, 1): I, (1, 0): I, (1, 1): -ONE, (2, 2): Scalar(2)})
+
+
+def test_rhs_local_solves_match_sympy_oracle():
+    m = _three_components()
+    half = Scalar(Fraction(1, 2))
+    cases = [
+        ({}, {}),
+        # one component touched; the untouched one keeps a dependent row
+        # and the zero row stays untouched, so the solve is consistent
+        ({2: ONE}, {2: half}),
+        ({0: ONE, 1: I}, {0: ONE}),
+        ({0: ONE, 1: I, 2: ONE}, {0: ONE, 2: half}),
+        # b hits a row that eliminates to zero (row 1) or the empty row 3
+        ({1: ONE}, None),
+        ({3: ONE}, None),
+        ({2: ONE, 3: ONE}, None),
+    ]
+    for b, expected in cases:
+        assert solve(m, b) == expected == _oracle_solve(m, b), b
+    rng = random.Random(3)
+    for _ in range(120):
+        m, row_blk = _interleaved_blocks(rng)
+        assert solve(m, {}) == {}
+        # b supported on the rows of one block
+        blk = rng.choice(row_blk) if row_blk else None
+        x0 = {c: rng.choice(SMALL) for c in range(m.cols)}
+        image = m.apply(x0)
+        for b in (
+            {r: v for r, v in image.items() if row_blk[r] == blk},
+            {r: ONE for r in range(m.rows) if row_blk[r] == blk},
+        ):
             assert solve(m, b) == _oracle_solve(m, b)
 
 

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symtwist.scalars import (
     I,
@@ -74,3 +76,69 @@ def test_json_round_trip():
     assert enc == {"re": "-5/7", "im": "2/3"}
     assert scalar_from_json(enc) == z
     assert scalar_to_json(Scalar(2)) == {"re": "2/1", "im": "0/1"}
+
+
+# Property tests: every operator against the textbook four-multiply formulas,
+# on operands of each phase (zero, real, imaginary, general) and on int and
+# Fraction operands on either side.
+_ZERO = Fraction(0)
+_rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+_nonzero = st.builds(Fraction, st.integers(-50, 50).filter(bool), st.integers(1, 12))
+_scalars = st.one_of(
+    st.just(Scalar(0)),
+    _nonzero.map(Scalar),
+    _nonzero.map(lambda f: Scalar(0, f)),
+    st.tuples(_nonzero, _nonzero).map(lambda t: Scalar(*t)),
+)
+_plain = st.one_of(st.integers(-5, 5), _rationals)
+_pairs = st.one_of(
+    st.tuples(_scalars, _scalars),
+    st.tuples(_scalars, _plain),
+    st.tuples(_plain, _scalars),
+)
+_property = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+
+
+def _parts(x):
+    if isinstance(x, Scalar):
+        return x.re, x.im
+    return Fraction(x), _ZERO
+
+
+def _reference(op, x, y):
+    a, b = _parts(x)
+    c, d = _parts(y)
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c - b * d, a * d + b * c
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+def _check(z, parts):
+    assert type(z) is Scalar
+    assert type(z.re) is type(z.im) is Fraction
+    assert (z.re, z.im) == parts
+
+
+@_property
+@given(_pairs)
+def test_operators_match_textbook_formulas(pair):
+    x, y = pair
+    _check(x + y, _reference("+", x, y))
+    _check(x - y, _reference("-", x, y))
+    _check(x * y, _reference("*", x, y))
+    if any(_parts(y)):
+        _check(x / y, _reference("/", x, y))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+
+
+@_property
+@given(_scalars)
+def test_negation_matches_parts(z):
+    _check(-z, (-z.re, -z.im))
