@@ -4,9 +4,11 @@ Each case runs ``cli.main`` in-process, writes its report to a file and
 compares the exit code and the sha256 of the report bytes with values
 recorded once.  The configurations are the four of acceptance criterion 9,
 ``project --l 2 --degree 1``, ``symbol-check`` at the covector (0, 0, 1, 1)
-(standard regime, not a multiple of one basis covector), and
-``curvature --input`` on the tensor from ``gen-curvature --l 2 --seed 7``.  A mismatch means the report changed; the
-recorded values are not to be rewritten to make a change pass.
+(standard regime, not a multiple of one basis covector), ``symbol-check``
+and ``project`` at l=3, D=1 (edge bases above and below the halfway degree
+with more than one component per column), and ``curvature --input`` on the
+tensor from ``gen-curvature --l 2 --seed 7``.  A mismatch means the report
+changed; the recorded values are not to be rewritten to make a change pass.
 """
 
 import hashlib
@@ -45,6 +47,16 @@ GOLDEN = {
         ("project", "--l", "2", "--degree", "1"),
         0,
         "222e5a45c9a4e120512da17ea2703112106f54140a2bd271e5ae1c96f8121613",
+    ),
+    "symbol-check-l3d1": (
+        ("symbol-check", "--l", "3", "--degree", "1"),
+        1,
+        "b37ad3882926d1aa580f2f4978c0008f5c6164f10ce3e348d6f03f7d3f1e3cfe",
+    ),
+    "project-l3d1": (
+        ("project", "--l", "3", "--degree", "1"),
+        0,
+        "cf18e0016280124b66e28130447d1ac3caf3ee5a041f025141bbdcd5bb186326",
     ),
 }
 
