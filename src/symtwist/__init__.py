@@ -17,20 +17,19 @@ from .curvature import (
     sigma_tilde,
     weyl_part,
 )
-from .forms import FormWindow, SpinorForm, clifford_on_form, contract, enumerate_basis, wedge
+from .forms import FormWindow, SpinorForm, clifford_on_form, contract, wedge
 from .linalg import OperatorMatrix, kernel_basis, rank, solve
 from .osp import (
-    apply_osp,
     chain_model,
     component_basis,
     component_scalar,
+    edge_basis,
     edge_projector,
-    primitive_basis,
     project_component,
     project_wedge,
 )
 from .scalars import Scalar
-from .spinors import Spinor, SpinorWindow, clifford_apply, clifford_kernel, commutator_defect, parity_split
+from .spinors import Spinor, SpinorWindow, clifford_apply, commutator_defect
 from .symbols import cartan_preimage, check_complex, check_exactness, symbol_apply
 from .symplectic import Covector, SymplecticSpace, canonical_covector, sharp, standard_space
 

@@ -54,8 +54,11 @@ def _emit(report, args) -> None:
         _render_text(report, lines, "")
         payload = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ValueError(f"cannot write report to {args.out}: {exc}") from None
     else:
         sys.stdout.write(payload)
 

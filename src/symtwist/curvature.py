@@ -208,25 +208,6 @@ def random_ricci_type(sp: SymplecticSpace, seed: int) -> CurvatureTensor:
     return sigma_tilde(sp, random_symmetric_ricci(sp, seed))
 
 
-def scalar_curvature_contraction(sp: SymplecticSpace, sigma: RicciTensor) -> Scalar:
-    """sigma^{ij} omega_{ij} after raising both indices; identically zero
-    for symmetric sigma (no symplectic scalar curvature exists)."""
-    n = sp.dim
-    omu = sp.omega_upper
-    oml = sp.omega_lower
-    acc = Scalar(0)
-    for i in range(n):
-        for j in range(n):
-            up = Scalar(0)
-            for k in range(n):
-                for m in range(n):
-                    if omu[i][k] and omu[j][m] and sigma.entries[k][m]:
-                        up = up + omu[i][k] * omu[j][m] * sigma.entries[k][m]
-            if up and oml[i][j]:
-                acc = acc + up * oml[i][j]
-    return acc
-
-
 def curvature_to_json(R: CurvatureTensor) -> dict:
     n = 2 * R.l
     return {
@@ -243,6 +224,8 @@ def curvature_to_json(R: CurvatureTensor) -> dict:
 
 def curvature_from_json(obj: dict) -> CurvatureTensor:
     l = obj["l"]
+    if type(l) is not int:
+        raise ValueError(f"half-dimension l must be an integer, got {l!r}")
     n = 2 * l
     entries = [
         [
@@ -260,10 +243,3 @@ def ricci_to_json(s: RicciTensor) -> dict:
         "l": s.l,
         "entries": [[scalar_to_json(s.entries[i][j]) for j in range(n)] for i in range(n)],
     }
-
-
-def ricci_from_json(obj: dict) -> RicciTensor:
-    l = obj["l"]
-    n = 2 * l
-    entries = [[scalar_from_json(obj["entries"][i][j]) for j in range(n)] for i in range(n)]
-    return RicciTensor(l, entries)

@@ -15,8 +15,8 @@ from itertools import combinations
 from math import comb
 
 from .linalg import OperatorMatrix, accumulate
-from .scalars import Scalar, scalar_from_json, scalar_to_json
-from .spinors import Spinor, _clifford_factors, _clifford_terms, monomial_key
+from .scalars import Scalar
+from .spinors import Spinor, _clifford_factors, _clifford_terms
 from .symplectic import Covector, SymplecticSpace
 
 
@@ -189,11 +189,6 @@ class FormWindow:
         return f"FormWindow(l={self.l}, r={self.r}, D={self.D})"
 
 
-def enumerate_basis(win: FormWindow):
-    """Ordered basis descriptors (form tuple, exponent tuple)."""
-    return win.basis
-
-
 def form_to_coords(psi: SpinorForm, win: FormWindow) -> dict:
     coords = {}
     for key, c in psi.terms.items():
@@ -228,27 +223,3 @@ def operator_matrix(fn, domain, codomain) -> OperatorMatrix:
                 )
             entries[(row, col)] = c
     return OperatorMatrix(codomain.dim, len(domain), entries)
-
-
-def form_to_json(psi: SpinorForm) -> dict:
-    def key(t):
-        (idx, e), _c = t
-        return (idx, monomial_key(e))
-
-    terms = [
-        {
-            "form": [i + 1 for i in idx],  # 1-based in external encodings
-            "exp": list(e),
-            "coef": scalar_to_json(c),
-        }
-        for (idx, e), c in sorted(psi.terms.items(), key=key)
-    ]
-    return {"l": psi.l, "terms": terms}
-
-
-def form_from_json(obj: dict) -> SpinorForm:
-    terms = {}
-    for t in obj["terms"]:
-        idx = tuple(i - 1 for i in t["form"])
-        terms[(idx, tuple(t["exp"]))] = scalar_from_json(t["coef"])
-    return SpinorForm(obj["l"], terms)

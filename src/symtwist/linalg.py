@@ -24,7 +24,7 @@ gives that component's part of the solution as zero.
 
 from __future__ import annotations
 
-from .scalars import ONE, Scalar, scalar_from_json, scalar_to_json
+from .scalars import ONE, Scalar
 
 
 def accumulate(out: dict, key, c) -> None:
@@ -51,14 +51,6 @@ class OperatorMatrix:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry index {(r, c)} outside {rows}x{cols}")
 
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, {(k, k): ONE for k in range(n)})
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls(rows, cols, {})
-
     def is_zero(self):
         return not self.entries
 
@@ -75,9 +67,6 @@ class OperatorMatrix:
                 acc = out.get(r)
                 out[r] = v * x if acc is None else acc + v * x
         return {r: v for r, v in out.items() if v}
-
-    def column(self, c) -> dict:
-        return {r: v for (r, cc), v in self.entries.items() if cc == c}
 
     def __eq__(self, other):
         if not isinstance(other, OperatorMatrix):
@@ -250,28 +239,3 @@ def solve(m: OperatorMatrix, b):
         for c, v in sx.items():
             x[csel[c]] = v
     return x
-
-
-def matrix_to_json(m: OperatorMatrix) -> dict:
-    entries = [
-        [r, c, scalar_to_json(v)] for (r, c), v in sorted(m.entries.items())
-    ]
-    return {"rows": m.rows, "cols": m.cols, "entries": entries}
-
-
-def matrix_from_json(obj: dict) -> OperatorMatrix:
-    entries = {(r, c): scalar_from_json(s) for r, c, s in obj["entries"]}
-    return OperatorMatrix(obj["rows"], obj["cols"], entries)
-
-
-def vector_to_json(vec: dict, length: int) -> list:
-    return [scalar_to_json(vec.get(k, Scalar(0))) for k in range(length)]
-
-
-def vector_from_json(arr: list) -> dict:
-    out = {}
-    for k, s in enumerate(arr):
-        z = scalar_from_json(s)
-        if z:
-            out[k] = z
-    return out

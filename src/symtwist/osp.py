@@ -18,10 +18,13 @@ c_{rj} that separates the js of a fixed column, so spectral polynomials in
 F-F+ recover each component and in particular the "edge" component
 E^{r, m_r} hosting the twistor symbol maps.
 
-All component and primitive bases here are exact kernels of explicit
-operator matrices on degree-truncated windows; the chain model spans the
-F+-orbits of primitive vectors and is the smallest window-sized subspace
-closed under the whole algebra.
+All component bases here are exact kernels of explicit operator matrices
+on degree-truncated windows.  The edge bases are first-order kernels:
+ker(F-) below the halfway degree and ker(F+) from it on; the eigen-kernel
+of F-F+ - c_{rj} serves every other component and checks the edge.  The
+chain model spans the F+-orbits of primitive vectors (the edges up to the
+halfway degree) and is the smallest window-sized subspace closed under
+the whole algebra.
 """
 
 from __future__ import annotations
@@ -123,24 +126,6 @@ def grading(sp: SymplecticSpace, psi: SpinorForm) -> SpinorForm:
     ).scale(Scalar(2))
 
 
-_OSP_OPS = {
-    "F+": raising,
-    "F-": lowering,
-    "E+": omega_wedge,
-    "E-": omega_trace,
-    "H": grading,
-}
-
-
-def apply_osp(op: str, sp: SymplecticSpace, psi: SpinorForm) -> SpinorForm:
-    """Dispatch on the standard generator labels F+, F-, E+, E-, H."""
-    try:
-        fn = _OSP_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown operator {op!r}; expected one of {sorted(_OSP_OPS)}")
-    return fn(sp, psi)
-
-
 def ff_plus(sp: SymplecticSpace, psi: SpinorForm) -> SpinorForm:
     """The component-separating operator F-F+."""
     return lowering(sp, raising(sp, psi))
@@ -206,24 +191,31 @@ def edge_projector(sp: SymplecticSpace, r: int, psi: SpinorForm) -> SpinorForm:
 
 
 # ---------------------------------------------------------------------------
-# exact bases of primitive and general components on windows
+# exact bases of the edge and of general components on windows
 
 
-def primitive_basis(sp: SymplecticSpace, j: int, D: int):
-    """Exact basis of ker(F-) on the degree-D window of j-forms.
+def edge_basis(sp: SymplecticSpace, r: int, D: int):
+    """Exact basis of the edge component (r, m_r) on the (r, D) window, as a
+    first-order kernel.
 
-    For j <= l this is the window part of the primitive component (j, j).
+    Below the halfway degree (0 < r < l) the edge (r, r) is the primitive
+    part ker(F-): F+F- acts on (r, j) for j < r by c_{r-1, j}, which is
+    never zero.  From the halfway degree on (l <= r < 2l) the edge is
+    ker(F+): it tops its F+-chain, and F-F+ = c_{r j} is zero only on the
+    edge.  At r = 0 and r = 2l the whole window is one component.  A
+    normalised kernel basis depends only on the subspace, so this is the
+    basis of component_basis(sp, r, m_r, D), element for element.
     """
     l = sp.l
-    if not (0 <= j <= l):
-        raise ValueError(f"primitive components need 0 <= j <= {l}")
-    win = FormWindow(l, j, D)
-    if j == 0:
+    win = FormWindow(l, r, D)
+    if r == 0 or r == 2 * l:
         return [win.element(k) for k in range(win.dim)]
-    cowin = FormWindow(l, j - 1, D + 1)
-    mat = operator_matrix(lambda p: lowering(sp, p), win, cowin)
-    vecs = kernel_basis(mat)
-    return [coords_to_form(v, win) for v in vecs]
+    if r < l:
+        op, cowin = lowering, FormWindow(l, r - 1, D + 1)
+    else:
+        op, cowin = raising, FormWindow(l, r + 1, D + 1)
+    mat = operator_matrix(lambda p: op(sp, p), win, cowin)
+    return [coords_to_form(v, win) for v in kernel_basis(mat)]
 
 
 def component_basis(sp: SymplecticSpace, r: int, j: int, D: int):
@@ -239,17 +231,6 @@ def component_basis(sp: SymplecticSpace, r: int, j: int, D: int):
     mat = operator_matrix(lambda p: ff_plus(sp, p) - p.scale(c), win, cowin)
     vecs = kernel_basis(mat)
     return [coords_to_form(v, win) for v in vecs]
-
-
-def edge_kernel_dim(sp: SymplecticSpace, r: int, D: int) -> int:
-    """dim ker(F+) on the (r, D) window; for r >= l this is an independent
-    characterization of the edge component (reported, not assumed)."""
-    win = FormWindow(sp.l, r, D)
-    if r == 2 * sp.l:
-        return win.dim  # no forms above the top degree, F+ is zero there
-    cowin = FormWindow(sp.l, r + 1, D + 1)
-    mat = operator_matrix(lambda p: raising(sp, p), win, cowin)
-    return len(kernel_basis(mat))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +264,7 @@ def chain_model(sp: SymplecticSpace, D: int) -> ChainModel:
     tops_vanish = True
     primitives_primitive = True
     for j in range(l + 1):
-        prim = primitive_basis(sp, j, D)
+        prim = edge_basis(sp, j, D)
         primitive_dims[j] = len(prim)
         for v in prim:
             if not lowering(sp, v).is_zero():

@@ -19,8 +19,8 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from math import comb
 
-from .linalg import OperatorMatrix, accumulate, kernel_basis
-from .scalars import I, Scalar, scalar_from_json, scalar_to_json
+from .linalg import accumulate
+from .scalars import I, Scalar
 
 
 class Spinor:
@@ -34,12 +34,6 @@ class Spinor:
 
     def is_zero(self):
         return not self.terms
-
-    def degree(self):
-        """Max total exponent; -inf for the zero spinor."""
-        if not self.terms:
-            return float("-inf")
-        return max(sum(e) for e in self.terms)
 
     def __eq__(self, other):
         return (
@@ -73,11 +67,6 @@ class Spinor:
 
 def monomial(l, exp, coef=Scalar(1)) -> Spinor:
     return Spinor(l, {tuple(exp): coef})
-
-
-def monomial_key(exp):
-    # basis order: total degree first, then lexicographic exponents
-    return (sum(exp), exp)
 
 
 def monomials_upto(l, D):
@@ -167,44 +156,3 @@ def commutator_defect(sp, v, w, s: Spinor) -> Spinor:
     wv = clifford_apply(sp, w, clifford_apply(sp, v, s))
     corr = s.scale(I * omega_value(sp, v, w))
     return vw - wv + corr
-
-
-def clifford_matrix(sp, v, win: SpinorWindow, cowin: SpinorWindow) -> OperatorMatrix:
-    from .forms import operator_matrix  # forms imports this module
-
-    return operator_matrix(lambda s: clifford_apply(sp, v, s), win, cowin)
-
-
-def clifford_kernel(sp, v, win: SpinorWindow):
-    """Exact kernel basis of s -> v.s on the window (target one degree up)."""
-    if not any(v):
-        raise ValueError("Clifford multiplication kernel needs v != 0")
-    cowin = SpinorWindow(win.l, win.D + 1)
-    mat = clifford_matrix(sp, v, win, cowin)
-    vecs = kernel_basis(mat)
-    out = []
-    for vec in vecs:
-        out.append(Spinor(win.l, {win.basis[k]: c for k, c in vec.items()}))
-    return out
-
-
-def parity_split(s: Spinor):
-    """(even-total-degree part, odd part); the two reassemble s."""
-    even = {e: c for e, c in s.terms.items() if sum(e) % 2 == 0}
-    odd = {e: c for e, c in s.terms.items() if sum(e) % 2 == 1}
-    return Spinor(s.l, even), Spinor(s.l, odd)
-
-
-def spinor_to_json(s: Spinor) -> dict:
-    terms = [
-        {"exp": list(e), "coef": scalar_to_json(c)}
-        for e, c in sorted(s.terms.items(), key=lambda t: monomial_key(t[0]))
-    ]
-    return {"l": s.l, "terms": terms}
-
-
-def spinor_from_json(obj: dict) -> Spinor:
-    terms = {}
-    for t in obj["terms"]:
-        terms[tuple(t["exp"])] = scalar_from_json(t["coef"])
-    return Spinor(obj["l"], terms)

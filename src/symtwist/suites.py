@@ -24,7 +24,7 @@ from .osp import (
     component_basis,
     component_scalar,
     component_scalars_row,
-    edge_kernel_dim,
+    edge_basis,
     edge_projector,
     ff_plus,
     grading,
@@ -34,7 +34,6 @@ from .osp import (
     omega_wedge,
     project_component,
     project_wedge,
-    primitive_basis,
     raising,
     triangle_labels,
 )
@@ -188,7 +187,7 @@ def run_decompose(sp: SymplecticSpace, D: int) -> dict:
     agree = True
     edge_dims = {}
     for r in range(l, 2 * l + 1):
-        kd = edge_kernel_dim(sp, r, D)
+        kd = len(edge_basis(sp, r, D))
         cd = dims[f"({r},{m_index(l, r)})"]
         edge_dims[str(r)] = {"raising_kernel": kd, "component": cd}
         if kd != cd:
@@ -237,18 +236,14 @@ def run_decompose(sp: SymplecticSpace, D: int) -> dict:
     checks.append(_check("projectors_separate_components_on_chains", ortho_bad == 0, defects=ortho_bad))
 
     span_ok = True
-    for (r, j) in labels:
-        if j > l or r == j:
+    for (r, j), raised in sorted(cm.chains.items()):
+        if r == j:
             continue
-        prim = primitive_basis(sp, j, D)
         DD = D + (r - j)
         target = component_basis(sp, r, j, DD)
         win = FormWindow(l, r, DD)
         mat = operator_matrix(lambda v: v, target, win)
-        for v in prim:
-            w = v
-            for _ in range(r - j):
-                w = raising(sp, w)
+        for w in raised:
             if solve(mat, form_to_coords(w, win)) is None:
                 span_ok = False
     checks.append(_check("raised_primitives_inside_component_bases", span_ok))
@@ -302,7 +297,7 @@ def run_project(sp: SymplecticSpace, D: int) -> dict:
     plain_bad = 0
     inputs = 0
     for i in range(2 * l):
-        eb = component_basis(sp, i, m_index(l, i), D)
+        eb = edge_basis(sp, i, D)
         if i <= l - 1:
             a1 = Scalar(Fraction(4, l - i))
             a2 = Scalar(Fraction(16, l - i))

@@ -35,7 +35,7 @@ from .forms import (
     wedge,
 )
 from .linalg import accumulate, kernel_basis, solve
-from .osp import component_basis, m_index, project_wedge
+from .osp import edge_basis, project_wedge
 from .symplectic import Covector, SymplecticSpace, sharp
 
 
@@ -73,7 +73,7 @@ def _combine(basis, coeffs: dict, l) -> SpinorForm:
 def _edge_basis(sp, i, D, cache):
     key = (i, D)
     if key not in cache:
-        cache[key] = component_basis(sp, i, m_index(sp.l, i), D)
+        cache[key] = edge_basis(sp, i, D)
     return cache[key]
 
 

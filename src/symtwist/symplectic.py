@@ -103,27 +103,3 @@ def sharp(sp: SymplecticSpace, alpha: Covector) -> tuple:
                 acc = acc + sp.omega_upper[k][j] * alpha.components[j]
         out.append(acc)
     return tuple(out)
-
-
-def raise_index(sp: SymplecticSpace, comps) -> tuple:
-    """Rank-1: T^i = omega^{ic} T_c."""
-    n = sp.dim
-    return tuple(
-        sum(
-            (sp.omega_upper[i][c] * comps[c] for c in range(n) if comps[c]),
-            Scalar(0),
-        )
-        for i in range(n)
-    )
-
-
-def lower_index(sp: SymplecticSpace, comps) -> tuple:
-    """Rank-1: T_i = T^c omega_{ci}."""
-    n = sp.dim
-    return tuple(
-        sum(
-            (comps[c] * sp.omega_lower[c][i] for c in range(n) if comps[c]),
-            Scalar(0),
-        )
-        for i in range(n)
-    )

@@ -113,20 +113,35 @@ def _assert_bad_input(res):
     assert "Traceback" not in res.stderr
 
 
-@pytest.mark.parametrize("coef", [5, "1/0"])
-def test_curvature_bad_coefficient_rejected(tmp_path, coef):
+def _assert_bad_curvature(tmp_path, edit):
     from symtwist.curvature import curvature_to_json, zero_curvature
     from symtwist.symplectic import standard_space
 
     obj = curvature_to_json(zero_curvature(standard_space(1)))
-    obj["entries"][0][0][0][1]["re"] = coef
+    edit(obj)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
     _assert_bad_input(run_cli("curvature", "--input", str(path)))
 
 
+@pytest.mark.parametrize("coef", [5, "1/0"])
+def test_curvature_bad_coefficient_rejected(tmp_path, coef):
+    _assert_bad_curvature(tmp_path, lambda obj: obj["entries"][0][0][0][1].update(re=coef))
+
+
+def test_curvature_boolean_l_rejected(tmp_path):
+    _assert_bad_curvature(tmp_path, lambda obj: obj.update(l=True))
+
+
 def test_xi_zero_denominator_rejected():
     _assert_bad_input(run_cli("symbol-check", "--l", "1", "--xi", "1/0,1"))
+
+
+def test_unwritable_out_rejected(tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    res = run_cli("symbol-check", "--l", "1", "--degree", "0", "--out", str(out))
+    _assert_bad_input(res)
+    assert str(out) in res.stderr
 
 
 def test_text_format(tmp_path):

@@ -5,14 +5,7 @@ import pytest
 from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from symtwist.linalg import (
-    OperatorMatrix,
-    kernel_basis,
-    matrix_from_json,
-    matrix_to_json,
-    rank,
-    solve,
-)
+from symtwist.linalg import OperatorMatrix, kernel_basis, rank, solve
 from symtwist.scalars import I, ONE, Scalar
 
 
@@ -20,9 +13,13 @@ def M(rows, cols, entries):
     return OperatorMatrix(rows, cols, entries)
 
 
+def identity(n):
+    return M(n, n, {(k, k): ONE for k in range(n)})
+
+
 def test_rank_identity_and_zero():
-    assert rank(OperatorMatrix.identity(2)) == 2
-    assert rank(OperatorMatrix.zero(3, 5)) == 0
+    assert rank(identity(2)) == 2
+    assert rank(M(3, 5, {})) == 0
 
 
 def test_rank_dependent_rows():
@@ -32,11 +29,11 @@ def test_rank_dependent_rows():
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(OperatorMatrix.identity(3)) == []
+    assert kernel_basis(identity(3)) == []
 
 
 def test_kernel_zero_matrix_standard_basis():
-    vecs = kernel_basis(OperatorMatrix.zero(2, 2))
+    vecs = kernel_basis(M(2, 2, {}))
     assert vecs == [{0: ONE}, {1: ONE}]
 
 
@@ -52,15 +49,14 @@ def test_kernel_single_row():
 
 
 def test_solve_identity_and_zero():
-    ident = OperatorMatrix.identity(2)
-    assert solve(ident, {0: ONE, 1: I}) == {0: ONE, 1: I}
-    assert solve(OperatorMatrix.zero(2, 2), {0: ONE}) is None
+    assert solve(identity(2), {0: ONE, 1: I}) == {0: ONE, 1: I}
+    assert solve(M(2, 2, {}), {0: ONE}) is None
     assert solve(M(1, 1, {(0, 0): Scalar(2)}), {0: ONE}) == {0: Scalar(1) / Scalar(2)}
 
 
 def test_solve_rhs_index_out_of_range():
     with pytest.raises(ValueError):
-        solve(OperatorMatrix.identity(2), {5: ONE})
+        solve(identity(2), {5: ONE})
 
 
 SMALL = [Scalar(0), ONE, I, -ONE]
@@ -253,19 +249,3 @@ def test_rhs_local_solves_match_sympy_oracle():
             {r: ONE for r in range(m.rows) if row_blk[r] == blk},
         ):
             assert solve(m, b) == _oracle_solve(m, b)
-
-
-def test_matrix_json_round_trip():
-    m = M(2, 3, {(0, 0): I, (1, 2): Scalar(-1)})
-    obj = matrix_to_json(m)
-    assert obj["rows"] == 2 and obj["cols"] == 3
-    assert matrix_from_json(obj) == m
-
-
-def test_vector_json_round_trip():
-    from symtwist.linalg import vector_from_json, vector_to_json
-
-    v = {0: I, 2: Scalar(3)}
-    arr = vector_to_json(v, 4)
-    assert len(arr) == 4 and arr[1] == {"re": "0/1", "im": "0/1"}
-    assert vector_from_json(arr) == v

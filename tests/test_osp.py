@@ -5,12 +5,11 @@ import pytest
 from symtwist.forms import FormWindow, basis_form, from_spinor, wedge
 from symtwist.linalg import OperatorMatrix, solve
 from symtwist.osp import (
-    apply_osp,
     chain_model,
     component_basis,
     component_scalar,
     component_scalars_row,
-    edge_kernel_dim,
+    edge_basis,
     edge_projector,
     ff_plus,
     grading,
@@ -18,8 +17,6 @@ from symtwist.osp import (
     lowering,
     m_index,
     omega_trace,
-    omega_wedge,
-    primitive_basis,
     project_component,
     project_wedge,
     raising,
@@ -63,17 +60,6 @@ def test_omega_trace_needs_two_form_indices(sp1):
     assert omega_trace(sp1, basis_form(1, (0,), (0,))).is_zero()
 
 
-def test_apply_osp_dispatch(sp1):
-    psi = basis_form(1, (0,), (1,))
-    assert apply_osp("F+", sp1, psi) == raising(sp1, psi)
-    assert apply_osp("F-", sp1, psi) == lowering(sp1, psi)
-    assert apply_osp("E+", sp1, psi) == omega_wedge(sp1, psi)
-    assert apply_osp("E-", sp1, psi) == omega_trace(sp1, psi)
-    assert apply_osp("H", sp1, psi) == grading(sp1, psi)
-    with pytest.raises(ValueError):
-        apply_osp("X", sp1, psi)
-
-
 def test_component_scalar_table_hand_values():
     # odd sum: (1 + i - j)/8 ; even sum: (i + j - 2l)/8
     assert component_scalar(2, 1, 0) == Scalar(Fraction(1, 4))
@@ -98,13 +84,13 @@ def test_component_scalars_pairwise_distinct(l):
 
 
 def test_primitive_basis_hand_value(sp1):
-    pb = primitive_basis(sp1, 1, 0)
+    pb = edge_basis(sp1, 1, 0)
     assert pb == [basis_form(1, (0,), (0,))]
     # degree 0 primitives: the whole spinor window
-    pb0 = primitive_basis(sp1, 0, 2)
+    pb0 = edge_basis(sp1, 0, 2)
     assert len(pb0) == 3
     with pytest.raises(ValueError):
-        primitive_basis(sp1, 2, 0)
+        edge_basis(sp1, 3, 0)
 
 
 def test_component_basis_eigen_property(sp2):
@@ -116,34 +102,20 @@ def test_component_basis_eigen_property(sp2):
         component_basis(sp2, 1, 2, 1)
 
 
-def test_primitive_and_eigen_characterizations_agree(sp2):
-    # cross-oracle: ker(F-) and the eigen-kernel cut out the same window
-    # subspace on the halfway edge
-    for j in (1, 2):
-        for D in (1, 3):
-            prim = primitive_basis(sp2, j, D)
-            eig = component_basis(sp2, j, j, D)
-            assert len(prim) == len(eig)
-            win = FormWindow(2, j, D)
-            cols = {}
-            for cc, b in enumerate(eig):
-                for key, val in b.terms.items():
-                    cols[(win.index[key], cc)] = val
-            mat = OperatorMatrix(win.dim, len(eig), cols)
-            for v in prim:
-                assert solve(mat, form_to_coords(v, win)) is not None
+@pytest.mark.parametrize("l,Dmax", [(1, 3), (2, 3), (3, 2)])
+def test_edge_basis_equals_eigen_kernel(l, Dmax):
+    # cross-oracle: the first-order kernels (ker F- below the halfway
+    # degree, ker F+ from it on) and the second-order eigen-kernel of
+    # F-F+ - c give the same normalised basis, element for element
+    sp = standard_space(l)
+    for r in range(2 * l + 1):
+        for D in range(Dmax + 1):
+            assert edge_basis(sp, r, D) == component_basis(sp, r, m_index(l, r), D)
 
 
 def test_component_zero_forms_full_window(sp2):
     cb = component_basis(sp2, 0, 0, 2)
     assert len(cb) == FormWindow(2, 0, 2).dim
-
-
-def test_edge_kernel_agrees_above_halfway(sp2):
-    for r in (2, 3, 4):
-        assert edge_kernel_dim(sp2, r, 2) == len(
-            component_basis(sp2, r, m_index(2, r), 2)
-        )
 
 
 def test_edge_projector_l1_window(sp1):
@@ -183,7 +155,7 @@ def test_chain_model_certificate(l, D):
 
 
 def test_raised_primitives_live_in_component_windows(sp2):
-    prim = primitive_basis(sp2, 1, 1)
+    prim = edge_basis(sp2, 1, 1)
     target = component_basis(sp2, 3, 1, 3)
     win = FormWindow(2, 3, 3)
     cols = {}

@@ -1,7 +1,10 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symtwist.forms import SpinorForm, basis_form, contract, from_spinor, wedge
 from symtwist.osp import component_basis, omega_trace
@@ -183,3 +186,48 @@ def test_cartan_preimage_rejects_bad_input(sp2):
     zero = Covector(tuple(Scalar(0) for _ in range(4)))
     with pytest.raises(ValueError):
         cartan_preimage(sp2, zero, basis_form(2, (0, 1), (0, 0)))
+
+
+# GL(l) symmetry oracle: GL(l) inside Sp(2l) acts on the polynomial model by
+# linear substitution, which keeps every degree window.  It moves the
+# covector (0, ..., 0, u) (sharp = u in the first Lagrangian) to the
+# canonical one, so the dimensions and verdicts of the symbol-check reports
+# must be the same at each nonzero u.  The nonzero-composite counts are
+# compared too (zero exactly when the composite vanishes).  Preimage counts,
+# slack and violation counts are left out: they depend on the kernel basis.
+
+
+def _invariants(sp, D, xi):
+    cx = check_complex(sp, D, xi)
+    ex = check_exactness(sp, D, xi)
+    return (
+        [(c["i"], c["dim_domain"], c["nonzero_composites"], c["status"]) for c in cx["composites"]],
+        [(p["i"], p["dim_domain"], p["dim_kernel"], p["status"]) for p in ex["positions"]],
+    )
+
+
+def _first_lagrangian(sp, u):
+    return Covector(tuple(Scalar(0) for _ in range(sp.l)) + tuple(Scalar(x) for x in u))
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical_invariants(l, D):
+    sp = standard_space(l)
+    return _invariants(sp, D, canonical_covector(sp))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(any), st.sampled_from([1, 2]))
+@example((0, 7), 1)
+@example((0, 7), 2)
+@example((1, -3), 2)
+@example((2, 5), 2)
+def test_gl_symmetry_of_symbol_invariants(u, D):
+    sp = standard_space(2)
+    assert _invariants(sp, D, _first_lagrangian(sp, u)) == _canonical_invariants(2, D)
+
+
+def test_gl_symmetry_of_symbol_invariants_l3():
+    sp = standard_space(3)
+    xi = _first_lagrangian(sp, (2, -1, 3))
+    assert _invariants(sp, 1, xi) == _canonical_invariants(3, 1)

@@ -8,9 +8,7 @@ from symtwist.symplectic import (
     basis_vector,
     canonical_covector,
     evaluate,
-    lower_index,
     omega_value,
-    raise_index,
     sharp,
     standard_space,
 )
@@ -82,9 +80,18 @@ def test_canonical_covector_sharp_is_first_basis_vector():
 
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_raise_then_lower_is_identity(l):
+    # sharp raises with the first omega slot; lowering with the second,
+    # T_i = T^c omega_{ci}, inverts it on both sides
     sp = standard_space(l)
     n = 2 * l
+
+    def lower(comps):
+        return tuple(
+            sum((comps[c] * sp.omega_lower[c][i] for c in range(n)), Scalar(0))
+            for i in range(n)
+        )
+
     for k in range(n):
         comps = tuple(ONE if j == k else Scalar(0) for j in range(n))
-        assert lower_index(sp, raise_index(sp, comps)) == comps
-        assert raise_index(sp, lower_index(sp, comps)) == comps
+        assert lower(sharp(sp, Covector(comps))) == comps
+        assert sharp(sp, Covector(lower(comps))) == comps
