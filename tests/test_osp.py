@@ -102,6 +102,32 @@ def test_component_basis_eigen_property(sp2):
         component_basis(sp2, 1, 2, 1)
 
 
+def test_primitive_and_eigen_characterizations_agree(sp2):
+    # cross-oracle: ker(F-) and the eigen-kernel cut out the same window
+    # subspace on the halfway edge
+    for j in (1, 2):
+        for D in (1, 3):
+            prim = edge_basis(sp2, j, D)
+            eig = component_basis(sp2, j, j, D)
+            assert len(prim) == len(eig)
+            win = FormWindow(2, j, D)
+            cols = {}
+            for cc, b in enumerate(eig):
+                for key, val in b.terms.items():
+                    cols[(win.index[key], cc)] = val
+            mat = OperatorMatrix(win.dim, len(eig), cols)
+            for v in prim:
+                assert solve(mat, form_to_coords(v, win)) is not None
+
+
+def test_edge_kernel_agrees_above_halfway(sp2):
+    # ker(F+) from the halfway degree on has the eigen-kernel's dimension
+    for r in (2, 3, 4):
+        assert len(edge_basis(sp2, r, 2)) == len(
+            component_basis(sp2, r, m_index(2, r), 2)
+        )
+
+
 @pytest.mark.parametrize("l,Dmax", [(1, 3), (2, 3), (3, 2)])
 def test_edge_basis_equals_eigen_kernel(l, Dmax):
     # cross-oracle: the first-order kernels (ker F- below the halfway
