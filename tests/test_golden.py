@@ -6,9 +6,10 @@ recorded once.  The configurations are the four of acceptance criterion 9,
 ``project --l 2 --degree 1``, ``symbol-check`` at the covector (0, 0, 1, 1)
 (standard regime, not a multiple of one basis covector), ``symbol-check``
 and ``project`` at l=3, D=1 (edge bases above and below the halfway degree
-with more than one component per column), and ``curvature --input`` on the
-tensor from ``gen-curvature --l 2 --seed 7``.  A mismatch means the report
-changed; the recorded values are not to be rewritten to make a change pass.
+with more than one component per column), ``relations`` at l=3, D=1 (the
+Clifford action at l=3), and ``curvature --input`` on the tensor from
+``gen-curvature --l 2 --seed 7``.  A mismatch means the report changed;
+the recorded values are not to be rewritten to make a change pass.
 """
 
 import hashlib
@@ -57,6 +58,11 @@ GOLDEN = {
         ("project", "--l", "3", "--degree", "1"),
         0,
         "cf18e0016280124b66e28130447d1ac3caf3ee5a041f025141bbdcd5bb186326",
+    ),
+    "relations-l3d1": (
+        ("relations", "--l", "3", "--degree", "1"),
+        0,
+        "91828afeb6f98a8f719e011fac7bf9ef8d6e9b970959d60a705e1a1e13ea41a8",
     ),
 }
 
