@@ -17,7 +17,7 @@ from .curvature import (
     sigma_tilde,
     weyl_part,
 )
-from .forms import FormWindow, SpinorForm, clifford_on_form, contract, wedge
+from .forms import FormWindow, SpinorForm, contract, wedge
 from .linalg import OperatorMatrix, kernel_basis, rank, solve
 from .osp import (
     chain_model,
@@ -29,8 +29,8 @@ from .osp import (
     project_wedge,
 )
 from .scalars import Scalar
-from .spinors import Spinor, SpinorWindow, clifford_apply, commutator_defect
-from .symbols import cartan_preimage, check_complex, check_exactness, symbol_apply
+from .spinors import clifford_apply, commutator_defect
+from .symbols import check_complex, check_exactness, symbol_apply
 from .symplectic import Covector, SymplecticSpace, canonical_covector, sharp, standard_space
 
 __version__ = "0.1.0"

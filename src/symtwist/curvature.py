@@ -227,14 +227,16 @@ def curvature_from_json(obj: dict) -> CurvatureTensor:
     if type(l) is not int:
         raise ValueError(f"half-dimension l must be an integer, got {l!r}")
     n = 2 * l
-    entries = [
-        [
-            [[scalar_from_json(obj["entries"][i][j][k][m]) for m in range(n)] for k in range(n)]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return CurvatureTensor(l, entries)
+
+    def level(x, depth):
+        # every level is a list of exactly 2l items: nothing is cut off
+        if depth == 4:
+            return scalar_from_json(x)
+        if type(x) is not list or len(x) != n:
+            raise ValueError(f"curvature entries must nest four lists of length 2l = {n}")
+        return [level(y, depth + 1) for y in x]
+
+    return CurvatureTensor(l, level(obj["entries"], 0))
 
 
 def ricci_to_json(s: RicciTensor) -> dict:

@@ -5,18 +5,19 @@ form tuple kept strictly increasing; wedge and contraction compute the
 permutation sign on insertion/removal, so every value has one canonical
 representation and equality is dict equality.  A single SpinorForm is
 homogeneous in form degree; non-homogeneous data is handled as sequences
-of homogeneous pieces.
+of homogeneous pieces.  A spinor is a 0-form, its terms keyed
+((), exponent tuple); the Clifford action on the spinor factor lives in
+the spinors module.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .linalg import OperatorMatrix, accumulate
 from .scalars import Scalar
-from .spinors import Spinor, _clifford_factors, _clifford_terms
 from .symplectic import Covector, SymplecticSpace
 
 
@@ -87,11 +88,6 @@ def basis_form(l, idx, exp, coef=Scalar(1)) -> SpinorForm:
     return SpinorForm(l, {(tuple(idx), tuple(exp)): coef})
 
 
-def from_spinor(s: Spinor) -> SpinorForm:
-    """Embed a spinor as a 0-form."""
-    return SpinorForm(s.l, {((), e): c for e, c in s.terms.items()})
-
-
 def _insert(idx: tuple, k: int):
     """Sorted insertion with sign; None when k already present."""
     pos = bisect_left(idx, k)
@@ -134,15 +130,18 @@ def contract(sp: SymplecticSpace, v, psi: SpinorForm) -> SpinorForm:
     return SpinorForm(psi.l, out)
 
 
-def clifford_on_form(sp: SymplecticSpace, v, psi: SpinorForm) -> SpinorForm:
-    """Clifford multiplication through the spinor factor; form part fixed."""
-    out: dict = {}
-    l = sp.l
-    factors = _clifford_factors(l, v) if psi.terms else []
-    for (idx, e), c in psi.terms.items():
-        for e2, t in _clifford_terms(l, factors, e, c):
-            accumulate(out, (idx, e2), t)
-    return SpinorForm(psi.l, out)
+def monomials_upto(l, D):
+    """All exponent tuples of total degree <= D, in basis order."""
+    out = []
+    for d in range(D + 1):
+        batch = set()
+        for picks in combinations_with_replacement(range(l), d):
+            e = [0] * l
+            for p in picks:
+                e[p] += 1
+            batch.add(tuple(e))
+        out.extend(sorted(batch))
+    return out
 
 
 class FormWindow:
@@ -162,8 +161,6 @@ class FormWindow:
         self.l = l
         self.r = r
         self.D = D
-        from .spinors import monomials_upto
-
         monos = monomials_upto(l, D)
         self.basis = tuple(
             (idx, e) for idx in combinations(range(2 * l), r) for e in monos

@@ -35,7 +35,6 @@ from fractions import Fraction
 from .forms import (
     FormWindow,
     SpinorForm,
-    clifford_on_form,
     contract,
     coords_to_form,
     operator_matrix,
@@ -43,6 +42,7 @@ from .forms import (
 )
 from .linalg import accumulate, kernel_basis
 from .scalars import I, ONE, Scalar
+from .spinors import clifford_apply
 from .symplectic import SymplecticSpace, basis_covector, basis_vector, sharp
 
 
@@ -320,6 +320,6 @@ def project_wedge(sp: SymplecticSpace, i: int, xi, psi: SpinorForm) -> SpinorFor
     xs = sharp(sp, xi)
     beta = Scalar(Fraction(2, i - l))
     gamma = I * Scalar(Fraction(1, i - l))
-    t1 = raising(sp, clifford_on_form(sp, xs, psi)).scale(beta)
+    t1 = raising(sp, clifford_apply(sp, xs, psi)).scale(beta)
     t2 = omega_wedge(sp, contract(sp, xs, psi)).scale(gamma)
     return w + t1 + t2

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from .forms import (
     FormWindow,
-    clifford_on_form,
     contract,
     form_to_coords,
     operator_matrix,
@@ -38,7 +37,7 @@ from .osp import (
     triangle_labels,
 )
 from .scalars import I, Scalar
-from .spinors import SpinorWindow, commutator_defect, monomial
+from .spinors import clifford_apply, commutator_defect
 from .symplectic import (
     SymplecticSpace,
     basis_covector,
@@ -69,14 +68,14 @@ def run_relations(sp: SymplecticSpace, D: int) -> dict:
 
     defects = 0
     pairs = 0
-    win = SpinorWindow(l, D)
+    win = FormWindow(l, 0, D)
     for a in range(2 * l):
         va = basis_vector(sp, a)
         for b in range(2 * l):
             vb = basis_vector(sp, b)
             pairs += 1
-            for e in win.basis:
-                if not commutator_defect(sp, va, vb, monomial(l, e)).is_zero():
+            for s in win:
+                if not commutator_defect(sp, va, vb, s).is_zero():
                     defects += 1
     checks.append(
         _check("clifford_commutation", defects == 0, basis_pairs=pairs, defects=defects)
@@ -127,9 +126,9 @@ def run_relations(sp: SymplecticSpace, D: int) -> dict:
                     break
             for v in vectors:
                 lhs = raising(sp, contract(sp, v, psi)) + contract(sp, v, fplus)
-                if lhs != clifford_on_form(sp, v, psi).scale(half_i):
+                if lhs != clifford_apply(sp, v, psi).scale(half_i):
                     bad["raising_contraction_anticommutator"] += 1
-                lhs = lowering(sp, clifford_on_form(sp, v, psi)) - clifford_on_form(sp, v, fminus)
+                lhs = lowering(sp, clifford_apply(sp, v, psi)) - clifford_apply(sp, v, fminus)
                 if lhs != contract(sp, v, psi).scale(half_i):
                     bad["lowering_clifford_commutator"] += 1
                 for w in vectors:
@@ -138,7 +137,7 @@ def run_relations(sp: SymplecticSpace, D: int) -> dict:
                         + contract(sp, w, contract(sp, v, psi))
                     ).is_zero():
                         bad["contraction_anticommutation"] += 1
-                    if contract(sp, v, clifford_on_form(sp, w, psi)) != clifford_on_form(
+                    if contract(sp, v, clifford_apply(sp, w, psi)) != clifford_apply(
                         sp, w, contract(sp, v, psi)
                     ):
                         bad["contraction_clifford_commute"] += 1

@@ -27,15 +27,14 @@ from __future__ import annotations
 from .forms import (
     FormWindow,
     SpinorForm,
-    clifford_on_form,
     contract,
-    coords_to_form,
     form_to_coords,
     operator_matrix,
     wedge,
 )
 from .linalg import accumulate, kernel_basis, solve
 from .osp import edge_basis, project_wedge
+from .spinors import clifford_apply
 from .symplectic import Covector, SymplecticSpace, sharp
 
 
@@ -208,7 +207,7 @@ def _left_position(sp, i, D, xi, xs, slack, cache):
     for phi in kernel:
         if not contract(sp, xs, phi).is_zero():
             contraction_violations += 1
-        if not clifford_on_form(sp, xs, clifford_on_form(sp, xs, phi)).is_zero():
+        if not clifford_apply(sp, xs, clifford_apply(sp, xs, phi)).is_zero():
             clifford_sq_violations += 1
     rec["kernel_contraction_violations"] = contraction_violations
     rec["kernel_clifford_square_violations"] = clifford_sq_violations
@@ -278,31 +277,6 @@ def _untruncated_solver(sp, i, D, xi, slack, cache):
         return rhs is not None and solve(mat, rhs) is not None
 
     return attempt
-
-
-def cartan_preimage(sp: SymplecticSpace, xi: Covector, omega: SpinorForm) -> SpinorForm:
-    """Some beta with xi ^ beta = omega, given xi != 0 and xi ^ omega = 0.
-
-    Pure exterior-algebra division: the spinor coefficients ride along
-    untouched, so the solve runs degree slice by degree slice.
-    """
-    if xi.is_zero():
-        raise ValueError("need a nonzero covector")
-    if not wedge(xi, omega).is_zero():
-        raise ValueError("omega is not annihilated by wedging with xi")
-    if omega.is_zero():
-        return SpinorForm(sp.l)
-    r = omega.form_degree()
-    if r < 1:
-        raise ValueError("need a form of degree >= 1")
-    sd = int(omega.spinor_degree())
-    dom = FormWindow(sp.l, r - 1, sd)
-    cod = FormWindow(sp.l, r, sd)
-    mat = operator_matrix(lambda p: wedge(xi, p), dom, cod)
-    x = solve(mat, form_to_coords(omega, cod))
-    if x is None:
-        raise ArithmeticError("exterior division failed; input violates the Cartan condition")
-    return coords_to_form(x, dom)
 
 
 def describe_covector(xi: Covector) -> list:

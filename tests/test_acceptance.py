@@ -33,7 +33,7 @@ from symtwist.osp import (
     triangle_labels,
 )
 from symtwist.scalars import Scalar
-from symtwist.spinors import SpinorWindow, commutator_defect, monomial
+from symtwist.spinors import commutator_defect
 from symtwist.suites import run_project, run_relations
 from symtwist.symbols import check_complex, check_exactness
 from symtwist.symplectic import (
@@ -58,12 +58,12 @@ def test_criterion_1_clifford_commutation():
     defects = 0
     for l in (1, 2, 3):
         sp = standard_space(l)
-        win = SpinorWindow(l, 6)
+        win = FormWindow(l, 0, 6)
         vecs = [basis_vector(sp, k) for k in range(2 * l)]
         for va in vecs:
             for vb in vecs:
-                for e in win.basis:
-                    if not commutator_defect(sp, va, vb, monomial(l, e)).is_zero():
+                for s in win:
+                    if not commutator_defect(sp, va, vb, s).is_zero():
                         defects += 1
     dt = time.time() - t0
     line = _report("1 clifford commutation", defects == 0 and dt < 10, dt, 10)

@@ -113,11 +113,11 @@ def _assert_bad_input(res):
     assert "Traceback" not in res.stderr
 
 
-def _assert_bad_curvature(tmp_path, edit):
+def _assert_bad_curvature(tmp_path, edit, tensor=None):
     from symtwist.curvature import curvature_to_json, zero_curvature
     from symtwist.symplectic import standard_space
 
-    obj = curvature_to_json(zero_curvature(standard_space(1)))
+    obj = curvature_to_json(tensor or zero_curvature(standard_space(1)))
     edit(obj)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
@@ -131,6 +131,24 @@ def test_curvature_bad_coefficient_rejected(tmp_path, coef):
 
 def test_curvature_boolean_l_rejected(tmp_path):
     _assert_bad_curvature(tmp_path, lambda obj: obj.update(l=True))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obj: obj.update(l=1),
+        lambda obj: obj["entries"][0].append(obj["entries"][0][0]),
+        lambda obj: obj["entries"][1][2][3].append(obj["entries"][1][2][3][0]),
+    ],
+    ids=["l-edited-to-1", "extra-row", "extra-element"],
+)
+def test_curvature_entries_shape_must_match_l(tmp_path, edit):
+    # the tensor of ``gen-curvature --l 2 --seed 7``; every level of its
+    # entries must be a list of exactly 2l items, none is read partially
+    from symtwist.curvature import random_ricci_type
+    from symtwist.symplectic import standard_space
+
+    _assert_bad_curvature(tmp_path, edit, random_ricci_type(standard_space(2), 7))
 
 
 def test_xi_zero_denominator_rejected():

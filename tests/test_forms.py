@@ -4,16 +4,14 @@ from symtwist.forms import (
     FormWindow,
     SpinorForm,
     basis_form,
-    clifford_on_form,
     contract,
     coords_to_form,
     form_to_coords,
-    from_spinor,
     operator_matrix,
     wedge,
 )
 from symtwist.scalars import I, ONE
-from symtwist.spinors import monomial
+from symtwist.spinors import clifford_apply
 from symtwist.symplectic import basis_covector, basis_vector, standard_space
 
 
@@ -51,14 +49,14 @@ def test_wedge_on_zero_forms_is_tensoring(sp1):
     from symtwist.symplectic import Covector
 
     both = Covector(comps)
-    psi = from_spinor(monomial(1, (1,)))
+    psi = basis_form(1, (), (1,))
     w = wedge(both, psi)
     assert w == SpinorForm(1, {((0,), (1,)): ONE, ((1,), (1,)): ONE})
 
 
 def test_contract_duality(sp1):
     psi = basis_form(1, (0,), (2,))
-    assert contract(sp1, basis_vector(sp1, 0), psi) == from_spinor(monomial(1, (2,)))
+    assert contract(sp1, basis_vector(sp1, 0), psi) == basis_form(1, (), (2,))
     assert contract(sp1, basis_vector(sp1, 1), psi).is_zero()
 
 
@@ -103,11 +101,11 @@ def test_wedge_squared_zero_as_matrix(sp2):
 
 def test_clifford_on_form_examples(sp1):
     psi = basis_form(1, (0,), (1,))
-    out = clifford_on_form(sp1, basis_vector(sp1, 0), psi)
+    out = clifford_apply(sp1, basis_vector(sp1, 0), psi)
     assert out == basis_form(1, (0,), (2,), I)
-    assert clifford_on_form(sp1, basis_vector(sp1, 1), basis_form(1, (0,), (0,))).is_zero()
+    assert clifford_apply(sp1, basis_vector(sp1, 1), basis_form(1, (0,), (0,))).is_zero()
     mixed = tuple(a + b for a, b in zip(basis_vector(sp1, 0), basis_vector(sp1, 1)))
-    out3 = clifford_on_form(sp1, mixed, from_spinor(monomial(1, (1,))))
+    out3 = clifford_apply(sp1, mixed, basis_form(1, (), (1,)))
     assert out3 == SpinorForm(1, {((), (2,)): I, ((), (0,)): ONE})
 
 
@@ -119,7 +117,7 @@ def test_contract_commutes_with_clifford(sp2):
             for a in range(4):
                 for b in range(4):
                     va, vb = basis_vector(sp2, a), basis_vector(sp2, b)
-                    assert contract(sp2, va, clifford_on_form(sp2, vb, psi)) == clifford_on_form(
+                    assert contract(sp2, va, clifford_apply(sp2, vb, psi)) == clifford_apply(
                         sp2, vb, contract(sp2, va, psi)
                     )
 
@@ -139,7 +137,7 @@ def test_operator_matrix_rejects_overflow(sp1):
     cod = FormWindow(1, 0, 1)  # too small: clifford raises degree to 2
     with pytest.raises(ValueError):
         operator_matrix(
-            lambda p: clifford_on_form(sp1, basis_vector(sp1, 0), p), dom, cod
+            lambda p: clifford_apply(sp1, basis_vector(sp1, 0), p), dom, cod
         )
 
 

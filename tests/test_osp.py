@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from symtwist.forms import FormWindow, basis_form, from_spinor, wedge
+from symtwist.forms import FormWindow, basis_form, wedge
 from symtwist.linalg import OperatorMatrix, solve
 from symtwist.osp import (
     chain_model,
@@ -23,7 +23,6 @@ from symtwist.osp import (
     triangle_labels,
 )
 from symtwist.scalars import I, Scalar
-from symtwist.spinors import monomial
 from symtwist.symplectic import basis_covector, canonical_covector, standard_space
 from symtwist.forms import form_to_coords
 
@@ -46,17 +45,17 @@ def test_triangle_bounds():
 
 def test_raising_hand_value(sp1):
     # on the constant spinor: -(1/2) eps^1 (x) x
-    out = raising(sp1, from_spinor(monomial(1, (0,))))
+    out = raising(sp1, basis_form(1, (), (0,)))
     assert out == basis_form(1, (0,), (1,), Scalar(Fraction(-1, 2)))
 
 
 def test_grading_scalar_hand_value(sp1):
-    one = from_spinor(monomial(1, (0,)))
+    one = basis_form(1, (), (0,))
     assert grading(sp1, one) == one.scale(Scalar(Fraction(-1, 2)))
 
 
 def test_omega_trace_needs_two_form_indices(sp1):
-    assert omega_trace(sp1, from_spinor(monomial(1, (1,)))).is_zero()
+    assert omega_trace(sp1, basis_form(1, (), (1,))).is_zero()
     assert omega_trace(sp1, basis_form(1, (0,), (0,))).is_zero()
 
 
@@ -147,7 +146,7 @@ def test_component_zero_forms_full_window(sp2):
 def test_edge_projector_l1_window(sp1):
     edge = basis_form(1, (0,), (0,))
     assert edge_projector(sp1, 1, edge) == edge
-    other = raising(sp1, from_spinor(monomial(1, (0,))))  # sits in (1, 0)
+    other = raising(sp1, basis_form(1, (), (0,)))  # sits in (1, 0)
     assert edge_projector(sp1, 1, other).is_zero()
 
 
@@ -217,5 +216,5 @@ def test_project_wedge_lowering_cancellation(sp1):
     # lowering operator: the correction term cancels the wedge's part
     xi = canonical_covector(sp1)
     for e in ((0,), (1,), (2,)):
-        pw = project_wedge(sp1, 0, xi, from_spinor(monomial(1, e)))
+        pw = project_wedge(sp1, 0, xi, basis_form(1, (), e))
         assert lowering(sp1, pw).is_zero()

@@ -1,18 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symtwist.forms import operator_matrix
+from symtwist.forms import FormWindow, SpinorForm, basis_form, contract, operator_matrix, wedge
 from symtwist.linalg import kernel_basis
 from symtwist.scalars import I, ONE, Scalar
-from symtwist.spinors import (
-    Spinor,
-    SpinorWindow,
-    clifford_apply,
-    commutator_defect,
-    monomial,
-)
-from symtwist.symplectic import basis_vector, omega_value, standard_space
+from symtwist.spinors import clifford_apply, commutator_defect
+from symtwist.symplectic import Covector, basis_vector, omega_value, standard_space
 
 
 @pytest.fixture
@@ -22,21 +18,21 @@ def sp1():
 
 def _clifford_kernel(sp, v, win):
     """Kernel of s -> v.s on the window (target one degree up)."""
-    cowin = SpinorWindow(win.l, win.D + 1)
+    cowin = FormWindow(win.l, 0, win.D + 1)
     return kernel_basis(operator_matrix(lambda s: clifford_apply(sp, v, s), win, cowin))
 
 
 def test_generator_rules(sp1):
-    x = monomial(1, (1,))
-    assert clifford_apply(sp1, basis_vector(sp1, 0), x) == Spinor(1, {(2,): I})
-    assert clifford_apply(sp1, basis_vector(sp1, 1), x) == Spinor(1, {(0,): ONE})
-    one = monomial(1, (0,))
+    x = basis_form(1, (), (1,))
+    assert clifford_apply(sp1, basis_vector(sp1, 0), x) == basis_form(1, (), (2,), I)
+    assert clifford_apply(sp1, basis_vector(sp1, 1), x) == basis_form(1, (), (0,))
+    one = basis_form(1, (), (0,))
     assert clifford_apply(sp1, basis_vector(sp1, 1), one).is_zero()
 
 
 def test_action_is_linear_in_vector(sp1):
     v = (Scalar(2), I)
-    s = monomial(1, (2,), Scalar(Fraction(1, 3)))
+    s = basis_form(1, (), (2,), Scalar(Fraction(1, 3)))
     direct = clifford_apply(sp1, v, s)
     split = clifford_apply(sp1, (Scalar(2), Scalar(0)), s) + clifford_apply(
         sp1, (Scalar(0), I), s
@@ -47,18 +43,18 @@ def test_action_is_linear_in_vector(sp1):
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_commutation_relation_all_pairs(l):
     sp = standard_space(l)
-    win = SpinorWindow(l, 3)
+    win = FormWindow(l, 0, 3)
     for a in range(2 * l):
         for b in range(2 * l):
             va, vb = basis_vector(sp, a), basis_vector(sp, b)
-            for e in win.basis:
-                assert commutator_defect(sp, va, vb, monomial(l, e)).is_zero()
+            for s in win:
+                assert commutator_defect(sp, va, vb, s).is_zero()
 
 
 def test_commutator_value_matches_form(sp1):
     # v.w.s - w.v.s must equal -i omega(v,w) s on the nose
     v, w = basis_vector(sp1, 0), basis_vector(sp1, 1)
-    s = monomial(1, (2,))
+    s = basis_form(1, (), (2,))
     lhs = clifford_apply(sp1, v, clifford_apply(sp1, w, s)) - clifford_apply(
         sp1, w, clifford_apply(sp1, v, s)
     )
@@ -66,36 +62,36 @@ def test_commutator_value_matches_form(sp1):
 
 
 def test_degree_changes_by_at_most_one(sp1):
-    s = Spinor(1, {(0,): ONE, (3,): I})
+    s = SpinorForm(1, {((), (0,)): ONE, ((), (3,)): I})
     for k in (0, 1):
         img = clifford_apply(sp1, basis_vector(sp1, k), s)
-        assert max(map(sum, img.terms)) <= max(map(sum, s.terms)) + 1
+        assert img.spinor_degree() <= s.spinor_degree() + 1
 
 
 def test_window_dimension():
-    win = SpinorWindow(2, 3)
+    win = FormWindow(2, 0, 3)
     assert win.dim == 10  # C(2+3, 2)
-    assert win.basis[0] == (0, 0)
-    assert win.index[(1, 2)] is not None
+    assert win.basis[0] == ((), (0, 0))
+    assert win.index[((), (1, 2))] is not None
 
 
 def test_kernel_multiplication_injective(sp1):
-    win = SpinorWindow(1, 3)
+    win = FormWindow(1, 0, 3)
     assert _clifford_kernel(sp1, basis_vector(sp1, 0), win) == []
     mixed = tuple(a + b for a, b in zip(basis_vector(sp1, 0), basis_vector(sp1, 1)))
     assert _clifford_kernel(sp1, mixed, win) == []
 
 
 def test_kernel_pure_derivative(sp1):
-    win = SpinorWindow(1, 3)
+    win = FormWindow(1, 0, 3)
     ker = _clifford_kernel(sp1, basis_vector(sp1, 1), win)
-    assert ker == [{win.index[(0,)]: ONE}]  # the constants
+    assert ker == [{win.index[((), (0,))]: ONE}]  # the constants
 
 
 @pytest.mark.parametrize("l,D", [(1, 6), (2, 4), (3, 3)])
 def test_kernel_empty_whenever_first_lagrangian_touched(l, D):
     sp = standard_space(l)
-    win = SpinorWindow(l, D)
+    win = FormWindow(l, 0, D)
     v = list(basis_vector(sp, 0))
     v[l] = ONE  # add a derivative part on top of the multiplication part
     assert _clifford_kernel(sp, tuple(v), win) == []
@@ -103,8 +99,42 @@ def test_kernel_empty_whenever_first_lagrangian_touched(l, D):
 
 def test_clifford_reverses_parity(sp1):
     for e in ((0,), (1,), (2,)):
-        s = monomial(1, e)
+        s = basis_form(1, (), e)
         for k in (0, 1):
             img = clifford_apply(sp1, basis_vector(sp1, k), s)
-            for e2 in img.terms:
+            for _idx, e2 in img.terms:
                 assert (sum(e2) - sum(e)) % 2 == 1
+
+
+# The one Clifford action on forms of every degree, at non-basis vectors and
+# on sums of terms: entries (a/2) + (b/3)i with a, b in -3..3.
+_gauss = st.builds(
+    lambda a, b: Scalar(Fraction(a, 2), Fraction(b, 3)), st.integers(-3, 3), st.integers(-3, 3)
+)
+
+
+@st.composite
+def _clifford_cases(draw):
+    l = draw(st.integers(1, 3))
+    vector = st.tuples(*[_gauss] * (2 * l))
+    v, w = draw(vector), draw(vector)
+    r = draw(st.integers(0, 2 * l))
+    idx = st.permutations(range(2 * l)).map(lambda p: tuple(sorted(p[:r])))
+    exp = st.tuples(*[st.integers(0, 3)] * l)
+    terms = draw(st.lists(st.tuples(idx, exp, _gauss), min_size=1, max_size=4))
+    psi = sum((basis_form(l, i, e, c) for i, e, c in terms), SpinorForm(l))
+    return standard_space(l), v, w, psi
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_clifford_cases())
+def test_clifford_action_on_forms_properties(case):
+    sp, v, w, psi = case
+    vw = clifford_apply(sp, v, clifford_apply(sp, w, psi))
+    wv = clifford_apply(sp, w, clifford_apply(sp, v, psi))
+    assert vw - wv == psi.scale(-I * omega_value(sp, v, w))
+    assert contract(sp, w, clifford_apply(sp, v, psi)) == clifford_apply(
+        sp, v, contract(sp, w, psi)
+    )
+    xi = Covector(w)
+    assert wedge(xi, clifford_apply(sp, v, psi)) == clifford_apply(sp, v, wedge(xi, psi))

@@ -6,12 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symtwist.forms import SpinorForm, basis_form, contract, from_spinor, wedge
+from symtwist.forms import SpinorForm, basis_form, contract, wedge
 from symtwist.osp import component_basis, omega_trace
 from symtwist.scalars import I, Scalar
-from symtwist.spinors import monomial
 from symtwist.symbols import (
-    cartan_preimage,
     check_complex,
     check_exactness,
     symbol_apply,
@@ -34,7 +32,7 @@ def sp2():
 def test_symbol_rejects_zero_covector(sp2):
     zero = Covector(tuple(Scalar(0) for _ in range(4)))
     with pytest.raises(ValueError):
-        symbol_apply(sp2, 0, zero, from_spinor(monomial(2, (0, 0))))
+        symbol_apply(sp2, 0, zero, basis_form(2, (), (0, 0)))
     with pytest.raises(ValueError):
         check_complex(sp2, 1, zero)
     with pytest.raises(ValueError):
@@ -49,14 +47,14 @@ def test_symbol_is_plain_wedge_above_halfway(sp2):
 
 def test_symbol_zero_form_formula(sp2):
     # position 0: xi (x) s  - (2/l) F+(xi-sharp . s)
-    from symtwist.forms import clifford_on_form
     from symtwist.osp import raising
+    from symtwist.spinors import clifford_apply
 
     xi = canonical_covector(sp2)
     xs = sharp(sp2, xi)
-    psi = from_spinor(monomial(2, (1, 1)))
+    psi = basis_form(2, (), (1, 1))
     expected = wedge(xi, psi) + raising(
-        sp2, clifford_on_form(sp2, xs, psi)
+        sp2, clifford_apply(sp2, xs, psi)
     ).scale(Scalar(Fraction(-2, 2)))
     assert symbol_apply(sp2, 0, xi, psi) == expected
 
@@ -152,40 +150,6 @@ def test_exactness_l1_vacuous_left_and_degenerate_top():
     assert top["status"] == "fail"
     assert top["preimages_from_untruncated_domain"] == top["dim_kernel"]
 
-
-def test_cartan_preimage_basic(sp2):
-    xi = basis_covector(sp2, 0)
-    eta = basis_form(2, (1,), (0, 0))
-    omega = wedge(xi, eta)
-    beta = cartan_preimage(sp2, xi, omega)
-    assert wedge(xi, beta) == omega
-    assert cartan_preimage(sp2, xi, SpinorForm(2)).is_zero()
-
-
-def test_cartan_preimage_hand_case(sp2):
-    # omega = eps^1 ^ eps^2: beta = eps^2 up to adding eps^1-multiples
-    xi = basis_covector(sp2, 0)
-    omega = basis_form(2, (0, 1), (0, 0))
-    beta = cartan_preimage(sp2, xi, omega)
-    assert wedge(xi, beta) == omega
-
-
-def test_cartan_preimage_with_spinor_coefficients(sp2):
-    xi = canonical_covector(sp2)
-    eta = basis_form(2, (0, 3), (2, 1)) + basis_form(2, (1, 2), (0, 0), I)
-    omega = wedge(xi, eta)
-    beta = cartan_preimage(sp2, xi, omega)
-    assert wedge(xi, beta) == omega
-
-
-def test_cartan_preimage_rejects_bad_input(sp2):
-    xi = basis_covector(sp2, 0)
-    omega = basis_form(2, (1, 2), (0, 0))  # xi ^ omega != 0
-    with pytest.raises(ValueError):
-        cartan_preimage(sp2, xi, omega)
-    zero = Covector(tuple(Scalar(0) for _ in range(4)))
-    with pytest.raises(ValueError):
-        cartan_preimage(sp2, zero, basis_form(2, (0, 1), (0, 0)))
 
 
 # GL(l) symmetry oracle: GL(l) inside Sp(2l) acts on the polynomial model by
