@@ -6,7 +6,8 @@ recorded once.  The configurations are the four of acceptance criterion 9,
 ``project --l 2 --degree 1``, ``symbol-check`` at the covector (0, 0, 1, 1)
 (standard regime, not a multiple of one basis covector), ``symbol-check``
 and ``project`` at l=3, D=1 (edge bases above and below the halfway degree
-with more than one component per column), ``relations`` at l=3, D=1 (the
+with more than one component per column), ``symbol-check`` at l=3, D=2
+(the benchmark's configuration), ``relations`` at l=3, D=1 (the
 Clifford action at l=3), and ``curvature --input`` on the tensor from
 ``gen-curvature --l 2 --seed 7``.  A mismatch means the report changed;
 the recorded values are not to be rewritten to make a change pass.
@@ -53,6 +54,11 @@ GOLDEN = {
         ("symbol-check", "--l", "3", "--degree", "1"),
         1,
         "b37ad3882926d1aa580f2f4978c0008f5c6164f10ce3e348d6f03f7d3f1e3cfe",
+    ),
+    "symbol-check-l3d2": (
+        ("symbol-check", "--l", "3", "--degree", "2"),
+        1,
+        "c745ea023a878219a01c4287a9538ffc202fffd1b0c2618c87af707252a24e5d",
     ),
     "project-l3d1": (
         ("project", "--l", "3", "--degree", "1"),
