@@ -20,6 +20,12 @@ variable to 0, so the output does not depend on the components either.
 A solve eliminates only the components its right-hand side touches: on an
 untouched component the right-hand side is zero, which is consistent and
 gives that component's part of the solution as zero.
+
+A matrix is split once: the first solve on it stores the components and
+the row-to-component map on the matrix, and every later solve reuses them.
+Elimination works on a copy of the touched components' row lists, so the
+stored split stays the split of the input.  Rank and kernel bases are
+one-shot and split afresh.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ def accumulate(out: dict, key, c) -> None:
 class OperatorMatrix:
     """Exact sparse matrix between two enumerated bases."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_split")
 
     def __init__(self, rows, cols, entries):
         self.rows = rows
@@ -50,6 +56,8 @@ class OperatorMatrix:
         for (r, c) in self.entries:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry index {(r, c)} outside {rows}x{cols}")
+        # (components, row -> component), filled by the first solve
+        self._split = None
 
     def is_zero(self):
         return not self.entries
@@ -120,9 +128,12 @@ def _partition(m: OperatorMatrix):
 def _eliminate(rows, ncols, rhs=None):
     """Forward elimination in place.
 
-    Returns (pivots, free_cols) where pivots is a list of (row, col) in
-    ascending column order.  ``rhs`` (a dense list) is carried through the
-    same row operations when given.  Rows never chosen as pivots end up as
+    ``rows`` is a list of ``{col: Scalar}`` dicts; elimination rebinds its
+    items to new dicts and only reads the dicts it was given, so a copy of
+    the list keeps the input rows intact.  Returns (pivots, free_cols)
+    where pivots is a list of (row, col) in ascending column order.
+    ``rhs`` (a dense list) is carried through the same row operations when
+    given.  Rows never chosen as pivots end up as
     zero rows (their residual rhs decides consistency).
     """
     nrows = len(rows)
@@ -211,14 +222,18 @@ def solve(m: OperatorMatrix, b):
     for r in b:
         if not (0 <= r < m.rows):
             raise ValueError(f"rhs index {r} outside {m.rows} rows")
-    parts = _partition(m)
-    owner = [0] * m.rows
-    for k, (rsel, _csel, _rows) in enumerate(parts):
-        for r in rsel:
-            owner[r] = k
+    if m._split is None:
+        parts = _partition(m)
+        owner = [0] * m.rows
+        for k, (rsel, _csel, _rows) in enumerate(parts):
+            for r in rsel:
+                owner[r] = k
+        m._split = (parts, owner)
+    parts, owner = m._split
     x: dict = {}
     for k in sorted({owner[r] for r in b}):
         rsel, csel, rows = parts[k]
+        rows = list(rows)  # the stored split is reused by later solves
         rhs = [b.get(r, Scalar(0)) for r in rsel]
         pivots, _ = _eliminate(rows, len(csel), rhs)
         pivot_rows = {pr for pr, _ in pivots}

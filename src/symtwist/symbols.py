@@ -16,6 +16,14 @@ slack, because a kernel vector of spinor degree <= D may only have
 preimages of a slightly higher degree; the report records how much slack a
 position actually used.
 
+A right-side kernel vector with no preimage in the edge component is also
+tried against all spinor-valued (i-1)-forms of that window (the junction
+diagnostic).  That is one solve on the first-order block matrix
+[xi ^ . | F-], with no spectral projector: from the halfway degree on,
+the non-edge part of the i-forms is the image of F-, and F+ and F- keep a
+weight that bounds the degree of the F- preimage needed, which makes the
+window exact (see _untruncated_solver).
+
 The default covector is the one whose sharp is the first Lagrangian basis
 vector.  For covectors whose sharp lies entirely in the second Lagrangian,
 Clifford multiplication is not injective on the polynomial spinor model,
@@ -28,12 +36,13 @@ from .forms import (
     FormWindow,
     SpinorForm,
     contract,
+    coords_to_form,
     form_to_coords,
     operator_matrix,
     wedge,
 )
 from .linalg import accumulate, kernel_basis, solve
-from .osp import edge_basis, project_wedge
+from .osp import edge_basis, lowering, project_wedge
 from .spinors import clifford_apply
 from .symplectic import Covector, SymplecticSpace, sharp
 
@@ -253,28 +262,82 @@ def _right_position(sp, i, D, xi, slack, cache):
         # Diagnostic for the junction phenomenon: kernel vectors typically do
         # have preimages under the projected wedge acting on ALL spinor-valued
         # (i-1)-forms; what fails is reachability from the edge component the
-        # preceding twistor operator is actually defined on.
-        solver = _untruncated_solver(sp, i, D, xi, slack, cache)
+        # preceding twistor operator is actually defined on.  The projected
+        # wedge is never formed: phi = E(xi ^ p) is solved as
+        # xi ^ p + F-(q) = phi (see _untruncated_solver).  Its matrices
+        # serve this position only, so they stay out of the cache.
+        solver = _untruncated_solver(sp, i, D, xi, slack)
         rec["preimages_from_untruncated_domain"] = rec["preimages_found"] + sum(
             1 for phi in unreachable if solver(phi)
         )
     return rec
 
 
-def _untruncated_solver(sp, i, D, xi, slack, cache):
-    from .osp import edge_projector
+def _untruncated_solver(sp, i, D, xi, slack):
+    """Decide, for edge i-forms phi (l <= i <= 2l), whether phi = E(xi ^ p)
+    for some (i-1)-form p of degree <= D + slack, E the edge projector.
 
-    key = ("untruncated", i, D + slack)
-    if key not in cache:
-        dom = FormWindow(sp.l, i - 1, D + slack)
-        cod = FormWindow(sp.l, i, D + slack + 2)
-        mat = operator_matrix(lambda p: edge_projector(sp, i, wedge(xi, p)), dom, cod)
-        cache[key] = (mat, cod)
-    mat, cod = cache[key]
+    From the halfway degree on, the non-edge part of the i-forms is
+    F-(Lambda^{i+1} (x) S): F- maps the (i+1, j) component into (i, j) and
+    j <= m_{i+1} < m_i, so E F- = 0; and F-F+ acts on each non-edge (i, j)
+    by the nonzero scalar c_{ij}, so x = F-(F+ x / c_{ij}) there.  Hence
+    phi = E(xi ^ p) exactly when xi ^ p + F-(q) = phi for some (i+1)-form
+    q, one solve on the block matrix [xi ^ . | F-] with no projector.  At
+    i = 2l the edge is everything and there is no F- block.
+
+    Any solution is a certificate (apply E to both sides), at any degree
+    bound Dq on q.  For "no" the window must hold every q that could be
+    needed.  F+ and F- keep the weight |e| - #first + #second of a term (its
+    spinor degree, minus its form indices in the first Lagrangian half,
+    plus those in the second), and so does every spectral projector.  If
+    phi = E(xi ^ p), then x = phi - xi ^ p has the weights of xi ^ p, an
+    i-form of degree <= D + slack, so weights <= D + slack + 2l - i.
+    Weight by weight, x = F-(q) with q = sum_j F+(x_j) / c_{ij} of the same
+    weights, and an (i+1)-form of weight w has degree <= w + 2l - i - 1.
+    So Dq = D + slack + 2(2l - i) - 1 makes the answer exact (rows: i-forms
+    of degree <= Dq + 1, which hold xi ^ p and F-(q)).  The solve runs
+    first at Dq = D + slack + 1, which is smaller and has so far answered
+    every kernel vector of the CLI; only a "no" there is retried on the
+    exact window.  Every witness (p, q) is re-checked by applying wedge and
+    lowering.
+    """
+    l = sp.l
+    dom = FormWindow(l, i - 1, D + slack)
+    if i == 2 * l:
+        windows = [None]
+    else:
+        first, exact = D + slack + 1, D + slack + 2 * (2 * l - i) - 1
+        windows = [first] if exact == first else [first, exact]
+    built = {}
+
+    def block_matrix(Dq):
+        if Dq not in built:
+            qwin = None if Dq is None else FormWindow(l, i + 1, Dq)
+            cod = FormWindow(l, i, D + slack if Dq is None else Dq + 1)
+            columns = list(dom) + (list(qwin) if qwin is not None else [])
+            mat = operator_matrix(
+                lambda b: wedge(xi, b) if b.form_degree() == i - 1 else lowering(sp, b),
+                columns,
+                cod,
+            )
+            built[Dq] = (mat, cod, qwin)
+        return built[Dq]
 
     def attempt(phi):
-        rhs = _coords_in(phi, cod)
-        return rhs is not None and solve(mat, rhs) is not None
+        for Dq in windows:
+            mat, cod, qwin = block_matrix(Dq)
+            rhs = _coords_in(phi, cod)
+            x = None if rhs is None else solve(mat, rhs)
+            if x is None:
+                continue
+            p = coords_to_form({c: v for c, v in x.items() if c < dom.dim}, dom)
+            image = wedge(xi, p)
+            if qwin is not None:
+                q = coords_to_form({c - dom.dim: v for c, v in x.items() if c >= dom.dim}, qwin)
+                image = image + lowering(sp, q)
+            if (image - phi).is_zero():
+                return True
+        return False
 
     return attempt
 

@@ -84,14 +84,6 @@ def omega_value(sp: SymplecticSpace, v, w) -> Scalar:
     return acc
 
 
-def evaluate(alpha: Covector, v) -> Scalar:
-    acc = Scalar(0)
-    for a, x in zip(alpha.components, v):
-        if a and x:
-            acc = acc + a * x
-    return acc
-
-
 def sharp(sp: SymplecticSpace, alpha: Covector) -> tuple:
     """The vector alpha-sharp with alpha(w) = omega(alpha-sharp, w)."""
     n = sp.dim

@@ -249,3 +249,20 @@ def test_rhs_local_solves_match_sympy_oracle():
             {r: ONE for r in range(m.rows) if row_blk[r] == blk},
         ):
             assert solve(m, b) == _oracle_solve(m, b)
+
+
+def test_repeated_solves_on_one_matrix_reuse_its_split():
+    # the first solve stores the split on the matrix; later solves on the
+    # same matrix must see the input rows, not rows an earlier solve
+    # eliminated
+    rng = random.Random(4)
+    cases = [_interleaved_blocks(rng)[0] for _ in range(60)] + _l2_matrices()
+    for m in cases:
+        rhs = []
+        for _ in range(4):
+            x0 = {c: rng.choice(SMALL) for c in range(m.cols)}
+            rhs.append(m.apply(x0))
+            rhs.append({r: v for r in range(m.rows) if (v := rng.choice(SMALL))})
+        for b in rhs:
+            fresh = M(m.rows, m.cols, m.entries)
+            assert solve(m, b) == solve(fresh, b) == _oracle_solve(m, b)

@@ -139,6 +139,55 @@ def test_trace_of_wedge_on_edge_inputs():
             assert lhs == contract(sp3, xs, psi).scale(I)
 
 
+# The untruncated diagnostic solves xi ^ p + F-(q) = phi instead of
+# phi = E(xi ^ p) with the spectral edge projector E.  Oracle: the
+# projector form, one solve on the matrix of E(xi ^ .), on every edge basis
+# vector of the right-side positions (not only kernel vectors, so that "no"
+# answers occur), at target degrees up to D + slack + 2.
+
+
+def _projector_oracle(sp, i, D, xi, slack):
+    from symtwist.forms import FormWindow, form_to_coords, operator_matrix
+    from symtwist.linalg import solve
+    from symtwist.osp import edge_projector
+
+    dom = FormWindow(sp.l, i - 1, D + slack)
+    cod = FormWindow(sp.l, i, D + slack + 2)
+    mat = operator_matrix(lambda p: edge_projector(sp, i, wedge(xi, p)), dom, cod)
+
+    def attempt(phi):
+        try:
+            rhs = form_to_coords(phi, cod)
+        except ValueError:
+            return False
+        return solve(mat, rhs) is not None
+
+    return attempt
+
+
+@pytest.mark.parametrize(
+    "l, D, slack, target_degree",
+    [(2, 1, 0, 1), (2, 1, 0, 2), (2, 1, 0, 3), (2, 2, 0, 2), (2, 1, 1, 3), (3, 1, 0, 1)],
+)
+def test_untruncated_diagnostic_matches_projector_oracle(l, D, slack, target_degree):
+    from symtwist.osp import edge_basis
+    from symtwist.symbols import _untruncated_solver
+
+    sp = standard_space(l)
+    xi = canonical_covector(sp)
+    answers = []
+    for i in range(l + 1, 2 * l + 1):
+        solver = _untruncated_solver(sp, i, D, xi, slack)
+        oracle = _projector_oracle(sp, i, D, xi, slack)
+        for phi in edge_basis(sp, i, target_degree):
+            got = solver(phi)
+            assert got == oracle(phi), (i, phi)
+            answers.append(got)
+    assert False in answers
+    if target_degree <= D:
+        assert True in answers
+
+
 def test_exactness_l1_vacuous_left_and_degenerate_top():
     sp1 = standard_space(1)
     rep = check_exactness(sp1, 1, canonical_covector(sp1), 4)
