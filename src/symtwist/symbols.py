@@ -303,17 +303,14 @@ def _untruncated_solver(sp, i, D, xi, slack):
     """
     l = sp.l
     dom = FormWindow(l, i - 1, D + slack)
-    if i == 2 * l:
-        windows = [None]
-    else:
-        first, exact = D + slack + 1, D + slack + 2 * (2 * l - i) - 1
-        windows = [first] if exact == first else [first, exact]
+    first, exact = D + slack + 1, D + slack + 2 * (2 * l - i) - 1
+    windows = [first] if exact <= first else [first, exact]
     built = {}
 
     def block_matrix(Dq):
         if Dq not in built:
-            qwin = None if Dq is None else FormWindow(l, i + 1, Dq)
-            cod = FormWindow(l, i, D + slack if Dq is None else Dq + 1)
+            qwin = FormWindow(l, i + 1, Dq) if i < 2 * l else None
+            cod = FormWindow(l, i, Dq + 1)
             columns = list(dom) + (list(qwin) if qwin is not None else [])
             mat = operator_matrix(
                 lambda b: wedge(xi, b) if b.form_degree() == i - 1 else lowering(sp, b),
