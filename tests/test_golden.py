@@ -8,8 +8,10 @@ recorded once.  The configurations are the four of acceptance criterion 9,
 and ``project`` at l=3, D=1 (edge bases above and below the halfway degree
 with more than one component per column), ``symbol-check`` at l=3, D=2
 (the benchmark's configuration), ``relations`` at l=3, D=1 (the
-Clifford action at l=3), and ``curvature --input`` on the tensor from
-``gen-curvature --l 2 --seed 7``.  A mismatch means the report changed;
+Clifford action at l=3), ``decompose`` at l=3, D=1 (the benchmark's
+configuration), ``symbol-check`` at l=2, D=2 on the fractional covector
+(1/2, 0, -1/3, 2) (non-unit denominators), and ``curvature --input`` on
+the tensor from ``gen-curvature --l 2 --seed 7``.  A mismatch means the report changed;
 the recorded values are not to be rewritten to make a change pass.
 """
 
@@ -69,6 +71,16 @@ GOLDEN = {
         ("relations", "--l", "3", "--degree", "1"),
         0,
         "91828afeb6f98a8f719e011fac7bf9ef8d6e9b970959d60a705e1a1e13ea41a8",
+    ),
+    "decompose-l3d1": (
+        ("decompose", "--l", "3", "--degree", "1"),
+        0,
+        "04809465112705e2364728e3fb561e17dc8ddda9a79c0aa962c0716bbf44941b",
+    ),
+    "symbol-check-l2d2-xi-fractional": (
+        ("symbol-check", "--l", "2", "--degree", "2", "--xi", "1/2,0,-1/3,2"),
+        1,
+        "2c7c20bd255725ca176bdb108881457b566edbf14a0eb060fd811dd4f0c26eac",
     ),
 }
 
