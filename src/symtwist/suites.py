@@ -165,9 +165,9 @@ def run_decompose(sp: SymplecticSpace, D: int) -> dict:
         seen = set()
         for j, c in row.items():
             table[f"({r},{j})"] = str(c)
-            if (c.re, c.im) in seen:
+            if c in seen:
                 distinct_ok = False
-            seen.add((c.re, c.im))
+            seen.add(c)
     checks.append(_check("component_scalars_distinct_per_column", distinct_ok))
 
     dims = {}

@@ -5,12 +5,13 @@ import sys
 import pytest
 
 
-def run_cli(*args, check=False):
+def run_cli(*args, check=False, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "symtwist", *args],
         capture_output=True,
         text=True,
         check=check,
+        timeout=timeout,
     )
 
 
@@ -121,10 +122,13 @@ def _assert_bad_curvature(tmp_path, edit, tensor=None):
     edit(obj)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
-    _assert_bad_input(run_cli("curvature", "--input", str(path)))
+    _assert_bad_input(run_cli("curvature", "--input", str(path), timeout=120))
 
 
-@pytest.mark.parametrize("coef", [5, "1/0"])
+@pytest.mark.parametrize(
+    "coef",
+    [5, "1/0", "1e20000000", pytest.param("7" * 5000, id="5000-digits")],
+)
 def test_curvature_bad_coefficient_rejected(tmp_path, coef):
     _assert_bad_curvature(tmp_path, lambda obj: obj["entries"][0][0][0][1].update(re=coef))
 
@@ -153,6 +157,17 @@ def test_curvature_entries_shape_must_match_l(tmp_path, edit):
 
 def test_xi_zero_denominator_rejected():
     _assert_bad_input(run_cli("symbol-check", "--l", "1", "--xi", "1/0,1"))
+
+
+@pytest.mark.parametrize(
+    "comp", ["1e20000000", pytest.param("7" * 5000, id="5000-digits")]
+)
+def test_xi_oversized_component_rejected(comp):
+    # an exponent is refused before Fraction expands it; an over-long digit
+    # string hits the interpreter's int() digit limit.  The timeout only
+    # turns a run that would never finish into a failure.
+    args = ("symbol-check", "--l", "1", "--degree", "0", "--slack", "0")
+    _assert_bad_input(run_cli(*args, "--xi", f"{comp},0", timeout=120))
 
 
 def test_unwritable_out_rejected(tmp_path):

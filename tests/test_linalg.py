@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
@@ -102,6 +104,61 @@ def test_solve_iff_augmented_rank_matches():
             residual = m.apply(x)
             for r in range(rows):
                 assert residual.get(r, Scalar(0)) == b.get(r, Scalar(0))
+
+
+# The same three properties on general entries: both parts nonzero,
+# denominators up to 12, sparse patterns up to 6x6.  A row or a column may
+# be a multiple of another, so that kernels and inconsistent right-hand
+# sides are common and not only the generic full-rank case.
+_part = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 12))
+_general = st.builds(Scalar, _part, _part)
+
+
+@st.composite
+def _general_systems(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = draw(st.sets(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))))
+    entries = {rc: draw(_general) for rc in sorted(cells)}
+    if rows > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(rows)))[:2]
+        f = draw(_general)
+        for c in range(cols):
+            entries.pop((dst, c), None)
+            if (src, c) in entries:
+                entries[(dst, c)] = entries[(src, c)] * f
+    if cols > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(cols)))[:2]
+        f = draw(_general)
+        for r in range(rows):
+            entries.pop((r, dst), None)
+            if (r, src) in entries:
+                entries[(r, dst)] = entries[(r, src)] * f
+    m = M(rows, cols, entries)
+    if draw(st.booleans()):
+        # a right-hand side in the image, so that solves succeed often
+        b = m.apply({c: draw(_general) for c in sorted(draw(st.sets(st.integers(0, cols - 1))))})
+    else:
+        b = {r: draw(_general) for r in sorted(draw(st.sets(st.integers(0, rows - 1))))}
+    return m, b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_general_systems())
+def test_kernel_rank_and_solve_on_general_entries(system):
+    m, b = system
+    vecs = kernel_basis(m)
+    assert rank(m) + len(vecs) == m.cols
+    for v in vecs:
+        assert m.apply(v) == {}
+    aug_entries = dict(m.entries)
+    for r, v in b.items():
+        aug_entries[(r, m.cols)] = v
+    aug = M(m.rows, m.cols + 1, aug_entries)
+    x = solve(m, b)
+    if x is None:
+        assert rank(aug) == rank(m) + 1
+    else:
+        assert m.apply(x) == b
 
 
 def _to_qqi(z: Scalar):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -142,3 +143,89 @@ def test_operators_match_textbook_formulas(pair):
 @given(_scalars)
 def test_negation_matches_parts(z):
     _check(-z, (-z.re, -z.im))
+
+
+# Property tests for the canonical (a, b, d) representation: operands far
+# beyond 2**64, ints on both sides of every operator, and after every result
+# the canonical form and the agreement of == and hash with int/Fraction.
+_BIG = 2**70
+_wide = st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG))
+_wide_nonzero = _wide.filter(bool)
+_wide_scalars = st.one_of(
+    _scalars,
+    _wide_nonzero.map(Scalar),
+    _wide_nonzero.map(lambda f: Scalar(0, f)),
+    st.tuples(_wide_nonzero, _wide_nonzero).map(lambda t: Scalar(*t)),
+)
+_wide_plain = st.one_of(st.integers(-_BIG, _BIG), _plain, _wide)
+_wide_pairs = st.one_of(
+    st.tuples(_wide_scalars, _wide_scalars),
+    st.tuples(_wide_scalars, _wide_plain),
+    st.tuples(_wide_plain, _wide_scalars),
+)
+
+
+def _assert_canonical(z):
+    a, b, d = z._a, z._b, z._d
+    assert type(a) is type(b) is type(d) is int
+    assert d > 0 and gcd(a, b, d) == 1
+    if not (a or b):
+        assert (a, b, d) == (0, 0, 1)
+    assert (z.re, z.im) == (Fraction(a, d), Fraction(b, d))
+    if not z.im:
+        twins = [z.re] + ([z.re.numerator] if z.re.denominator == 1 else [])
+        for twin in twins:
+            assert z == twin and twin == z
+            assert hash(z) == hash(twin)
+            assert twin in {z} and z in {twin}
+
+
+def _check_canonical(z, parts):
+    _check(z, parts)
+    _assert_canonical(z)
+
+
+@_property
+@given(_wide_pairs)
+def test_wide_operands_give_canonical_results(pair):
+    x, y = pair
+    _check_canonical(x + y, _reference("+", x, y))
+    _check_canonical(x - y, _reference("-", x, y))
+    _check_canonical(x * y, _reference("*", x, y))
+    if any(_parts(y)):
+        _check_canonical(x / y, _reference("/", x, y))
+
+
+@_property
+@given(_wide_scalars, st.one_of(st.integers(-12, 12), st.integers(-_BIG, _BIG)))
+def test_int_factor_on_either_side(z, k):
+    # the exponent factors of the generators multiply on the right, the
+    # tests and the suites on the left; both must give the same canonical value
+    parts = _reference("*", z, k)
+    _check_canonical(z * k, parts)
+    _check_canonical(k * z, parts)
+
+
+@_property
+@given(_wide_scalars)
+def test_construction_and_negation_are_canonical(z):
+    _assert_canonical(z)
+    _check_canonical(-z, (-z.re, -z.im))
+    _check_canonical(Scalar(z.re, z.im), (z.re, z.im))
+    assert Scalar(z.re, z.im) == z and hash(Scalar(z.re, z.im)) == hash(z)
+
+
+def test_fraction_from_str_refuses_exponents():
+    # "1e20000000" would build a 66-million-bit integer inside Fraction
+    for bad in ("1e20000000", "1E5", "-2.5e-3", " 3e0 "):
+        with pytest.raises(ValueError, match="exponent"):
+            fraction_from_str(bad)
+    assert fraction_from_str("0.25") == Fraction(1, 4)
+
+
+def test_fraction_from_str_refuses_over_long_digit_strings():
+    # the interpreter's limit on int() of a digit string turns these into
+    # ValueError before any big-number work
+    for bad in ("7" * 5000, "1/" + "3" * 5000, "0." + "1" * 5000):
+        with pytest.raises(ValueError):
+            fraction_from_str(bad)
