@@ -74,8 +74,6 @@ class Scalar:
         # a real scalar equals its real part, so it must hash like it
         if self._b:
             return hash((self._a, self._b, self._d))
-        if self._d == 1:
-            return hash(self._a)
         return hash(Fraction(self._a, self._d))
 
     def __neg__(self):
