@@ -8,7 +8,8 @@ recorded once.  The configurations are the four of acceptance criterion 9,
 and ``project`` at l=3, D=1 (edge bases above and below the halfway degree
 with more than one component per column), ``symbol-check`` at l=3, D=2
 (the benchmark's configuration), ``relations`` at l=3, D=1 (the
-Clifford action at l=3), ``decompose`` at l=3, D=1 (the benchmark's
+Clifford action at l=3) and at l=3, D=2 (the benchmark's configuration),
+``decompose`` at l=3, D=1 (the benchmark's
 configuration), ``symbol-check`` at l=2, D=2 on the fractional covector
 (1/2, 0, -1/3, 2) (non-unit denominators), and ``curvature --input`` on
 the tensor from ``gen-curvature --l 2 --seed 7``.  A mismatch means the report changed;
@@ -71,6 +72,11 @@ GOLDEN = {
         ("relations", "--l", "3", "--degree", "1"),
         0,
         "91828afeb6f98a8f719e011fac7bf9ef8d6e9b970959d60a705e1a1e13ea41a8",
+    ),
+    "relations-l3d2": (
+        ("relations", "--l", "3", "--degree", "2"),
+        0,
+        "2e9b27a940f6fa0a51fdcab44421f7188731f2367c98713e8067d6bee60499d7",
     ),
     "decompose-l3d1": (
         ("decompose", "--l", "3", "--degree", "1"),
