@@ -8,6 +8,15 @@ homogeneous in form degree; non-homogeneous data is handled as sequences
 of homogeneous pieces.  A spinor is a 0-form, its terms keyed
 ((), exponent tuple); the Clifford action on the spinor factor lives in
 the spinors module.
+
+Every SpinorForm holds no zero coefficient and one form degree.  The
+constructor checks both on whatever it is given.  The operators of this
+layer and of osp and spinors build their results with
+``SpinorForm._trusted``, which checks nothing: each result dict comes
+from ``linalg.accumulate``, which drops every zero sum, applied to the
+terms of valid inputs with every index tuple changed in length by the
+same amount, or is a term-wise product with a nonzero scalar, which over
+a field has no zero term.
 """
 
 from __future__ import annotations
@@ -40,6 +49,15 @@ class SpinorForm:
             clean[(idx, e)] = c
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, l, terms):
+        """Wrap ``terms`` as it is, unchecked and uncopied; the caller
+        guarantees no zero coefficient and one form degree."""
+        self = object.__new__(cls)
+        self.l = l
+        self.terms = terms
+        return self
+
     def is_zero(self):
         return not self.terms
 
@@ -64,21 +82,24 @@ class SpinorForm:
     def __add__(self, other):
         if self.l != other.l:
             raise ValueError("mixing forms over different spaces")
+        r, r_other = self.form_degree(), other.form_degree()
+        if r is not None and r_other is not None and r != r_other:
+            raise ValueError("SpinorForm terms must share one form degree")
         out = dict(self.terms)
         for k, c in other.terms.items():
             accumulate(out, k, c)
-        return SpinorForm(self.l, out)
+        return SpinorForm._trusted(self.l, out)
 
     def __neg__(self):
-        return SpinorForm(self.l, {k: -c for k, c in self.terms.items()})
+        return SpinorForm._trusted(self.l, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, z: Scalar):
         if not z:
-            return SpinorForm(self.l)
-        return SpinorForm(self.l, {k: z * c for k, c in self.terms.items()})
+            return SpinorForm._trusted(self.l, {})
+        return SpinorForm._trusted(self.l, {k: z * c for k, c in self.terms.items()})
 
     def __repr__(self):
         return f"SpinorForm(l={self.l}, r={self.form_degree()}, {len(self.terms)} terms)"
@@ -114,7 +135,7 @@ def wedge(xi: Covector, psi: SpinorForm) -> SpinorForm:
             if nidx is None:
                 continue
             accumulate(out, (nidx, e), xk * c if sign == 1 else -(xk * c))
-    return SpinorForm(psi.l, out)
+    return SpinorForm._trusted(psi.l, out)
 
 
 def contract(sp: SymplecticSpace, v, psi: SpinorForm) -> SpinorForm:
@@ -127,7 +148,7 @@ def contract(sp: SymplecticSpace, v, psi: SpinorForm) -> SpinorForm:
             if nidx is None:
                 continue
             accumulate(out, (nidx, e), vk * c if sign == 1 else -(vk * c))
-    return SpinorForm(psi.l, out)
+    return SpinorForm._trusted(psi.l, out)
 
 
 def monomials_upto(l, D):

@@ -35,6 +35,8 @@ from fractions import Fraction
 from .forms import (
     FormWindow,
     SpinorForm,
+    _insert,
+    _remove,
     contract,
     coords_to_form,
     operator_matrix,
@@ -50,73 +52,80 @@ from .symplectic import SymplecticSpace, basis_covector, basis_vector, sharp
 # the five generators
 
 
+_HALF = Scalar(Fraction(1, 2))
+_HALF_I = I * _HALF
+
+
 def raising(sp: SymplecticSpace, psi: SpinorForm) -> SpinorForm:
     """F+: (i/2) sum_k eps^k ^ psi-form (x) e_k . psi-spinor."""
-    from .forms import _insert
-
     l = sp.l
-    half_i = I * Scalar(Fraction(1, 2))
     out: dict = {}
     for (idx, e), c in psi.terms.items():
+        # the coefficient before the insertion sign: (i/2) c, times i
+        # (so -c/2) on the first Lagrangian
+        second = _HALF_I * c
+        first = -(_HALF * c)
         for k in range(2 * l):
             nidx, sign = _insert(idx, k)
             if nidx is None:
                 continue
-            base = half_i * c if sign == 1 else -(half_i * c)
             if k < l:
                 e2 = list(e)
                 e2[k] += 1
-                accumulate(out, (nidx, tuple(e2)), I * base)
+                accumulate(out, (nidx, tuple(e2)), first if sign == 1 else -first)
             else:
                 kk = k - l
                 if e[kk]:
                     e2 = list(e)
                     e2[kk] -= 1
+                    base = second if sign == 1 else -second
                     accumulate(out, (nidx, tuple(e2)), base * e[kk])
-    return SpinorForm(psi.l, out)
+    return SpinorForm._trusted(psi.l, out)
 
 
 def lowering(sp: SymplecticSpace, psi: SpinorForm) -> SpinorForm:
     """F-: (1/2) sum_k [iota_{e_k} (x) d/dx^k  -  iota_{e_{k+l}} (x) i x^k]."""
-    from .forms import _remove
-
     l = sp.l
-    half = Scalar(Fraction(1, 2))
     out: dict = {}
     for (idx, e), c in psi.terms.items():
+        # the coefficient before the removal sign: c/2, and -(i/2) c on
+        # the second Lagrangian
+        first = _HALF * c
+        second = -(I * first)
         for k in range(l):
             nidx, sign = _remove(idx, k)
             if nidx is not None and e[k]:
-                base = half * c if sign == 1 else -(half * c)
+                base = first if sign == 1 else -first
                 e2 = list(e)
                 e2[k] -= 1
                 accumulate(out, (nidx, tuple(e2)), base * e[k])
             nidx, sign = _remove(idx, k + l)
             if nidx is not None:
-                base = half * c if sign == 1 else -(half * c)
                 e2 = list(e)
                 e2[k] += 1
-                accumulate(out, (nidx, tuple(e2)), -(I * base))
-    return SpinorForm(psi.l, out)
+                accumulate(out, (nidx, tuple(e2)), second if sign == 1 else -second)
+    return SpinorForm._trusted(psi.l, out)
 
 
 def omega_wedge(sp: SymplecticSpace, psi: SpinorForm) -> SpinorForm:
     """E+ = 2{F+, F+} evaluated in closed form: i * omega-2-form ^ psi."""
-    out = SpinorForm(psi.l)
+    out: dict = {}
     for k in range(sp.l):
-        out = out + wedge(
-            basis_covector(sp, k), wedge(basis_covector(sp, k + sp.l), psi)
-        )
-    return out.scale(I)
+        pair = wedge(basis_covector(sp, k), wedge(basis_covector(sp, k + sp.l), psi))
+        for key, c in pair.terms.items():
+            accumulate(out, key, c)
+    return SpinorForm._trusted(psi.l, out).scale(I)
 
 
 def omega_trace(sp: SymplecticSpace, psi: SpinorForm) -> SpinorForm:
     """E- = -2{F-, F-} evaluated in closed form: the double contraction
     i * sum_k iota_{e_k} iota_{e_{k+l}} on the form part."""
-    out = SpinorForm(psi.l)
+    out: dict = {}
     for k in range(sp.l):
-        out = out + contract(sp, basis_vector(sp, k), contract(sp, basis_vector(sp, k + sp.l), psi))
-    return out.scale(I)
+        pair = contract(sp, basis_vector(sp, k), contract(sp, basis_vector(sp, k + sp.l), psi))
+        for key, c in pair.terms.items():
+            accumulate(out, key, c)
+    return SpinorForm._trusted(psi.l, out).scale(I)
 
 
 def grading(sp: SymplecticSpace, psi: SpinorForm) -> SpinorForm:

@@ -50,7 +50,7 @@ def clifford_apply(sp, v, psi: SpinorForm) -> SpinorForm:
                 e2 = list(e)
                 e2[k - l] -= 1
                 accumulate(out, (idx, tuple(e2)), f * c * e[k - l])
-    return SpinorForm(psi.l, out)
+    return SpinorForm._trusted(psi.l, out)
 
 
 def commutator_defect(sp, v, w, s: SpinorForm) -> SpinorForm:

@@ -26,7 +26,6 @@ from .osp import (
     edge_basis,
     edge_projector,
     ff_plus,
-    grading,
     lowering,
     m_index,
     omega_trace,
@@ -104,42 +103,47 @@ def run_relations(sp: SymplecticSpace, D: int) -> dict:
         for k in range(fwin.dim):
             psi = fwin.element(k)
             total += 1
-            lhs = omega_wedge(sp, omega_trace(sp, psi)) - omega_trace(sp, omega_wedge(sp, psi))
-            if lhs != grading(sp, psi).scale(Scalar(2)):
-                bad["quadratic_commutator_is_twice_grading"] += 1
-            lhs = omega_trace(sp, raising(sp, psi)) - raising(sp, omega_trace(sp, psi))
-            if lhs != lowering(sp, psi).scale(Scalar(-1)):
-                bad["trace_raising_commutator"] += 1
-            if grading(sp, psi) != psi.scale(half_rl):
-                bad["grading_scalar"] += 1
-            if omega_wedge(sp, psi) != raising(sp, raising(sp, psi)).scale(Scalar(4)):
-                bad["omega_wedge_closed_form"] += 1
-            if omega_trace(sp, psi) != lowering(sp, lowering(sp, psi)).scale(Scalar(-4)):
-                bad["omega_trace_closed_form"] += 1
+            # every operator value is computed once per psi and read by
+            # each check that needs it; the operators are pure, so each
+            # check compares the same two values as a fresh evaluation
             fplus = raising(sp, psi)
             fminus = lowering(sp, psi)
+            eplus = omega_wedge(sp, psi)
+            eminus = omega_trace(sp, psi)
+            h = (raising(sp, fminus) + lowering(sp, fplus)).scale(Scalar(2))
+            iota = [contract(sp, v, psi) for v in vectors]
+            cliff = [clifford_apply(sp, v, psi) for v in vectors]
+            # iota2[a][b] = iota_{e_a} iota_{e_b} psi
+            iota2 = [[contract(sp, v, iw) for iw in iota] for v in vectors]
+            lhs = omega_wedge(sp, eminus) - omega_trace(sp, eplus)
+            if lhs != h.scale(Scalar(2)):
+                bad["quadratic_commutator_is_twice_grading"] += 1
+            lhs = omega_trace(sp, fplus) - raising(sp, eminus)
+            if lhs != fminus.scale(Scalar(-1)):
+                bad["trace_raising_commutator"] += 1
+            if h != psi.scale(half_rl):
+                bad["grading_scalar"] += 1
+            if eplus != raising(sp, fplus).scale(Scalar(4)):
+                bad["omega_wedge_closed_form"] += 1
+            if eminus != lowering(sp, fminus).scale(Scalar(-4)):
+                bad["omega_trace_closed_form"] += 1
             (idx, e) = fwin.basis[k]
             par = sum(e) % 2
             for img in (fplus, fminus):
                 if any((sum(e2) - par) % 2 == 0 for (_i2, e2) in img.terms):
                     bad["parity_reversal"] += 1
                     break
-            for v in vectors:
-                lhs = raising(sp, contract(sp, v, psi)) + contract(sp, v, fplus)
-                if lhs != clifford_apply(sp, v, psi).scale(half_i):
+            for a, v in enumerate(vectors):
+                lhs = raising(sp, iota[a]) + contract(sp, v, fplus)
+                if lhs != cliff[a].scale(half_i):
                     bad["raising_contraction_anticommutator"] += 1
-                lhs = lowering(sp, clifford_apply(sp, v, psi)) - clifford_apply(sp, v, fminus)
-                if lhs != contract(sp, v, psi).scale(half_i):
+                lhs = lowering(sp, cliff[a]) - clifford_apply(sp, v, fminus)
+                if lhs != iota[a].scale(half_i):
                     bad["lowering_clifford_commutator"] += 1
-                for w in vectors:
-                    if not (
-                        contract(sp, v, contract(sp, w, psi))
-                        + contract(sp, w, contract(sp, v, psi))
-                    ).is_zero():
+                for b, w in enumerate(vectors):
+                    if not (iota2[a][b] + iota2[b][a]).is_zero():
                         bad["contraction_anticommutation"] += 1
-                    if contract(sp, v, clifford_apply(sp, w, psi)) != clifford_apply(
-                        sp, w, contract(sp, v, psi)
-                    ):
+                    if contract(sp, v, cliff[b]) != clifford_apply(sp, w, iota[a]):
                         bad["contraction_clifford_commute"] += 1
             for xi in covectors:
                 if not wedge(xi, wedge(xi, psi)).is_zero():

@@ -36,13 +36,20 @@ class Covector:
 
 
 class SymplecticSpace:
-    __slots__ = ("l", "dim", "omega_lower", "omega_upper")
+    __slots__ = ("l", "dim", "omega_lower", "omega_upper", "_basis", "_cobasis")
 
     def __init__(self, l, omega_lower, omega_upper):
         self.l = l
         self.dim = 2 * l
         self.omega_lower = omega_lower
         self.omega_upper = omega_upper
+        # the adapted basis and its dual, built once: the operators of the
+        # spinor-form layer ask for them on every call
+        self._basis = tuple(
+            tuple(ONE if j == k else Scalar(0) for j in range(self.dim))
+            for k in range(self.dim)
+        )
+        self._cobasis = tuple(Covector(e) for e in self._basis)
 
 
 def standard_space(l: int) -> SymplecticSpace:
@@ -61,11 +68,11 @@ def standard_space(l: int) -> SymplecticSpace:
 
 
 def basis_vector(sp: SymplecticSpace, k: int) -> tuple:
-    return tuple(ONE if j == k else Scalar(0) for j in range(sp.dim))
+    return sp._basis[k]
 
 
 def basis_covector(sp: SymplecticSpace, k: int) -> Covector:
-    return Covector(tuple(ONE if j == k else Scalar(0) for j in range(sp.dim)))
+    return sp._cobasis[k]
 
 
 def canonical_covector(sp: SymplecticSpace) -> Covector:
