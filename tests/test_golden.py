@@ -10,7 +10,8 @@ with more than one component per column), ``symbol-check`` at l=3, D=2
 (the benchmark's configuration), ``relations`` at l=3, D=1 (the
 Clifford action at l=3) and at l=3, D=2 (the benchmark's configuration),
 ``decompose`` at l=3, D=1 (the benchmark's
-configuration), ``symbol-check`` at l=2, D=2 on the fractional covector
+configuration), at l=3, D=2 and at l=4, D=1 (windows on which the span
+check reaches degree D + 2l), ``symbol-check`` at l=2, D=2 on the fractional covector
 (1/2, 0, -1/3, 2) (non-unit denominators), and ``curvature --input`` on
 the tensor from ``gen-curvature --l 2 --seed 7``.  A mismatch means the report changed;
 the recorded values are not to be rewritten to make a change pass.
@@ -82,6 +83,16 @@ GOLDEN = {
         ("decompose", "--l", "3", "--degree", "1"),
         0,
         "04809465112705e2364728e3fb561e17dc8ddda9a79c0aa962c0716bbf44941b",
+    ),
+    "decompose-l3d2": (
+        ("decompose", "--l", "3", "--degree", "2"),
+        0,
+        "28f91f4c4444838d12b59c0fa788069236a8219072e011a85576dd8d5aee994f",
+    ),
+    "decompose-l4d1": (
+        ("decompose", "--l", "4", "--degree", "1"),
+        0,
+        "a8872330976d8075b9b0855dfec595dce8e0d00c84d756ea2fd35ea1af145316",
     ),
     "symbol-check-l2d2-xi-fractional": (
         ("symbol-check", "--l", "2", "--degree", "2", "--xi", "1/2,0,-1/3,2"),
