@@ -109,12 +109,6 @@ class CurvatureTensor:
         )
 
 
-def zero_curvature(sp: SymplecticSpace) -> CurvatureTensor:
-    n = sp.dim
-    z = Scalar(0)
-    return CurvatureTensor(sp.l, [[[[z] * n for _ in range(n)] for _ in range(n)] for _ in range(n)])
-
-
 def ricci_contract(sp: SymplecticSpace, R: CurvatureTensor) -> RicciTensor:
     """sigma_{ij} = omega^{km} R_{m i k j}; asymmetric results are rejected
     as not coming from a symplectic curvature tensor."""

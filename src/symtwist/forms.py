@@ -217,6 +217,12 @@ def form_to_coords(psi: SpinorForm, win: FormWindow) -> dict:
     return coords
 
 
+def fits_window(psi: SpinorForm, r: int, D: int) -> bool:
+    """Whether psi lies in FormWindow(psi.l, r, D), read from its terms
+    without enumerating the window."""
+    return all(len(idx) == r and sum(e) <= D for (idx, e) in psi.terms)
+
+
 def coords_to_form(coords: dict, win: FormWindow) -> SpinorForm:
     terms = {win.basis[k]: c for k, c in coords.items()}
     return SpinorForm(win.l, terms)

@@ -25,6 +25,15 @@ of F-F+ - c_{rj} serves every other component and checks the edge.  The
 chain model spans the F+-orbits of primitive vectors (the edges up to the
 halfway degree) and is the smallest window-sized subspace closed under
 the whole algebra.
+
+The spectral projectors are Sylvester's Frobenius covariants of A = F-F+:
+the projector onto (r, j) is the Lagrange polynomial prod_{j' != j}
+(A - c_{r j'}) / (c_{r j} - c_{r j'}).  Its exact coefficients are applied
+to the Krylov sequence psi, A psi, ..., A^{m_r} psi, so all projections of
+one vector cost m_r applications of A.  The product of (A - c_{r k}) over
+a set of labels is a factor of every projector outside the set, so when
+it kills psi, every projection of psi outside the set is zero
+(``passes_component_screen``).
 """
 
 from __future__ import annotations
@@ -128,13 +137,6 @@ def omega_trace(sp: SymplecticSpace, psi: SpinorForm) -> SpinorForm:
     return SpinorForm._trusted(psi.l, out).scale(I)
 
 
-def grading(sp: SymplecticSpace, psi: SpinorForm) -> SpinorForm:
-    """H = 2{F+, F-}; equals (r - l)/2 on r-forms (verified, not assumed)."""
-    return (
-        raising(sp, lowering(sp, psi)) + lowering(sp, raising(sp, psi))
-    ).scale(Scalar(2))
-
-
 def ff_plus(sp: SymplecticSpace, psi: SpinorForm) -> SpinorForm:
     """The component-separating operator F-F+."""
     return lowering(sp, raising(sp, psi))
@@ -176,22 +178,80 @@ def component_scalars_row(l: int, r: int) -> dict:
 # spectral projectors
 
 
-def project_component(sp: SymplecticSpace, r: int, j: int, psi: SpinorForm) -> SpinorForm:
-    """Spectral projector onto the (r, j) component, applied to a
-    homogeneous r-form: product of (F-F+ - c_{r j'}) over j' != j, divided
-    by the matching scalar differences."""
-    l = sp.l
-    if not in_triangle(l, r, j):
-        raise ValueError(f"(r, j)=({r}, {j}) outside the component triangle")
-    scalars = component_scalars_row(l, r)
-    cur = psi
+def _lagrange_coefficients(scalars: list, j: int) -> list:
+    """Coefficients, lowest degree first, of Sylvester's Lagrange polynomial
+    prod_{j' != j} (x - c_{j'}) / (c_j - c_{j'}) on the column's scalars."""
+    poly = [ONE]
     denom = ONE
-    for jp in range(m_index(l, r) + 1):
+    for jp, c in enumerate(scalars):
         if jp == j:
             continue
-        cur = ff_plus(sp, cur) - cur.scale(scalars[jp])
-        denom = denom * (scalars[j] - scalars[jp])
-    return cur.scale(ONE / denom)
+        # poly * (x - c)
+        poly = (
+            [-(c * poly[0])]
+            + [poly[k - 1] - c * poly[k] for k in range(1, len(poly))]
+            + [poly[-1]]
+        )
+        denom = denom * (scalars[j] - c)
+    inv = ONE / denom
+    return [a * inv for a in poly]
+
+
+def _krylov(sp: SymplecticSpace, r: int, psi: SpinorForm):
+    """The scalars c_{r 0}, ..., c_{r m_r} and the Krylov sequence psi,
+    A psi, ..., A^{m_r} psi of A = F-F+."""
+    scalars = list(component_scalars_row(sp.l, r).values())
+    seq = [psi]
+    for _ in range(len(scalars) - 1):
+        seq.append(ff_plus(sp, seq[-1]))
+    return scalars, seq
+
+
+def _combine(l: int, seq: list, coeffs: list) -> SpinorForm:
+    out: dict = {}
+    for a, v in zip(coeffs, seq):
+        if a:
+            for key, c in v.terms.items():
+                accumulate(out, key, a * c)
+    return SpinorForm._trusted(l, out)
+
+
+def column_projections(sp: SymplecticSpace, r: int, psi: SpinorForm) -> list:
+    """Every spectral projection of a homogeneous r-form, [P_0 psi, ...,
+    P_{m_r} psi], from one Krylov sequence psi, A psi, ..., A^{m_r} psi."""
+    scalars, seq = _krylov(sp, r, psi)
+    return [_combine(sp.l, seq, _lagrange_coefficients(scalars, j)) for j in range(len(scalars))]
+
+
+def project_component(sp: SymplecticSpace, r: int, j: int, psi: SpinorForm) -> SpinorForm:
+    """Spectral projector onto the (r, j) component, applied to a
+    homogeneous r-form.
+
+    This is Sylvester's formula for the Frobenius covariant of A = F-F+:
+    the product of (A - c_{r j'}) / (c_{r j} - c_{r j'}) over j' != j.  The
+    product is expanded into its exact coefficients and applied to the
+    Krylov sequence psi, A psi, ..., A^{m_r} psi, so every projection of
+    psi reads the same m_r applications of A (``column_projections``
+    returns them all)."""
+    if not in_triangle(sp.l, r, j):
+        raise ValueError(f"(r, j)=({r}, {j}) outside the component triangle")
+    scalars, seq = _krylov(sp, r, psi)
+    return _combine(sp.l, seq, _lagrange_coefficients(scalars, j))
+
+
+def passes_component_screen(sp: SymplecticSpace, r: int, js, psi: SpinorForm) -> bool:
+    """Whether prod_{k in js} (F-F+ - c_{r k}) kills the r-form psi.
+
+    When it does, the projection of psi onto every (r, k) with k not in js
+    is zero: each such projector has the product as a factor, and the
+    factors are polynomials in one linear operator, so they commute.  That
+    holds for any linear F-F+, a faulty one included.  The converse needs
+    psi to be a sum of eigenvectors, so a psi that fails the screen still
+    has to be projected."""
+    cur = psi
+    for k in js:
+        cur = ff_plus(sp, cur) - cur.scale(component_scalar(sp.l, r, k))
+    return cur.is_zero()
 
 
 def edge_projector(sp: SymplecticSpace, r: int, psi: SpinorForm) -> SpinorForm:

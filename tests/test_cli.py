@@ -15,6 +15,15 @@ def run_cli(*args, check=False, timeout=None):
     )
 
 
+def zero_curvature(sp):
+    from symtwist.curvature import CurvatureTensor
+    from symtwist.scalars import Scalar
+
+    n = sp.dim
+    z = Scalar(0)
+    return CurvatureTensor(sp.l, [[[[z] * n for _ in range(n)] for _ in range(n)] for _ in range(n)])
+
+
 def test_relations_default_passes():
     res = run_cli("relations", "--l", "2", "--degree", "2")
     assert res.returncode == 0, res.stderr
@@ -78,7 +87,7 @@ def test_bad_l_rejected():
 
 
 def test_curvature_zero_tensor(tmp_path):
-    from symtwist.curvature import curvature_to_json, zero_curvature
+    from symtwist.curvature import curvature_to_json
     from symtwist.symplectic import standard_space
 
     path = tmp_path / "zero.json"
@@ -115,7 +124,7 @@ def _assert_bad_input(res):
 
 
 def _assert_bad_curvature(tmp_path, edit, tensor=None):
-    from symtwist.curvature import curvature_to_json, zero_curvature
+    from symtwist.curvature import curvature_to_json
     from symtwist.symplectic import standard_space
 
     obj = curvature_to_json(tensor or zero_curvature(standard_space(1)))

@@ -12,11 +12,16 @@ from symtwist.curvature import (
     ricci_contract,
     sigma_tilde,
     weyl_part,
-    zero_curvature,
 )
 from symtwist.linalg import OperatorMatrix, kernel_basis
 from symtwist.scalars import Scalar
 from symtwist.symplectic import standard_space
+
+
+def zero_curvature(sp):
+    n = sp.dim
+    z = Scalar(0)
+    return CurvatureTensor(sp.l, [[[[z] * n for _ in range(n)] for _ in range(n)] for _ in range(n)])
 
 
 @pytest.fixture

@@ -1,22 +1,24 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from symtwist.forms import FormWindow, basis_form, wedge
+from symtwist.forms import FormWindow, SpinorForm, basis_form, fits_window, wedge
 from symtwist.linalg import OperatorMatrix, solve
 from symtwist.osp import (
     chain_model,
+    column_projections,
     component_basis,
     component_scalar,
     component_scalars_row,
     edge_basis,
     edge_projector,
     ff_plus,
-    grading,
     in_triangle,
     lowering,
     m_index,
     omega_trace,
+    passes_component_screen,
     project_component,
     project_wedge,
     raising,
@@ -47,6 +49,11 @@ def test_raising_hand_value(sp1):
     # on the constant spinor: -(1/2) eps^1 (x) x
     out = raising(sp1, basis_form(1, (), (0,)))
     assert out == basis_form(1, (0,), (1,), Scalar(Fraction(-1, 2)))
+
+
+def grading(sp, psi):
+    """H = 2{F+, F-}; the relations suite computes it inline."""
+    return (raising(sp, lowering(sp, psi)) + lowering(sp, raising(sp, psi))).scale(Scalar(2))
 
 
 def test_grading_scalar_hand_value(sp1):
@@ -157,6 +164,101 @@ def test_projectors_fix_and_separate(sp2):
             for k in range(m_index(2, r) + 1):
                 if k != j:
                     assert project_component(sp2, r, k, b).is_zero()
+
+
+def _horner_projection(sp, r, j, psi):
+    """Oracle: the product of (F-F+ - c_{r j'}) over j' != j, applied factor
+    by factor, divided by the product of the scalar differences."""
+    row = component_scalars_row(sp.l, r)
+    cur, denom = psi, Scalar(1)
+    for jp, c in row.items():
+        if jp != j:
+            cur = ff_plus(sp, cur) - cur.scale(c)
+            denom = denom * (row[j] - c)
+    return cur.scale(Scalar(1) / denom)
+
+
+def _random_integer_form(rng, win, terms):
+    out = SpinorForm(win.l)
+    for k in rng.sample(range(win.dim), min(terms, win.dim)):
+        idx, e = win.basis[k]
+        out = out + basis_form(win.l, idx, e, Scalar(rng.randint(-3, 3)) + I * Scalar(rng.randint(-3, 3)))
+    return out
+
+
+@pytest.mark.parametrize("l,D", [(2, 1), (3, 1)])
+def test_krylov_projections_equal_horner_oracle(l, D):
+    sp = standard_space(l)
+    rng = random.Random(l * 10 + D)
+    for r in range(2 * l + 1):
+        win = FormWindow(l, r, D)
+        randoms = [_random_integer_form(rng, FormWindow(l, r, D + 1), 6) for _ in range(4)]
+        for v in [win.element(k) for k in range(win.dim)] + randoms:
+            proj = column_projections(sp, r, v)
+            assert len(proj) == m_index(l, r) + 1
+            for j, pv in enumerate(proj):
+                oracle = _horner_projection(sp, r, j, v)
+                assert pv == oracle
+                assert project_component(sp, r, j, v) == oracle
+            assert edge_projector(sp, r, v) == proj[-1]
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_component_screen_passes_clean_wedges_and_fails_far_ones(l):
+    sp = standard_space(l)
+    covectors = [basis_covector(sp, k) for k in range(2 * l)]
+    screened = 0
+    for (i, j) in triangle_labels(l):
+        if i == 2 * l:
+            continue
+        targets = range(m_index(l, i + 1) + 1)
+        near = [k for k in targets if abs(k - j) <= 1]
+        far = [k for k in targets if abs(k - j) > 1]
+        far_vectors = [b for k in far for b in component_basis(sp, i + 1, k, 1)[:1]]
+        for psi in component_basis(sp, i, j, 1)[:3]:
+            for xi in covectors:
+                w = wedge(xi, psi)
+                assert passes_component_screen(sp, i + 1, near, w)
+                for b in far_vectors:
+                    bad = w + b
+                    assert not passes_component_screen(sp, i + 1, near, bad)
+                    assert any(not _horner_projection(sp, i + 1, k, bad).is_zero() for k in far)
+                    screened += 1
+    assert screened > 0
+
+
+def test_span_by_definition_agrees_with_window_solve(sp2):
+    # the decompose span check reads "w fits the window and F-F+ w = c w";
+    # the oracle solves for w in the component basis on that window
+    cm = chain_model(sp2, 1)
+    stranger = basis_form(2, (0, 1, 2), (0, 0))
+    tested = 0
+    for (r, j), raised in sorted(cm.chains.items()):
+        if r == j:
+            continue
+        DD = 1 + (r - j)
+        c = component_scalar(2, r, j)
+        win = FormWindow(2, r, DD)
+        target = component_basis(sp2, r, j, DD)
+        cols = {}
+        for cc, b in enumerate(target):
+            for key, val in b.terms.items():
+                cols[(win.index[key], cc)] = val
+        mat = OperatorMatrix(win.dim, len(target), cols)
+        for w in raised:
+            candidates = [w]
+            if r == 3:
+                candidates.append(w + stranger)
+            for v in candidates:
+                by_definition = fits_window(v, r, DD) and ff_plus(sp2, v) == v.scale(c)
+                assert by_definition == (solve(mat, form_to_coords(v, win)) is not None)
+                tested += 1
+            # one spinor degree too many: outside the window, not an error
+            high = w + basis_form(2, tuple(range(r)), (DD + 1, 0))
+            assert not fits_window(high, r, DD)
+            with pytest.raises(ValueError):
+                form_to_coords(high, win)
+    assert tested > 0
 
 
 def test_chain_model_l1_hand_counts(sp1):
