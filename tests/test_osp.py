@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from symtwist.forms import FormWindow, SpinorForm, basis_form, fits_window, wedge
+from symtwist.forms import FormWindow, SpinorForm, basis_form, fits_window, operator_matrix, wedge
 from symtwist.linalg import OperatorMatrix, solve
 from symtwist.osp import (
     chain_model,
@@ -239,12 +239,7 @@ def test_span_by_definition_agrees_with_window_solve(sp2):
         DD = 1 + (r - j)
         c = component_scalar(2, r, j)
         win = FormWindow(2, r, DD)
-        target = component_basis(sp2, r, j, DD)
-        cols = {}
-        for cc, b in enumerate(target):
-            for key, val in b.terms.items():
-                cols[(win.index[key], cc)] = val
-        mat = OperatorMatrix(win.dim, len(target), cols)
+        mat = operator_matrix(lambda v: v, component_basis(sp2, r, j, DD), win)
         for w in raised:
             candidates = [w]
             if r == 3:
