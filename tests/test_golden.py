@@ -12,9 +12,12 @@ Clifford action at l=3) and at l=3, D=2 (the benchmark's configuration),
 ``decompose`` at l=3, D=1 (the benchmark's
 configuration), at l=3, D=2 and at l=4, D=1 (windows on which the span
 check reaches degree D + 2l), ``symbol-check`` at l=2, D=2 on the fractional covector
-(1/2, 0, -1/3, 2) (non-unit denominators), and ``curvature --input`` on
-the tensor from ``gen-curvature --l 2 --seed 7``.  A mismatch means the report changed;
-the recorded values are not to be rewritten to make a change pass.
+(1/2, 0, -1/3, 2) (non-unit denominators), ``symbol-check`` at l=3, D=1 on
+the off-axis covector (1, 0, 2, -1, 1, 3) (one large component of the
+untruncated diagnostic matrix, solved against many times), and
+``curvature --input`` on the tensor from ``gen-curvature --l 2 --seed 7``.
+A mismatch means the report changed; the recorded values are not to be
+rewritten to make a change pass.
 """
 
 import hashlib
@@ -98,6 +101,11 @@ GOLDEN = {
         ("symbol-check", "--l", "2", "--degree", "2", "--xi", "1/2,0,-1/3,2"),
         1,
         "2c7c20bd255725ca176bdb108881457b566edbf14a0eb060fd811dd4f0c26eac",
+    ),
+    "symbol-check-l3d1-xi-offaxis": (
+        ("symbol-check", "--l", "3", "--degree", "1", "--slack", "2", "--xi", "1,0,2,-1,1,3"),
+        1,
+        "a27eaf5ee1a6ecd4807e557d6a0bb451b654be5ac4cbfb1584b4cca3238a73c3",
     ),
 }
 
