@@ -228,6 +228,18 @@ def coords_to_form(coords: dict, win: FormWindow) -> SpinorForm:
     return SpinorForm(win.l, terms)
 
 
+def _combine(l, vectors, coeffs) -> SpinorForm:
+    """The sum of c * vectors[k] over the (k, c) pairs of ``coeffs``, a
+    sparse ``dict.items()`` or a dense ``enumerate``; the vectors share one
+    form degree, and pairs with c = 0 are skipped."""
+    out: dict = {}
+    for k, a in coeffs:
+        if a:
+            for key, c in vectors[k].terms.items():
+                accumulate(out, key, a * c)
+    return SpinorForm._trusted(l, out)
+
+
 def operator_matrix(fn, domain, codomain) -> OperatorMatrix:
     """Matrix of a linear map, built column by column from the images of an
     explicit domain basis.

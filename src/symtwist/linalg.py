@@ -2,13 +2,24 @@
 
 Matrices are maps between explicitly enumerated finite bases, stored as
 ``{(row, col): Scalar}`` with no zero entries.  Rank, kernel bases and
-linear solving all run through one path: the matrix is split into the
-connected components of its nonzero pattern (rows and columns are the
-nodes, every nonzero entry an edge), found in one pass over the entries,
-and one fraction-free (Bareiss-style) forward elimination with exact
-division runs on each component.  Since the scalars form a field, every
-division is exact, and the cross-multiplied update keeps intermediate
-fractions close to minors of the input on integer-seeded data.
+linear solving all read one factorisation of the matrix.  The matrix is
+split into the connected components of its nonzero pattern (rows and
+columns are the nodes, every nonzero entry an edge), found in one pass
+over the entries, and each component is reduced by one fraction-free
+(Bareiss-style) forward elimination with exact division.  Since the
+scalars form a field, every division is exact, and the cross-multiplied
+update keeps intermediate fractions close to minors of the input on
+integer-seeded data.
+
+The factorisation is lazy and kept on the matrix: the first call of
+``rank``, ``kernel_basis`` or ``solve`` splits it, and each component is
+eliminated on its first use and never again.  The elimination records
+its row operations, so a solve replays them on its right-hand side
+instead of eliminating again, and kernel vectors and solutions come from
+one back-substitution over the eliminated rows.  A solve factors only
+the components its right-hand side touches: on an untouched component
+the right-hand side is zero, which is consistent and gives that
+component's part of the solution as zero.
 
 Pivoting is deterministic: columns are scanned left to right and the first
 not-yet-used row with a nonzero entry wins.  A column is a pivot exactly
@@ -17,20 +28,13 @@ split does not change, so the free columns are the same for any split.
 Kernel vectors are the unique solutions with one free coordinate set to 1
 and the other free coordinates set to 0, and a solve fixes every free
 variable to 0, so the output does not depend on the components either.
-A solve eliminates only the components its right-hand side touches: on an
-untouched component the right-hand side is zero, which is consistent and
-gives that component's part of the solution as zero.
-
-A matrix is split once: the first solve on it stores the components and
-the row-to-component map on the matrix, and every later solve reuses them.
-Elimination works on a copy of the touched components' row lists, so the
-stored split stays the split of the input.  Rank and kernel bases are
-one-shot and split afresh.
 """
 
 from __future__ import annotations
 
 from .scalars import ONE, Scalar
+
+_ZERO = Scalar(0)
 
 
 def accumulate(out: dict, key, c) -> None:
@@ -46,52 +50,25 @@ def accumulate(out: dict, key, c) -> None:
 class OperatorMatrix:
     """Exact sparse matrix between two enumerated bases."""
 
-    __slots__ = ("rows", "cols", "entries", "_split")
+    __slots__ = ("rows", "cols", "entries", "_parts", "_owner")
 
     def __init__(self, rows, cols, entries):
         self.rows = rows
         self.cols = cols
-        # drop explicit zeros so equality of maps is equality of dicts
         self.entries = {rc: v for rc, v in entries.items() if v}
         for (r, c) in self.entries:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry index {(r, c)} outside {rows}x{cols}")
-        # (components, row -> component), filled by the first solve
-        self._split = None
-
-    def is_zero(self):
-        return not self.entries
-
-    def apply(self, vec: dict) -> dict:
-        """Matrix-vector product on a sparse {col: Scalar} vector."""
-        out: dict = {}
-        by_col: dict = {}
-        for (r, c), v in self.entries.items():
-            by_col.setdefault(c, []).append((r, v))
-        for c, x in vec.items():
-            if not x:
-                continue
-            for r, v in by_col.get(c, ()):
-                acc = out.get(r)
-                out[r] = v * x if acc is None else acc + v * x
-        return {r: v for r, v in out.items() if v}
-
-    def __eq__(self, other):
-        if not isinstance(other, OperatorMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        # components and row -> component, filled on first use by _factored
+        self._parts = self._owner = None
 
     def __repr__(self):
         return f"OperatorMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
 def _partition(m: OperatorMatrix):
-    """Connected components of the nonzero pattern of m, as
-    (global rows, global cols, local rows) triples.
+    """Connected components of the nonzero pattern of m, as a list of
+    [global rows, global cols, local rows] and the component of each row.
 
     Rows are the nodes ``0..rows-1`` and columns ``rows..rows+cols-1`` of a
     union-find; each nonzero joins its row and column.  The local rows are
@@ -122,25 +99,29 @@ def _partition(m: OperatorMatrix):
     rows = [dict() for _ in range(m.rows)]
     for (r, c), v in m.entries.items():
         rows[r][col_pos[c]] = v
-    return [(rsel, csel, [rows[r] for r in rsel]) for rsel, csel in groups.values()]
+    parts, owner = [], [0] * m.rows
+    for k, (rsel, csel) in enumerate(groups.values()):
+        parts.append([rsel, csel, [rows[r] for r in rsel]])
+        for r in rsel:
+            owner[r] = k
+    return parts, owner
 
 
-def _eliminate(rows, ncols, rhs=None):
-    """Forward elimination in place.
+def _eliminate(rows, ncols):
+    """Forward elimination of the ``{col: Scalar}`` dicts ``rows`` in place.
 
-    ``rows`` is a list of ``{col: Scalar}`` dicts; elimination rebinds its
-    items to new dicts and only reads the dicts it was given, so a copy of
-    the list keeps the input rows intact.  Returns (pivots, free_cols)
-    where pivots is a list of (row, col) in ascending column order.
-    ``rhs`` (a dense list) is carried through the same row operations when
-    given.  Rows never chosen as pivots end up as
-    zero rows (their residual rhs decides consistency).
+    Returns (pivots, free_cols, ops): pivots is a list of (row, col) in
+    ascending column order, and ops lists every row update, in order, as
+    (row, pivot row, pivot, factor, previous pivot); the update took row to
+    (pivot * row - factor * pivot row) / previous pivot.  Rows never chosen
+    as pivots end up as zero rows.
     """
     nrows = len(rows)
     used = [False] * nrows
     prev = [ONE] * nrows  # last pivot folded into each row (Bareiss bookkeeping)
     pivots = []
     free_cols = []
+    ops = []
     for col in range(ncols):
         prow = None
         for r in range(nrows):
@@ -172,14 +153,49 @@ def _eliminate(rows, ncols, rhs=None):
                     continue
                 accumulate(new, c, nfac * v / d)
             rows[r] = new
-            if rhs is not None:
-                rhs[r] = (piv * rhs[r] - fac * rhs[prow]) / d
+            ops.append((r, prow, piv, fac, d))
             prev[r] = piv
-    return pivots, free_cols
+    return pivots, free_cols, ops
+
+
+def _factored(m: OperatorMatrix, touching=None):
+    """The components of m that hold a row of ``touching`` (every component
+    when None), in order, as [global rows, global cols, eliminated rows,
+    pivots, free cols, ops].  m is split on the first call, and each
+    component is eliminated on its first use; both are kept on m."""
+    if m._parts is None:
+        m._parts, m._owner = _partition(m)
+    if touching is None:
+        ks = range(len(m._parts))
+    else:
+        ks = sorted({m._owner[r] for r in touching})
+    out = []
+    for k in ks:
+        part = m._parts[k]
+        if len(part) == 3:  # not eliminated yet
+            part.extend(_eliminate(part[2], len(part[1])))
+        out.append(part)
+    return out
+
+
+def _back_substitute(rows, pivots, x, rhs=None):
+    """Fill in the pivot coordinates of the local vector x, whose free
+    coordinates are set, so that every eliminated row meets its entry of
+    the eliminated right-hand side ``rhs`` (zero when None)."""
+    for prow, pcol in reversed(pivots):
+        acc = _ZERO if rhs is None else rhs[prow]
+        for c, coef in rows[prow].items():
+            if c != pcol:
+                xv = x.get(c)
+                if xv is not None:
+                    acc = acc - coef * xv
+        if acc:
+            x[pcol] = acc / rows[prow][pcol]
+    return x
 
 
 def rank(m: OperatorMatrix) -> int:
-    return sum(len(_eliminate(rows, len(csel))[0]) for _rsel, csel, rows in _partition(m))
+    return sum(len(pivots) for _rsel, _csel, _rows, pivots, _free, _ops in _factored(m))
 
 
 def kernel_basis(m: OperatorMatrix):
@@ -190,22 +206,9 @@ def kernel_basis(m: OperatorMatrix):
     basis unique, independent of elimination details and of the components.
     """
     tagged = []
-    for _rsel, csel, rows in _partition(m):
-        pivots, free_cols = _eliminate(rows, len(csel))
+    for _rsel, csel, rows, pivots, free_cols, _ops in _factored(m):
         for f in free_cols:
-            v = {f: ONE}
-            for prow, pcol in reversed(pivots):
-                acc = None
-                for c, coef in rows[prow].items():
-                    if c == pcol:
-                        continue
-                    x = v.get(c)
-                    if x is None:
-                        continue
-                    t = coef * x
-                    acc = t if acc is None else acc + t
-                if acc is not None and acc:
-                    v[pcol] = -acc / rows[prow][pcol]
+            v = _back_substitute(rows, pivots, {f: ONE})
             tagged.append((csel[f], {csel[c]: x for c, x in v.items()}))
     tagged.sort(key=lambda t: t[0])
     return [v for _, v in tagged]
@@ -216,41 +219,21 @@ def solve(m: OperatorMatrix, b):
 
     ``b`` is a sparse {row: Scalar} dict (missing = zero).  Free variables
     are fixed to zero, which makes the returned solution deterministic.
-    Only the components holding a row of ``b`` are eliminated; every other
+    Only the components holding a row of ``b`` are read; every other
     component is consistent and contributes nothing to x.
     """
     for r in b:
         if not (0 <= r < m.rows):
             raise ValueError(f"rhs index {r} outside {m.rows} rows")
-    if m._split is None:
-        parts = _partition(m)
-        owner = [0] * m.rows
-        for k, (rsel, _csel, _rows) in enumerate(parts):
-            for r in rsel:
-                owner[r] = k
-        m._split = (parts, owner)
-    parts, owner = m._split
     x: dict = {}
-    for k in sorted({owner[r] for r in b}):
-        rsel, csel, rows = parts[k]
-        rows = list(rows)  # the stored split is reused by later solves
-        rhs = [b.get(r, Scalar(0)) for r in rsel]
-        pivots, _ = _eliminate(rows, len(csel), rhs)
+    for rsel, csel, rows, pivots, _free, ops in _factored(m, b):
+        rhs = [b.get(r, _ZERO) for r in rsel]
+        for r, prow, piv, fac, d in ops:
+            if rhs[r] or rhs[prow]:
+                rhs[r] = (piv * rhs[r] - fac * rhs[prow]) / d
         pivot_rows = {pr for pr, _ in pivots}
-        for r in range(len(rows)):
-            if r not in pivot_rows and rhs[r]:
-                return None
-        sx: dict = {}
-        for prow, pcol in reversed(pivots):
-            acc = rhs[prow]
-            for c, coef in rows[prow].items():
-                if c == pcol:
-                    continue
-                xv = sx.get(c)
-                if xv is not None:
-                    acc = acc - coef * xv
-            if acc:
-                sx[pcol] = acc / rows[prow][pcol]
-        for c, v in sx.items():
+        if any(rhs[r] for r in range(len(rows)) if r not in pivot_rows):
+            return None
+        for c, v in _back_substitute(rows, pivots, {}, rhs).items():
             x[csel[c]] = v
     return x

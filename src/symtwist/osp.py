@@ -44,6 +44,7 @@ from fractions import Fraction
 from .forms import (
     FormWindow,
     SpinorForm,
+    _combine,
     _insert,
     _remove,
     contract,
@@ -207,20 +208,11 @@ def _krylov(sp: SymplecticSpace, r: int, psi: SpinorForm):
     return scalars, seq
 
 
-def _combine(l: int, seq: list, coeffs: list) -> SpinorForm:
-    out: dict = {}
-    for a, v in zip(coeffs, seq):
-        if a:
-            for key, c in v.terms.items():
-                accumulate(out, key, a * c)
-    return SpinorForm._trusted(l, out)
-
-
 def column_projections(sp: SymplecticSpace, r: int, psi: SpinorForm) -> list:
     """Every spectral projection of a homogeneous r-form, [P_0 psi, ...,
     P_{m_r} psi], from one Krylov sequence psi, A psi, ..., A^{m_r} psi."""
     scalars, seq = _krylov(sp, r, psi)
-    return [_combine(sp.l, seq, _lagrange_coefficients(scalars, j)) for j in range(len(scalars))]
+    return [_combine(sp.l, seq, enumerate(_lagrange_coefficients(scalars, j))) for j in range(len(scalars))]
 
 
 def project_component(sp: SymplecticSpace, r: int, j: int, psi: SpinorForm) -> SpinorForm:
@@ -236,7 +228,7 @@ def project_component(sp: SymplecticSpace, r: int, j: int, psi: SpinorForm) -> S
     if not in_triangle(sp.l, r, j):
         raise ValueError(f"(r, j)=({r}, {j}) outside the component triangle")
     scalars, seq = _krylov(sp, r, psi)
-    return _combine(sp.l, seq, _lagrange_coefficients(scalars, j))
+    return _combine(sp.l, seq, enumerate(_lagrange_coefficients(scalars, j)))
 
 
 def passes_component_screen(sp: SymplecticSpace, r: int, js, psi: SpinorForm) -> bool:

@@ -35,13 +35,14 @@ from __future__ import annotations
 from .forms import (
     FormWindow,
     SpinorForm,
+    _combine,
     contract,
     coords_to_form,
     form_to_coords,
     operator_matrix,
     wedge,
 )
-from .linalg import accumulate, kernel_basis, solve
+from .linalg import kernel_basis, solve
 from .osp import edge_basis, lowering, project_wedge
 from .spinors import clifford_apply
 from .symplectic import Covector, SymplecticSpace, sharp
@@ -68,14 +69,6 @@ def _coords_in(phi: SpinorForm, codomain: FormWindow):
         return form_to_coords(phi, codomain)
     except ValueError:
         return None
-
-
-def _combine(basis, coeffs: dict, l) -> SpinorForm:
-    out: dict = {}
-    for k, c in coeffs.items():
-        for key, v in basis[k].terms.items():
-            accumulate(out, key, c * v)
-    return SpinorForm(l, out)
 
 
 def _edge_basis(sp, i, D, cache):
@@ -171,7 +164,7 @@ def _kernel_forms(sp, i, D, xi, cache):
     basis = _edge_basis(sp, i, D, cache)
     codomain = FormWindow(sp.l, i + 1, D + 2)
     mat = operator_matrix(lambda b: symbol_apply(sp, i, xi, b), basis, codomain)
-    return basis, [_combine(basis, v, sp.l) for v in kernel_basis(mat)]
+    return basis, [_combine(sp.l, basis, v.items()) for v in kernel_basis(mat)]
 
 
 def _preimage_degrees(sp, i_prev, Dbig, xi, targets, cache):
@@ -185,7 +178,7 @@ def _preimage_degrees(sp, i_prev, Dbig, xi, targets, cache):
     for phi in targets:
         rhs = _coords_in(phi, codomain)
         x = None if rhs is None else solve(mat, rhs)
-        witness = None if x is None else _combine(basis, x, sp.l)
+        witness = None if x is None else _combine(sp.l, basis, x.items())
         # belt and braces: re-apply the symbol to the witness
         ok = witness is not None and (symbol_apply(sp, i_prev, xi, witness) - phi).is_zero()
         degrees.append(witness.spinor_degree() if ok else None)

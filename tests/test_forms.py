@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import matvec
 from symtwist.forms import (
     FormWindow,
     SpinorForm,
@@ -93,7 +94,7 @@ def test_wedge_squared_zero_as_matrix(sp2):
     m2 = operator_matrix(lambda p: wedge(xi, p), mid, cod)
     composite = {}
     for col in range(dom.dim):
-        img = m2.apply(m1.apply({col: ONE}))
+        img = matvec(m2, matvec(m1, {col: ONE}))
         for rr, v in img.items():
             composite[(rr, col)] = v
     assert not composite

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
+from conftest import matvec
+from symtwist import linalg
 from symtwist.linalg import OperatorMatrix, kernel_basis, rank, solve
 from symtwist.scalars import I, ONE, Scalar
 
@@ -45,7 +47,7 @@ def test_kernel_single_row():
     vecs = kernel_basis(m)
     assert len(vecs) == 1
     v = vecs[0]
-    assert m.apply(v) == {}
+    assert matvec(m, v) == {}
     # canonical form: free coordinate (column 1) pinned to one
     assert v[1] == ONE and v[0] == -I
 
@@ -82,7 +84,7 @@ def test_rank_nullity_and_kernel_exactness_random():
         vecs = kernel_basis(m)
         assert rank(m) + len(vecs) == cols
         for v in vecs:
-            assert m.apply(v) == {}
+            assert matvec(m, v) == {}
 
 
 def test_solve_iff_augmented_rank_matches():
@@ -101,7 +103,7 @@ def test_solve_iff_augmented_rank_matches():
             assert rank(aug) == rank(m) + 1
         else:
             assert rank(aug) == rank(m)
-            residual = m.apply(x)
+            residual = matvec(m, x)
             for r in range(rows):
                 assert residual.get(r, Scalar(0)) == b.get(r, Scalar(0))
 
@@ -136,7 +138,7 @@ def _general_systems(draw):
     m = M(rows, cols, entries)
     if draw(st.booleans()):
         # a right-hand side in the image, so that solves succeed often
-        b = m.apply({c: draw(_general) for c in sorted(draw(st.sets(st.integers(0, cols - 1))))})
+        b = matvec(m, {c: draw(_general) for c in sorted(draw(st.sets(st.integers(0, cols - 1))))})
     else:
         b = {r: draw(_general) for r in sorted(draw(st.sets(st.integers(0, rows - 1))))}
     return m, b
@@ -149,7 +151,7 @@ def test_kernel_rank_and_solve_on_general_entries(system):
     vecs = kernel_basis(m)
     assert rank(m) + len(vecs) == m.cols
     for v in vecs:
-        assert m.apply(v) == {}
+        assert matvec(m, v) == {}
     aug_entries = dict(m.entries)
     for r, v in b.items():
         aug_entries[(r, m.cols)] = v
@@ -158,7 +160,7 @@ def test_kernel_rank_and_solve_on_general_entries(system):
     if x is None:
         assert rank(aug) == rank(m) + 1
     else:
-        assert m.apply(x) == b
+        assert matvec(m, x) == b
 
 
 def _to_qqi(z: Scalar):
@@ -264,7 +266,7 @@ def test_matches_sympy_oracle():
         assert kernel_basis(m) == _oracle_kernel(m.cols, red, pivots)
         # one right-hand side in the image and one drawn at random
         x0 = {c: rng.choice(SMALL) for c in range(m.cols)}
-        for b in (m.apply(x0), {r: rng.choice(SMALL) for r in range(m.rows)}):
+        for b in (matvec(m, x0), {r: rng.choice(SMALL) for r in range(m.rows)}):
             b = {r: v for r, v in b.items() if v}
             assert solve(m, b) == _oracle_solve(m, b)
 
@@ -300,7 +302,7 @@ def test_rhs_local_solves_match_sympy_oracle():
         # b supported on the rows of one block
         blk = rng.choice(row_blk) if row_blk else None
         x0 = {c: rng.choice(SMALL) for c in range(m.cols)}
-        image = m.apply(x0)
+        image = matvec(m, x0)
         for b in (
             {r: v for r, v in image.items() if row_blk[r] == blk},
             {r: ONE for r in range(m.rows) if row_blk[r] == blk},
@@ -308,18 +310,66 @@ def test_rhs_local_solves_match_sympy_oracle():
             assert solve(m, b) == _oracle_solve(m, b)
 
 
-def test_repeated_solves_on_one_matrix_reuse_its_split():
-    # the first solve stores the split on the matrix; later solves on the
-    # same matrix must see the input rows, not rows an earlier solve
-    # eliminated
+def _one_component(rng):
+    """A matrix whose nonzero pattern is one component: every entry is
+    nonzero, with denominators up to 5, and the last row is a multiple of
+    the first, so that the rank is below the row count."""
+    rows, cols = rng.randint(2, 6), rng.randint(1, 6)
+
+    def entry():
+        return Scalar(
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 5)),
+            Fraction(rng.randint(-3, 3), rng.randint(1, 5)),
+        )
+
+    entries = {(r, c): entry() for r in range(rows - 1) for c in range(cols)}
+    f = entry()
+    for c in range(cols):
+        entries[(rows - 1, c)] = entries[(0, c)] * f
+    return M(rows, cols, entries)
+
+
+def test_calls_in_any_order_read_one_factorisation():
+    # rank, kernel_basis and solves on one matrix, in shuffled orders: every
+    # call must agree with the same call on a fresh matrix and with SymPy,
+    # whichever calls factored the matrix before it
     rng = random.Random(4)
-    cases = [_interleaved_blocks(rng)[0] for _ in range(60)] + _l2_matrices()
+    cases = [_one_component(rng) for _ in range(40)]
+    cases += [_interleaved_blocks(rng)[0] for _ in range(40)] + _l2_matrices()
     for m in cases:
-        rhs = []
+        red, pivots = _oracle_rref(m)
+        calls = [("rank", None), ("kernel", None)]
         for _ in range(4):
             x0 = {c: rng.choice(SMALL) for c in range(m.cols)}
-            rhs.append(m.apply(x0))
-            rhs.append({r: v for r in range(m.rows) if (v := rng.choice(SMALL))})
-        for b in rhs:
+            calls.append(("solve", matvec(m, x0)))
+            calls.append(("solve", {r: v for r in range(m.rows) if (v := rng.choice(SMALL))}))
+        rng.shuffle(calls)
+        for name, b in calls:
             fresh = M(m.rows, m.cols, m.entries)
-            assert solve(m, b) == solve(fresh, b) == _oracle_solve(m, b)
+            if name == "rank":
+                assert rank(m) == rank(fresh) == len(pivots)
+            elif name == "kernel":
+                assert kernel_basis(m) == kernel_basis(fresh) == _oracle_kernel(m.cols, red, pivots)
+            else:
+                assert solve(m, b) == solve(fresh, b) == _oracle_solve(m, b)
+
+
+def test_one_component_is_eliminated_once(monkeypatch):
+    # factor once: eight solves and a kernel basis on a one-component
+    # matrix make one elimination, counted without any clock
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return eliminate(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    rng = random.Random(5)
+    m = _one_component(rng)
+    for k in range(8):
+        x0 = {c: rng.choice(SMALL) for c in range(m.cols)}
+        b = matvec(m, x0) if k % 2 else {r: ONE for r in range(m.rows)}
+        solve(m, b or {0: ONE})
+    kernel_basis(m)
+    assert len(calls) == 1
