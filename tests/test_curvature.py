@@ -1,4 +1,5 @@
 import pytest
+from conftest import asymmetric_contraction_l1, ricci_type_plus_weyl_l2
 
 from symtwist.curvature import (
     CurvatureTensor,
@@ -13,7 +14,6 @@ from symtwist.curvature import (
     sigma_tilde,
     weyl_part,
 )
-from symtwist.linalg import OperatorMatrix, kernel_basis
 from symtwist.scalars import Scalar
 from symtwist.symplectic import standard_space
 
@@ -119,85 +119,10 @@ def test_l1_valid_tensors_always_ricci_type(sp1):
         assert is_ricci_type(sp1, R)
 
 
-def _bianchi_antisym_solutions_l2():
-    """Basis of tensors over the 4-dim space satisfying both stored
-    invariants, parametrized by entries with k < m (antisymmetry built in)."""
-    n = 4
-    pos = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for m in range(k + 1, n):
-                    pos[(i, j, k, m)] = len(pos)
-    rows = {}
-    nrow = 0
-
-    def var(i, j, k, m):
-        # value of R_{ijkm} as +-variable, using antisymmetry
-        if k == m:
-            return None, 0
-        if k < m:
-            return pos[(i, j, k, m)], 1
-        return pos[(i, j, m, k)], -1
-
-    entries = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for m in range(n):
-                    # Bianchi over the last three slots
-                    acc = {}
-                    for (a, b, c) in ((j, k, m), (k, m, j), (m, j, k)):
-                        idx, sgn = var(i, a, b, c)
-                        if idx is not None and sgn:
-                            acc[idx] = acc.get(idx, 0) + sgn
-                    acc = {kk: v for kk, v in acc.items() if v}
-                    if acc:
-                        for kk, v in acc.items():
-                            entries[(nrow, kk)] = Scalar(v)
-                        nrow += 1
-    mat = OperatorMatrix(max(nrow, 1), len(pos), entries)
-    return pos, kernel_basis(mat)
-
-
 def test_ricci_type_false_for_weyl_direction(sp2):
-    # build a valid tensor with zero Ricci contraction, add it to a
-    # Ricci-type tensor: the classifier must say no
-    n = 4
-    pos, sols = _bianchi_antisym_solutions_l2()
-
-    def vec_to_tensor(vec):
-        ent = [[[[Scalar(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for (i, j, k, m), col in pos.items():
-            v = vec.get(col)
-            if v:
-                ent[i][j][k][m] = v
-                ent[i][j][m][k] = -v
-        return CurvatureTensor(2, ent)
-
-    B = None
-    for vec in sols:
-        cand = vec_to_tensor(vec)
-        try:
-            sig = ricci_contract(sp2, cand)
-        except InvalidCurvatureError:
-            continue
-        if sig.is_zero() and not cand.is_zero():
-            B = cand
-            break
-    assert B is not None, "no trace-free invariant-satisfying direction found"
-    base = random_ricci_type(sp2, 11)
-    mixed_entries = [
-        [
-            [
-                [base.entries[i][j][k][m] + B.entries[i][j][k][m] for m in range(n)]
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    mixed = CurvatureTensor(2, mixed_entries)
+    # a valid tensor with zero Ricci contraction, added to a Ricci-type
+    # tensor: the classifier must say no
+    mixed, B = ricci_type_plus_weyl_l2()
     assert not is_ricci_type(sp2, mixed)
     assert weyl_part(sp2, mixed) == B
 
@@ -205,14 +130,8 @@ def test_ricci_type_false_for_weyl_direction(sp2):
 def test_asymmetric_contraction_diagnosed():
     # an invariant-satisfying tensor need not come from a symplectic
     # connection; the contraction flags those inputs
-    n = 2
-    ent = [[[[Scalar(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    ent[0][1][0][1] = Scalar(1)
-    ent[0][1][1][0] = Scalar(-1)
-    R = CurvatureTensor(1, ent)
-    sp1 = standard_space(1)
     with pytest.raises(InvalidCurvatureError):
-        ricci_contract(sp1, R)
+        ricci_contract(standard_space(1), asymmetric_contraction_l1())
 
 
 @pytest.mark.parametrize("l", [1, 2, 3])

@@ -16,15 +16,23 @@ check reaches degree D + 2l), ``symbol-check`` at l=2, D=2 on the fractional cov
 the off-axis covector (1, 0, 2, -1, 1, 3) (one large component of the
 untruncated diagnostic matrix, solved against many times), and
 ``curvature --input`` on the tensor from ``gen-curvature --l 2 --seed 7``.
+Four more ``curvature --input`` cases cover the split beyond a zero Weyl
+part: the tensors of ``gen-curvature --l 1 --seed 0`` and ``--l 3 --seed
+11``, the l=2 tensor that is a Ricci-type tensor plus a trace-free
+direction (not of Ricci type), and an l=1 tensor with an asymmetric Ricci
+contraction (exit 1 with a diagnosis).
 A mismatch means the report changed; the recorded values are not to be
 rewritten to make a change pass.
 """
 
 import hashlib
+import json
 
 import pytest
+from conftest import asymmetric_contraction_l1, ricci_type_plus_weyl_l2
 
 from symtwist.cli import main
+from symtwist.curvature import curvature_to_json
 
 GOLDEN = {
     "relations-l2d2": (
@@ -132,3 +140,55 @@ def test_curvature_report_bytes_match_golden(tmp_path):
     assert gen_digest == GEN_L2_SEED7
     got = _run(tmp_path, "curvature", ("curvature", "--input", str(tensor)))[:2]
     assert got == CURVATURE_L2_SEED7
+
+
+def _generated(l, seed):
+    def write(tmp_path):
+        return _run(tmp_path, "tensor", ("gen-curvature", "--l", l, "--seed", seed))[2]
+
+    return write
+
+
+def _built(build):
+    def write(tmp_path):
+        path = tmp_path / "tensor.json"
+        path.write_text(json.dumps(curvature_to_json(build())))
+        return path
+
+    return write
+
+
+CURVATURE_INPUTS = {
+    "gen-l1s0": (
+        _generated("1", "0"),
+        0,
+        "800024e7800c28d3bb9fafbc0c5711cf935d5a3f620007a1eca0513cac268456",
+    ),
+    "gen-l3s11": (
+        _generated("3", "11"),
+        0,
+        "152fa93270da0521e54e3b09cfaa3a41602364ed8b8e5f897f517d818d46ed5c",
+    ),
+    "ricci-type-plus-weyl-l2": (
+        _built(lambda: ricci_type_plus_weyl_l2()[0]),
+        0,
+        "f79585014ecb496cc89300975651ecd7805c28a4ddee52c3706de1258ae5511b",
+    ),
+    "asymmetric-contraction-l1": (
+        _built(asymmetric_contraction_l1),
+        1,
+        "5a5ef62c1a2ca8d1e54d91c8495de43bf5b7a25f2ed0c9381f959f2f90551ef7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CURVATURE_INPUTS))
+def test_curvature_input_report_bytes_match_golden(tmp_path, name):
+    write, code, digest = CURVATURE_INPUTS[name]
+    tensor = write(tmp_path)
+    got = _run(tmp_path, "curvature", ("curvature", "--input", str(tensor)))
+    assert got[:2] == (code, digest)
+    if name == "ricci-type-plus-weyl-l2":
+        assert json.loads(got[2].read_text())["is_ricci_type"] is False
+    if name == "asymmetric-contraction-l1":
+        assert "diagnosis" in json.loads(got[2].read_text())
