@@ -20,7 +20,6 @@ from .curvature import (
     ricci_contract,
     ricci_to_json,
     sigma_tilde,
-    weyl_part,
 )
 from .scalars import Scalar, fraction_from_str
 from .suites import run_decompose, run_project, run_relations
@@ -188,7 +187,7 @@ def _cmd_curvature(args):
         _emit(report, args)
         return EXIT_CHECK_FAILED
     st = sigma_tilde(sp, sigma)
-    W = weyl_part(sp, R)
+    W = R - st
     report = {
         "suite": "curvature",
         "l": R.l,

@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 
 from .scalars import Scalar, scalar_from_json, scalar_to_json
-from .symplectic import SymplecticSpace
+from .symplectic import SymplecticSpace, omega_entry
 
 
 class InvalidCurvatureError(ValueError):
@@ -108,21 +108,32 @@ class CurvatureTensor:
             and self.entries == other.entries
         )
 
+    def __sub__(self, other):
+        """The elementwise difference, validated like any other tensor."""
+        return CurvatureTensor(
+            self.l,
+            [
+                [
+                    [[x - y for x, y in zip(r3, o3)] for r3, o3 in zip(r2, o2)]
+                    for r2, o2 in zip(r1, o1)
+                ]
+                for r1, o1 in zip(self.entries, other.entries)
+            ],
+        )
+
 
 def ricci_contract(sp: SymplecticSpace, R: CurvatureTensor) -> RicciTensor:
-    """sigma_{ij} = omega^{km} R_{m i k j}; asymmetric results are rejected
-    as not coming from a symplectic curvature tensor."""
-    n = sp.dim
-    om = sp.omega_upper
+    """sigma_{ij} = omega^{km} R_{m i k j} = sum_k R_{k+l,i,k,j} - R_{k,i,k+l,j};
+    asymmetric results are rejected as not coming from a symplectic
+    curvature tensor."""
+    n, l = sp.dim, sp.l
+    e = R.entries
     sigma = [[Scalar(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             acc = Scalar(0)
-            for k in range(n):
-                for m in range(n):
-                    w = om[k][m]
-                    if w and R.entries[m][i][k][j]:
-                        acc = acc + w * R.entries[m][i][k][j]
+            for k in range(l):
+                acc = acc + e[k + l][i][k][j] - e[k][i][k + l][j]
             sigma[i][j] = acc
     for i in range(n):
         for j in range(i + 1, n):
@@ -136,21 +147,21 @@ def ricci_contract(sp: SymplecticSpace, R: CurvatureTensor) -> RicciTensor:
 
 def sigma_tilde(sp: SymplecticSpace, sigma: RicciTensor) -> CurvatureTensor:
     """The Ricci-type curvature tensor built linearly from sigma."""
-    n = sp.dim
-    om = sp.omega_lower
+    n, l = sp.dim, sp.l
+    om = [[omega_entry(l, i, j) for j in range(n)] for i in range(n)]
     s = sigma.entries
-    denom = Scalar(2 * (sp.l + 1))
+    denom = Scalar(2 * (l + 1))
     out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 for m in range(n):
                     acc = (
-                        om[i][m] * s[j][k]
-                        - om[i][k] * s[j][m]
-                        + om[j][m] * s[i][k]
-                        - om[j][k] * s[i][m]
-                        + Scalar(2) * s[i][j] * om[k][m]
+                        s[j][k] * om[i][m]
+                        - s[j][m] * om[i][k]
+                        + s[i][k] * om[j][m]
+                        - s[i][m] * om[j][k]
+                        + s[i][j] * (2 * om[k][m])
                     )
                     out[i][j][k][m] = acc / denom
     return CurvatureTensor(sp.l, out)
@@ -163,19 +174,7 @@ def weyl_part(sp: SymplecticSpace, R: CurvatureTensor) -> CurvatureTensor:
     1 (pinned by the brute-force oracle in the tests), so no rescaling
     happens here.
     """
-    st = sigma_tilde(sp, ricci_contract(sp, R))
-    n = sp.dim
-    diff = [
-        [
-            [
-                [R.entries[i][j][k][m] - st.entries[i][j][k][m] for m in range(n)]
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return CurvatureTensor(sp.l, diff)
+    return R - sigma_tilde(sp, ricci_contract(sp, R))
 
 
 def is_ricci_type(sp: SymplecticSpace, R: CurvatureTensor) -> bool:

@@ -4,10 +4,11 @@ Conventions, fixed once for the whole package:
 
 * adapted basis e_1..e_2l; the first l vectors span the Lagrangian L, the
   last l span the complementary Lagrangian L';
-* omega(e_i, e_{l+i}) = +1 for i = 1..l, every other independent pairing
-  zero, i.e. the lowered matrix is [[0, I], [-I, 0]];
-* the raised matrix omega^{ij} is defined by omega_{ij} omega^{kj} =
-  delta_i^k, which makes it numerically equal to the lowered one;
+* omega is its index rule, omega(e_i, e_{l+i}) = +1 = -omega(e_{l+i}, e_i)
+  for i = 1..l and every other pairing zero (the block form
+  [[0, I], [-I, 0]]); ``omega_entry`` is that rule, and no matrix is stored;
+* the raised omega^{ij}, defined by omega_{ij} omega^{kj} = delta_i^k, has
+  the same entries, so ``omega_entry`` gives both;
 * indices are 0-based internally and 1-based in reports and docs.
 
 Index raising contracts with the FIRST omega slot (T^i = omega^{ic} T_c),
@@ -31,18 +32,13 @@ class Covector:
     def is_zero(self):
         return not any(self.components)
 
-    def __len__(self):
-        return len(self.components)
-
 
 class SymplecticSpace:
-    __slots__ = ("l", "dim", "omega_lower", "omega_upper", "_basis", "_cobasis")
+    __slots__ = ("l", "dim", "_basis", "_cobasis")
 
-    def __init__(self, l, omega_lower, omega_upper):
+    def __init__(self, l):
         self.l = l
         self.dim = 2 * l
-        self.omega_lower = omega_lower
-        self.omega_upper = omega_upper
         # the adapted basis and its dual, built once: the operators of the
         # spinor-form layer ask for them on every call
         self._basis = tuple(
@@ -55,16 +51,16 @@ class SymplecticSpace:
 def standard_space(l: int) -> SymplecticSpace:
     if l < 1:
         raise ValueError("half-dimension l must be >= 1")
-    n = 2 * l
-    z = Scalar(0)
-    lower = [[z] * n for _ in range(n)]
-    for i in range(l):
-        lower[i][l + i] = ONE
-        lower[l + i][i] = -ONE
-    lower = tuple(tuple(row) for row in lower)
-    # omega_{ij} omega^{kj} = delta_i^k forces the raised matrix to equal
-    # the lowered one for this block form; keep both explicitly anyway.
-    return SymplecticSpace(l, lower, lower)
+    return SymplecticSpace(l)
+
+
+def omega_entry(l: int, i: int, j: int) -> int:
+    """omega_{ij} = omega^{ij} on 0-based indices of the 2l-dim space."""
+    if j - i == l:
+        return 1
+    if i - j == l:
+        return -1
+    return 0
 
 
 def basis_vector(sp: SymplecticSpace, k: int) -> tuple:
@@ -81,24 +77,16 @@ def canonical_covector(sp: SymplecticSpace) -> Covector:
 
 
 def omega_value(sp: SymplecticSpace, v, w) -> Scalar:
+    """omega(v, w) = sum_k v_k w_{k+l} - v_{k+l} w_k."""
+    l = sp.l
     acc = Scalar(0)
-    for i, vi in enumerate(v):
-        if not vi:
-            continue
-        for j, wj in enumerate(w):
-            if wj and sp.omega_lower[i][j]:
-                acc = acc + vi * wj * sp.omega_lower[i][j]
+    for k in range(l):
+        acc = acc + v[k] * w[k + l] - v[k + l] * w[k]
     return acc
 
 
 def sharp(sp: SymplecticSpace, alpha: Covector) -> tuple:
-    """The vector alpha-sharp with alpha(w) = omega(alpha-sharp, w)."""
-    n = sp.dim
-    out = []
-    for k in range(n):
-        acc = Scalar(0)
-        for j in range(n):
-            if sp.omega_upper[k][j] and alpha.components[j]:
-                acc = acc + sp.omega_upper[k][j] * alpha.components[j]
-        out.append(acc)
-    return tuple(out)
+    """The vector alpha-sharp with alpha(w) = omega(alpha-sharp, w):
+    (alpha^k) = omega^{kj} alpha_j = (alpha_{l..2l-1}, -alpha_{0..l-1})."""
+    c = alpha.components
+    return tuple(c[sp.l:]) + tuple(-a for a in c[: sp.l])

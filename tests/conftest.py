@@ -10,6 +10,16 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
+def omega_matrix(l):
+    """The dense 2l x 2l matrix of omega, built entry by entry from
+    ``omega_entry``; lowered and raised omega have the same entries.  The
+    tests compare the package's index-rule sums against it."""
+    from symtwist.symplectic import omega_entry
+
+    n = 2 * l
+    return [[omega_entry(l, i, j) for j in range(n)] for i in range(n)]
+
+
 def matvec(m, x: dict) -> dict:
     """The sparse product of an ``OperatorMatrix`` with a {col: Scalar}
     vector, as a {row: Scalar} dict without zero entries."""

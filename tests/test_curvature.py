@@ -1,5 +1,11 @@
+import json
+from fractions import Fraction
+from itertools import permutations
+
 import pytest
-from conftest import asymmetric_contraction_l1, ricci_type_plus_weyl_l2
+from conftest import asymmetric_contraction_l1, omega_matrix, ricci_type_plus_weyl_l2
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symtwist.curvature import (
     CurvatureTensor,
@@ -42,6 +48,20 @@ def _unit_sigma(l, a, b):
     return RicciTensor(l, s)
 
 
+def _brute_ricci(l, R):
+    """sigma_{ij} = sum over all (k, m) of omega^{km} R_{m i k j}."""
+    om = omega_matrix(l)
+    n = 2 * l
+    e = R.entries
+    return [
+        [
+            sum((e[m][i][k][j] * om[k][m] for k in range(n) for m in range(n)), Scalar(0))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
 def test_ricci_symmetry_enforced():
     with pytest.raises(InvalidCurvatureError):
         RicciTensor(1, [[Scalar(0), Scalar(1)], [Scalar(0), Scalar(0)]])
@@ -81,7 +101,9 @@ def test_reconstruction_factor_is_one_brute_force(sp2):
     for a in range(n):
         for b in range(a, n):
             sig = _unit_sigma(2, a, b)
-            assert ricci_contract(sp2, sigma_tilde(sp2, sig)) == sig
+            rebuilt = sigma_tilde(sp2, sig)
+            assert ricci_contract(sp2, rebuilt) == sig
+            assert tuple(map(tuple, _brute_ricci(2, rebuilt))) == sig.entries
 
 
 def test_linearity(sp2):
@@ -125,6 +147,8 @@ def test_ricci_type_false_for_weyl_direction(sp2):
     mixed, B = ricci_type_plus_weyl_l2()
     assert not is_ricci_type(sp2, mixed)
     assert weyl_part(sp2, mixed) == B
+    for R in (mixed, B):
+        assert ricci_contract(sp2, R).entries == tuple(map(tuple, _brute_ricci(2, R)))
 
 
 def test_asymmetric_contraction_diagnosed():
@@ -140,7 +164,7 @@ def test_scalar_curvature_vanishes(l):
     # its omega-trace sigma^{ij} omega_{ij} is zero
     sp = standard_space(l)
     n = 2 * l
-    om = sp.omega_upper
+    om = omega_matrix(l)
     for seed in (0, 1):
         s = ricci_contract(sp, random_ricci_type(sp, seed)).entries
         trace = Scalar(0)
@@ -148,7 +172,7 @@ def test_scalar_curvature_vanishes(l):
             for j in range(n):
                 for k in range(n):
                     for m in range(n):
-                        trace = trace + om[i][k] * om[j][m] * s[k][m] * sp.omega_lower[i][j]
+                        trace = trace + s[k][m] * (om[i][k] * om[j][m] * om[i][j])
         assert trace == Scalar(0)
 
 
@@ -160,3 +184,139 @@ def test_generator_deterministic(sp2):
 def test_json_round_trips(sp2):
     R = random_ricci_type(sp2, 4)
     assert curvature_from_json(curvature_to_json(R)) == R
+
+
+def test_curvature_command_splits_each_tensor_once(tmp_path, monkeypatch):
+    # one contraction, one rebuild and three validated tensors (the input,
+    # sigma-tilde and W) per ``curvature --input`` run
+    from symtwist import cli, curvature
+
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps(curvature_to_json(ricci_type_plus_weyl_l2()[0])))
+    calls = {"ricci_contract": 0, "sigma_tilde": 0, "CurvatureTensor": 0}
+    for name in ("ricci_contract", "sigma_tilde"):
+
+        def counted(*args, _name=name, _original=getattr(curvature, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(curvature, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    init = CurvatureTensor.__init__
+
+    def counted_init(self, *args):
+        calls["CurvatureTensor"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(CurvatureTensor, "__init__", counted_init)
+    assert cli.main(["curvature", "--input", str(path), "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == {"ricci_contract": 1, "sigma_tilde": 1, "CurvatureTensor": 3}
+
+
+_property = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+_scalars = st.builds(Scalar, _rationals, _rationals)
+
+
+def _commutator_curvature(l, gamma):
+    """R_{ijkm} = omega^{ab} (G_{ika} G_{bmj} - G_{ima} G_{bkj}) for a fully
+    symmetric 3-tensor G (a {sorted index triple: Scalar} dict): the
+    curvature [G_X, G_Y] of the connection d + G on V.  It is symmetric in
+    (i, j), so its contraction is symmetric, and it satisfies both stored
+    invariants; for l >= 2 it is in general not of Ricci type."""
+    om = omega_matrix(l)
+    n = 2 * l
+    g = {}
+    for idx, c in gamma.items():
+        for x, y, a in set(permutations(idx)):
+            g.setdefault((x, y), {})[a] = c
+
+    def p(i, k, m, j):
+        acc = Scalar(0)
+        for a, u in g.get((i, k), {}).items():
+            for b, v in g.get((m, j), {}).items():
+                if om[a][b]:
+                    acc = acc + u * v * om[a][b]
+        return acc
+
+    return CurvatureTensor(
+        l,
+        [
+            [
+                [[p(i, k, m, j) - p(i, m, k, j) for m in range(n)] for k in range(n)]
+                for j in range(n)
+            ]
+            for i in range(n)
+        ],
+    )
+
+
+@st.composite
+def _symplectic_curvatures(draw):
+    """(l, R) with R = [G_X, G_Y] for a random G with three to eight terms."""
+    l = draw(st.integers(1, 4))
+    index = st.integers(0, 2 * l - 1)
+    gamma = {}
+    for _ in range(draw(st.integers(3, 8))):
+        idx = tuple(sorted(draw(st.tuples(index, index, index))))
+        gamma[idx] = draw(_scalars)
+    return l, _commutator_curvature(l, gamma)
+
+
+@_property
+@given(_symplectic_curvatures())
+def test_ricci_contract_is_the_dense_contraction(case):
+    l, R = case
+    assert ricci_contract(standard_space(l), R).entries == tuple(map(tuple, _brute_ricci(l, R)))
+
+
+@st.composite
+def _bianchi_tensors(draw):
+    """(l, R) with R = T - Alt(T) for a random T antisymmetric in its last
+    index pair: every such R satisfies both stored invariants, and its
+    contraction is in general asymmetric."""
+    l = draw(st.integers(1, 4))
+    n = 2 * l
+    index = st.integers(0, n - 1)
+    t = {}
+    for _ in range(draw(st.integers(2, 8))):
+        i, j, k, m = draw(st.tuples(index, index, index, index))
+        if k != m:
+            c = draw(_scalars)
+            t[(i, j, k, m)] = t.get((i, j, k, m), Scalar(0)) + c
+            t[(i, j, m, k)] = t.get((i, j, m, k), Scalar(0)) - c
+    z = Scalar(0)
+
+    def entry(i, j, k, m):
+        cyclic = t.get((i, j, k, m), z) + t.get((i, k, m, j), z) + t.get((i, m, j, k), z)
+        return t.get((i, j, k, m), z) - cyclic / Scalar(3)
+
+    return l, CurvatureTensor(
+        l,
+        [
+            [[[entry(i, j, k, m) for m in range(n)] for k in range(n)] for j in range(n)]
+            for i in range(n)
+        ],
+    )
+
+
+@_property
+@given(_bianchi_tensors())
+def test_ricci_contract_rejects_exactly_the_asymmetric_contractions(case):
+    l, R = case
+    sigma = _brute_ricci(l, R)
+    n = 2 * l
+    if all(sigma[i][j] == sigma[j][i] for i in range(n) for j in range(i + 1, n)):
+        assert ricci_contract(standard_space(l), R).entries == tuple(map(tuple, sigma))
+    else:
+        with pytest.raises(InvalidCurvatureError, match="asymmetric"):
+            ricci_contract(standard_space(l), R)
+
+
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_commutator_curvature_is_not_ricci_type(l):
+    # the generator of the contraction property test reaches beyond the
+    # Ricci-type tensors
+    R = _commutator_curvature(l, {(0, 0, 1): Scalar(1), (0, l, l + 1): Scalar(2, 1)})
+    assert not is_ricci_type(standard_space(l), R)

@@ -1,4 +1,9 @@
+from fractions import Fraction
+
 import pytest
+from conftest import omega_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symtwist.linalg import OperatorMatrix, rank
 from symtwist.scalars import ONE, Scalar
@@ -7,6 +12,7 @@ from symtwist.symplectic import (
     basis_covector,
     basis_vector,
     canonical_covector,
+    omega_entry,
     omega_value,
     sharp,
     standard_space,
@@ -20,28 +26,29 @@ def test_rejects_zero_half_dimension():
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4])
 def test_omega_matrices(l):
-    sp = standard_space(l)
+    om = omega_matrix(l)
     n = 2 * l
     for i in range(n):
         for j in range(n):
-            assert sp.omega_lower[i][j] == -sp.omega_lower[j][i]
-            assert sp.omega_upper[i][j] == -sp.omega_upper[j][i]
+            assert om[i][j] in (-1, 0, 1)
+            assert om[i][j] == -om[j][i]
     # defining identity omega_{ij} omega^{kj} = delta_i^k
     for i in range(n):
         for k in range(n):
-            acc = Scalar(0)
-            for j in range(n):
-                acc = acc + sp.omega_lower[i][j] * sp.omega_upper[k][j]
-            assert acc == (ONE if i == k else Scalar(0))
+            assert sum(om[i][j] * om[k][j] for j in range(n)) == (1 if i == k else 0)
 
 
 def test_standard_pairings():
+    om = omega_matrix(2)
+    assert om[0][2] == 1 and om[1][3] == 1
+    assert om[2][0] == -1
+    assert om[0][1] == 0
+    assert omega_matrix(1) == [[0, 1], [-1, 0]]
     sp = standard_space(2)
-    assert sp.omega_lower[0][2] == ONE and sp.omega_lower[1][3] == ONE
-    assert sp.omega_lower[2][0] == -ONE
-    assert sp.omega_lower[0][1] == Scalar(0)
-    sp1 = standard_space(1)
-    assert sp1.omega_upper[0][1] == ONE and sp1.omega_upper[1][0] == -ONE
+    for i in range(4):
+        for j in range(4):
+            ei, ej = basis_vector(sp, i), basis_vector(sp, j)
+            assert omega_value(sp, ei, ej) == omega_entry(2, i, j)
 
 
 def test_sharp_hand_values():
@@ -88,10 +95,11 @@ def test_raise_then_lower_is_identity(l):
     # T_i = T^c omega_{ci}, inverts it on both sides
     sp = standard_space(l)
     n = 2 * l
+    om = omega_matrix(l)
 
     def lower(comps):
         return tuple(
-            sum((comps[c] * sp.omega_lower[c][i] for c in range(n)), Scalar(0))
+            sum((comps[c] * om[c][i] for c in range(n)), Scalar(0))
             for i in range(n)
         )
 
@@ -99,3 +107,39 @@ def test_raise_then_lower_is_identity(l):
         comps = tuple(ONE if j == k else Scalar(0) for j in range(n))
         assert lower(sharp(sp, Covector(comps))) == comps
         assert sharp(sp, Covector(lower(comps))) == comps
+
+
+_property = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+_scalars = st.builds(Scalar, _rationals, _rationals)
+
+
+@st.composite
+def _vector_pairs(draw):
+    """(l, v, w): two random Gaussian-rational 2l-tuples, l = 1..4."""
+    l = draw(st.integers(1, 4))
+    vectors = st.tuples(*[_scalars] * (2 * l))
+    return l, draw(vectors), draw(vectors)
+
+
+@_property
+@given(_vector_pairs())
+def test_omega_value_is_the_dense_form(case):
+    # omega(v, w) = v^T omega w
+    l, v, w = case
+    om = omega_matrix(l)
+    n = 2 * l
+    expected = sum((v[i] * om[i][j] * w[j] for i in range(n) for j in range(n)), Scalar(0))
+    assert omega_value(standard_space(l), v, w) == expected
+
+
+@_property
+@given(_vector_pairs())
+def test_sharp_is_the_dense_raising(case):
+    # (alpha-sharp)^k = omega^{kj} alpha_j
+    l, alpha, _ = case
+    om = omega_matrix(l)
+    n = 2 * l
+    expected = tuple(sum((om[k][j] * alpha[j] for j in range(n)), Scalar(0)) for k in range(n))
+    assert sharp(standard_space(l), Covector(alpha)) == expected
