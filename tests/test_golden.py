@@ -14,7 +14,9 @@ configuration), at l=3, D=2 and at l=4, D=1 (windows on which the span
 check reaches degree D + 2l), ``symbol-check`` at l=2, D=2 on the fractional covector
 (1/2, 0, -1/3, 2) (non-unit denominators), ``symbol-check`` at l=3, D=1 on
 the off-axis covector (1, 0, 2, -1, 1, 3) (one large component of the
-untruncated diagnostic matrix, solved against many times), and
+untruncated diagnostic matrix, solved against many times), ``symbol-check``
+at l=4, D=1 (the l=4 edge and symbol matrices, and both windows of the
+untruncated diagnostic at i=5 and i=6), and
 ``curvature --input`` on the tensor from ``gen-curvature --l 2 --seed 7``.
 Four more ``curvature --input`` cases cover the split beyond a zero Weyl
 part: the tensors of ``gen-curvature --l 1 --seed 0`` and ``--l 3 --seed
@@ -114,6 +116,11 @@ GOLDEN = {
         ("symbol-check", "--l", "3", "--degree", "1", "--slack", "2", "--xi", "1,0,2,-1,1,3"),
         1,
         "a27eaf5ee1a6ecd4807e557d6a0bb451b654be5ac4cbfb1584b4cca3238a73c3",
+    ),
+    "symbol-check-l4d1": (
+        ("symbol-check", "--l", "4", "--degree", "1"),
+        1,
+        "d62fb485acf9d169a51001bd9b331aa18dd733b114c407ec0a23d7903758c10e",
     ),
 }
 
