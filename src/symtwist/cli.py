@@ -172,7 +172,7 @@ def _cmd_curvature(args):
         with open(args.input, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
         R = curvature_from_json(obj)
-    except (OSError, json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"cannot read curvature tensor from {args.input}: {exc}") from None
     sp = standard_space(R.l)
     try:

@@ -48,13 +48,15 @@ def accumulate(out: dict, key, c) -> None:
 
 
 class OperatorMatrix:
-    """Exact sparse matrix between two enumerated bases."""
+    """Exact sparse matrix between two enumerated bases; ``row_index`` maps
+    the basis key of each row to the row, when the rows have keys."""
 
-    __slots__ = ("rows", "cols", "entries", "_parts", "_owner")
+    __slots__ = ("rows", "cols", "entries", "row_index", "_parts", "_owner")
 
-    def __init__(self, rows, cols, entries):
+    def __init__(self, rows, cols, entries, row_index=None):
         self.rows = rows
         self.cols = cols
+        self.row_index = row_index
         self.entries = {rc: v for rc, v in entries.items() if v}
         for (r, c) in self.entries:
             if not (0 <= r < rows and 0 <= c < cols):

@@ -271,11 +271,8 @@ def edge_basis(sp: SymplecticSpace, r: int, D: int):
     win = FormWindow(l, r, D)
     if r == 0 or r == 2 * l:
         return [win.element(k) for k in range(win.dim)]
-    if r < l:
-        op, cowin = lowering, FormWindow(l, r - 1, D + 1)
-    else:
-        op, cowin = raising, FormWindow(l, r + 1, D + 1)
-    mat = operator_matrix(lambda p: op(sp, p), win, cowin)
+    op = lowering if r < l else raising
+    mat = operator_matrix(lambda p: op(sp, p), win)
     return [coords_to_form(v, win) for v in kernel_basis(mat)]
 
 
@@ -287,9 +284,8 @@ def component_basis(sp: SymplecticSpace, r: int, j: int, D: int):
     if not in_triangle(l, r, j):
         raise ValueError(f"(r, j)=({r}, {j}) outside the component triangle")
     win = FormWindow(l, r, D)
-    cowin = FormWindow(l, r, D + 2)
     c = component_scalar(l, r, j)
-    mat = operator_matrix(lambda p: ff_plus(sp, p) - p.scale(c), win, cowin)
+    mat = operator_matrix(lambda p: ff_plus(sp, p) - p.scale(c), win)
     vecs = kernel_basis(mat)
     return [coords_to_form(v, win) for v in vecs]
 

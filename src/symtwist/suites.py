@@ -213,8 +213,7 @@ def run_decompose(sp: SymplecticSpace, D: int) -> dict:
         slice_vectors = cm.degree_slice(r)
         if not slice_vectors:
             continue
-        bigwin = FormWindow(l, r, D + r)
-        mat = operator_matrix(lambda v: v, [v for _j, v in slice_vectors], bigwin)
+        mat = operator_matrix(lambda v: v, [v for _j, v in slice_vectors])
         if rank(mat) != len(slice_vectors):
             indep_ok = False
         for (rr, j), vecs in sorted(cm.chains.items()):

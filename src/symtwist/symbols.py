@@ -62,15 +62,6 @@ def xi_regime(sp: SymplecticSpace, xi: Covector) -> str:
     return "pure-derivative (outside polynomial-model injectivity)"
 
 
-def _coords_in(phi: SpinorForm, codomain: FormWindow):
-    """Coordinates of phi in the codomain window as a solve right-hand
-    side; None when phi sticks out of the window."""
-    try:
-        return form_to_coords(phi, codomain)
-    except ValueError:
-        return None
-
-
 def _edge_basis(sp, i, D, cache):
     key = (i, D)
     if key not in cache:
@@ -162,8 +153,7 @@ def check_exactness(sp: SymplecticSpace, D: int, xi: Covector, slack: int = 4, x
 
 def _kernel_forms(sp, i, D, xi, cache):
     basis = _edge_basis(sp, i, D, cache)
-    codomain = FormWindow(sp.l, i + 1, D + 2)
-    mat = operator_matrix(lambda b: symbol_apply(sp, i, xi, b), basis, codomain)
+    mat = operator_matrix(lambda b: symbol_apply(sp, i, xi, b), basis)
     return basis, [_combine(sp.l, basis, v.items()) for v in kernel_basis(mat)]
 
 
@@ -172,11 +162,10 @@ def _preimage_degrees(sp, i_prev, Dbig, xi, targets, cache):
     each phi in targets, all on one symbol matrix; returns the spinor degree
     of each witness, None for a target without one."""
     basis = _edge_basis(sp, i_prev, Dbig, cache)
-    codomain = FormWindow(sp.l, i_prev + 1, Dbig + 2)
-    mat = operator_matrix(lambda b: symbol_apply(sp, i_prev, xi, b), basis, codomain)
+    mat = operator_matrix(lambda b: symbol_apply(sp, i_prev, xi, b), basis)
     degrees = []
     for phi in targets:
-        rhs = _coords_in(phi, codomain)
+        rhs = form_to_coords(phi, mat.row_index)
         x = None if rhs is None else solve(mat, rhs)
         witness = None if x is None else _combine(sp.l, basis, x.items())
         # belt and braces: re-apply the symbol to the witness
@@ -287,8 +276,7 @@ def _untruncated_solver(sp, i, D, xi, slack):
     i-form of degree <= D + slack, so weights <= D + slack + 2l - i.
     Weight by weight, x = F-(q) with q = sum_j F+(x_j) / c_{ij} of the same
     weights, and an (i+1)-form of weight w has degree <= w + 2l - i - 1.
-    So Dq = D + slack + 2(2l - i) - 1 makes the answer exact (rows: i-forms
-    of degree <= Dq + 1, which hold xi ^ p and F-(q)).  The solve runs
+    So Dq = D + slack + 2(2l - i) - 1 makes the answer exact.  The solve runs
     first at Dq = D + slack + 1, which is smaller and has so far answered
     every kernel vector of the CLI; only a "no" there is retried on the
     exact window.  Every witness (p, q) is re-checked by applying wedge and
@@ -303,20 +291,17 @@ def _untruncated_solver(sp, i, D, xi, slack):
     def block_matrix(Dq):
         if Dq not in built:
             qwin = FormWindow(l, i + 1, Dq) if i < 2 * l else None
-            cod = FormWindow(l, i, Dq + 1)
             columns = list(dom) + (list(qwin) if qwin is not None else [])
             mat = operator_matrix(
-                lambda b: wedge(xi, b) if b.form_degree() == i - 1 else lowering(sp, b),
-                columns,
-                cod,
+                lambda b: wedge(xi, b) if b.form_degree() == i - 1 else lowering(sp, b), columns
             )
-            built[Dq] = (mat, cod, qwin)
+            built[Dq] = (mat, qwin)
         return built[Dq]
 
     def attempt(phi):
         for Dq in windows:
-            mat, cod, qwin = block_matrix(Dq)
-            rhs = _coords_in(phi, cod)
+            mat, qwin = block_matrix(Dq)
+            rhs = form_to_coords(phi, mat.row_index)
             x = None if rhs is None else solve(mat, rhs)
             if x is None:
                 continue

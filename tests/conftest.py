@@ -30,6 +30,31 @@ def matvec(m, x: dict) -> dict:
     return {r: v for r, v in out.items() if v}
 
 
+def window_index(win):
+    """The key -> position map of a ``FormWindow``'s basis."""
+    return {key: k for k, key in enumerate(win.basis)}
+
+
+def window_matrix(fn, domain, codomain):
+    """Reference builder of an operator matrix whose rows are the basis of
+    the window ``codomain``: one row per window basis element, reached by
+    an image or not.  Raises when an image term lies outside the window.
+    ``forms.operator_matrix`` takes its rows from the images instead; the
+    tests compare the two, and compose or solve against named windows
+    with this one."""
+    from symtwist.linalg import OperatorMatrix
+
+    index = window_index(codomain)
+    entries = {}
+    for col, b in enumerate(domain):
+        for key, c in fn(b).terms.items():
+            row = index.get(key)
+            if row is None:
+                raise ValueError(f"image term {key} not contained in codomain window {codomain!r}")
+            entries[(row, col)] = c
+    return OperatorMatrix(codomain.dim, len(domain), entries, index)
+
+
 def bianchi_solutions_l2():
     """Basis of tensors over the 4-dim space satisfying both stored
     curvature invariants, parametrized by entries with k < m (antisymmetry

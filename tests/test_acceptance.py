@@ -20,8 +20,9 @@ import sys
 import time
 from fractions import Fraction
 
+from conftest import window_matrix
 from symtwist.forms import FormWindow, wedge
-from symtwist.linalg import OperatorMatrix, rank
+from symtwist.linalg import rank
 from symtwist.osp import (
     chain_model,
     component_basis,
@@ -128,11 +129,7 @@ def test_criterion_4_chain_model_resolution():
                 if not sl:
                     continue
                 win = FormWindow(l, r, D + r)
-                cols = {}
-                for cc, (_j, v) in enumerate(sl):
-                    for key, val in v.terms.items():
-                        cols[(win.index[key], cc)] = val
-                if rank(OperatorMatrix(win.dim, len(sl), cols)) != len(sl):
+                if rank(window_matrix(lambda v: v, [v for _j, v in sl], win)) != len(sl):
                     problems.append((l, D, f"rank at degree {r}"))
                 for (j, v) in sl:
                     acc = None

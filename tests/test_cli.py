@@ -146,6 +146,16 @@ def test_curvature_boolean_l_rejected(tmp_path):
     _assert_bad_curvature(tmp_path, lambda obj: obj.update(l=True))
 
 
+def test_curvature_deeply_nested_json_rejected(tmp_path):
+    # nested past the JSON decoder's recursion limit: a bad input, not a
+    # failed check
+    path = tmp_path / "deep.json"
+    path.write_text('{"l": 1, "entries": ' + "[" * 1000 + "]" * 1000 + "}")
+    res = run_cli("curvature", "--input", str(path))
+    _assert_bad_input(res)
+    assert "cannot read curvature tensor" in res.stderr
+
+
 @pytest.mark.parametrize(
     "edit",
     [

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from conftest import matvec
+from conftest import matvec, window_matrix
 from symtwist import linalg
 from symtwist.linalg import OperatorMatrix, kernel_basis, rank, solve
 from symtwist.scalars import I, ONE, Scalar
@@ -236,7 +236,9 @@ def _dense(rng):
 
 
 def _l2_matrices():
-    from symtwist.forms import FormWindow, operator_matrix
+    """Operator matrices at l=2 with rows numbered by a codomain window, so
+    that unreached window rows stay in as zero rows."""
+    from symtwist.forms import FormWindow
     from symtwist.osp import component_basis, component_scalar, ff_plus, m_index
     from symtwist.symbols import symbol_apply
     from symtwist.symplectic import Covector, canonical_covector, standard_space
@@ -248,10 +250,10 @@ def _l2_matrices():
         for i in range(4):
             basis = component_basis(sp, i, m_index(2, i), 2)
             cod = FormWindow(2, i + 1, 4)
-            mats.append(operator_matrix(lambda p: symbol_apply(sp, i, xi, p), basis, cod))
+            mats.append(window_matrix(lambda p: symbol_apply(sp, i, xi, p), basis, cod))
     c = component_scalar(2, 2, 1)
     win, cowin = FormWindow(2, 2, 1), FormWindow(2, 2, 3)
-    mats.append(operator_matrix(lambda p: ff_plus(sp, p) - p.scale(c), win, cowin))
+    mats.append(window_matrix(lambda p: ff_plus(sp, p) - p.scale(c), win, cowin))
     return mats
 
 
@@ -269,6 +271,27 @@ def test_matches_sympy_oracle():
         for b in (matvec(m, x0), {r: rng.choice(SMALL) for r in range(m.rows)}):
             b = {r: v for r, v in b.items() if v}
             assert solve(m, b) == _oracle_solve(m, b)
+
+
+def test_l3_operator_matrices_match_sympy_oracle():
+    # matrices as the package builds them, rows from the images: F+ on the
+    # halfway 3-forms, F- on the 2-forms and the symbol map at i = 4
+    from symtwist.forms import FormWindow, operator_matrix
+    from symtwist.osp import edge_basis, lowering, raising
+    from symtwist.symbols import symbol_apply
+    from symtwist.symplectic import canonical_covector, standard_space
+
+    sp = standard_space(3)
+    xi = canonical_covector(sp)
+    cases = [
+        operator_matrix(lambda p: raising(sp, p), FormWindow(3, 3, 1)),
+        operator_matrix(lambda p: lowering(sp, p), FormWindow(3, 2, 1)),
+        operator_matrix(lambda p: symbol_apply(sp, 4, xi, p), edge_basis(sp, 4, 1)),
+    ]
+    for m in cases:
+        red, pivots = _oracle_rref(m)
+        assert rank(m) == len(pivots)
+        assert kernel_basis(m) == _oracle_kernel(m.cols, red, pivots)
 
 
 def _three_components():

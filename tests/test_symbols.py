@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import window_index, window_matrix
 from symtwist.forms import SpinorForm, basis_form, contract, wedge
 from symtwist.osp import component_basis, omega_trace
 from symtwist.scalars import I, Scalar
@@ -147,20 +148,18 @@ def test_trace_of_wedge_on_edge_inputs():
 
 
 def _projector_oracle(sp, i, D, xi, slack):
-    from symtwist.forms import FormWindow, form_to_coords, operator_matrix
+    from symtwist.forms import FormWindow, form_to_coords
     from symtwist.linalg import solve
     from symtwist.osp import edge_projector
 
     dom = FormWindow(sp.l, i - 1, D + slack)
     cod = FormWindow(sp.l, i, D + slack + 2)
-    mat = operator_matrix(lambda p: edge_projector(sp, i, wedge(xi, p)), dom, cod)
+    mat = window_matrix(lambda p: edge_projector(sp, i, wedge(xi, p)), dom, cod)
+    index = window_index(cod)
 
     def attempt(phi):
-        try:
-            rhs = form_to_coords(phi, cod)
-        except ValueError:
-            return False
-        return solve(mat, rhs) is not None
+        rhs = form_to_coords(phi, index)
+        return rhs is not None and solve(mat, rhs) is not None
 
     return attempt
 
