@@ -162,3 +162,81 @@ def asymmetric_contraction_l1():
     ent[0][1][0][1] = Scalar(1)
     ent[0][1][1][0] = Scalar(-1)
     return CurvatureTensor(1, ent)
+
+
+def commutator_curvature(l, gamma):
+    """R_{ijkm} = omega^{ab} (G_{ika} G_{bmj} - G_{ima} G_{bkj}) for a fully
+    symmetric 3-tensor G (a {sorted index triple: Scalar} dict): the
+    curvature [G_X, G_Y] of the connection d + G on V.  It is symmetric in
+    (i, j), so its contraction is symmetric, and it satisfies both stored
+    invariants; for l >= 2 it is in general not of Ricci type."""
+    from itertools import permutations
+
+    from symtwist.curvature import CurvatureTensor
+    from symtwist.scalars import Scalar
+
+    om = omega_matrix(l)
+    n = 2 * l
+    g = {}
+    for idx, c in gamma.items():
+        for x, y, a in set(permutations(idx)):
+            g.setdefault((x, y), {})[a] = c
+
+    def p(i, k, m, j):
+        acc = Scalar(0)
+        for a, u in g.get((i, k), {}).items():
+            for b, v in g.get((m, j), {}).items():
+                if om[a][b]:
+                    acc = acc + u * v * om[a][b]
+        return acc
+
+    return CurvatureTensor(
+        l,
+        [
+            [
+                [[p(i, k, m, j) - p(i, m, k, j) for m in range(n)] for k in range(n)]
+                for j in range(n)
+            ]
+            for i in range(n)
+        ],
+    )
+
+
+def commutator_curvature_l3():
+    """The l=3 commutator tensor of the golden ``curvature --input`` case:
+    not of Ricci type, so its Weyl part is nonzero."""
+    from symtwist.scalars import Scalar
+
+    return commutator_curvature(3, {(0, 0, 1): Scalar(1), (0, 3, 4): Scalar(2, 1)})
+
+
+def dense_sigma_tilde(l, sigma):
+    """Reference Ricci-type tensor: all five omega-sigma products of
+
+        2(l+1) st_{ijkm} = om_{im} s_{jk} - om_{ik} s_{jm} + om_{jm} s_{ik}
+                           - om_{jk} s_{im} + 2 s_{ij} om_{km}
+
+    for each of the n^4 entries, with the dense omega matrix.  The package
+    scatters only the products with a nonzero omega factor; the tests
+    compare the two."""
+    from symtwist.curvature import CurvatureTensor
+    from symtwist.scalars import Scalar
+
+    n = 2 * l
+    om = omega_matrix(l)
+    s = sigma.entries
+    denom = Scalar(2 * (l + 1))
+    out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for m in range(n):
+                    acc = (
+                        s[j][k] * om[i][m]
+                        - s[j][m] * om[i][k]
+                        + s[i][k] * om[j][m]
+                        - s[i][m] * om[j][k]
+                        + s[i][j] * (2 * om[k][m])
+                    )
+                    out[i][j][k][m] = acc / denom
+    return CurvatureTensor(l, out)

@@ -142,6 +142,42 @@ def test_curvature_bad_coefficient_rejected(tmp_path, coef):
     _assert_bad_curvature(tmp_path, lambda obj: obj["entries"][0][0][0][1].update(re=coef))
 
 
+@pytest.mark.parametrize(
+    "where, bad, detail",
+    [
+        ("leaf", 5, "'int' object is not subscriptable"),
+        ("leaf", [1], "list indices must be integers or slices, not str"),
+        ("im", 5, "a rational must be a string 'p/q', got 5"),
+        ("im", [1], "a rational must be a string 'p/q', got [1]"),
+        ("im", "1e5", "exponents are not accepted, write 'p/q': '1e5'"),
+        ("im", "1/0", "zero denominator in '1/0'"),
+        ("im", "3/-4", "Invalid literal for Fraction: '3/-4'"),
+        ("re", "3/-4", "Invalid literal for Fraction: '3/-4'"),
+    ],
+)
+def test_curvature_last_leaf_malformed(tmp_path, capsys, where, bad, detail):
+    # every leaf before the last one is valid, and their strings repeat:
+    # whatever was parsed before, the bad leaf gets the same message, and
+    # a second run in the same process gets it again
+    from symtwist.cli import main
+    from symtwist.curvature import curvature_to_json, random_ricci_type
+    from symtwist.symplectic import standard_space
+
+    obj = curvature_to_json(random_ricci_type(standard_space(2), 7))
+    last = obj["entries"][3][3][3]
+    if where == "leaf":
+        last[3] = bad
+    else:
+        last[3][where] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    for _ in range(2):
+        assert main(["curvature", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read curvature tensor from {path}: {detail}\n"
+
+
 def test_curvature_boolean_l_rejected(tmp_path):
     _assert_bad_curvature(tmp_path, lambda obj: obj.update(l=True))
 

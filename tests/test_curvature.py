@@ -1,9 +1,15 @@
 import json
 from fractions import Fraction
-from itertools import permutations
+from itertools import product
 
 import pytest
-from conftest import asymmetric_contraction_l1, omega_matrix, ricci_type_plus_weyl_l2
+from conftest import (
+    asymmetric_contraction_l1,
+    commutator_curvature,
+    dense_sigma_tilde,
+    omega_matrix,
+    ricci_type_plus_weyl_l2,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -186,6 +192,30 @@ def test_json_round_trips(sp2):
     assert curvature_from_json(curvature_to_json(R)) == R
 
 
+def _leaves(node):
+    if isinstance(node, list):
+        for x in node:
+            yield from _leaves(x)
+    else:
+        yield node
+
+
+def test_repeated_strings_parse_to_equal_scalars(sp2):
+    obj = curvature_to_json(random_ricci_type(sp2, 4))
+    R = curvature_from_json(obj)
+    values = {}
+    for leaf, z in zip(_leaves(obj["entries"]), _leaves(R.entries)):
+        assert values.setdefault((leaf["re"], leaf["im"]), z) == z
+    assert len(values) < 4**4  # some pairs repeat
+    # differently spelled zeros, each repeated many times
+    spellings = [{"re": "0", "im": "0/1"}, {"re": " -0/7 ", "im": "0"}]
+    obj["entries"] = [
+        [[[spellings[(j + m) % 2] for m in range(4)] for _ in range(4)] for j in range(4)]
+        for _ in range(4)
+    ]
+    assert curvature_from_json(obj).is_zero()
+
+
 def test_curvature_command_splits_each_tensor_once(tmp_path, monkeypatch):
     # one contraction, one rebuild and three validated tensors (the input,
     # sigma-tilde and W) per ``curvature --input`` run
@@ -219,39 +249,6 @@ _rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 _scalars = st.builds(Scalar, _rationals, _rationals)
 
 
-def _commutator_curvature(l, gamma):
-    """R_{ijkm} = omega^{ab} (G_{ika} G_{bmj} - G_{ima} G_{bkj}) for a fully
-    symmetric 3-tensor G (a {sorted index triple: Scalar} dict): the
-    curvature [G_X, G_Y] of the connection d + G on V.  It is symmetric in
-    (i, j), so its contraction is symmetric, and it satisfies both stored
-    invariants; for l >= 2 it is in general not of Ricci type."""
-    om = omega_matrix(l)
-    n = 2 * l
-    g = {}
-    for idx, c in gamma.items():
-        for x, y, a in set(permutations(idx)):
-            g.setdefault((x, y), {})[a] = c
-
-    def p(i, k, m, j):
-        acc = Scalar(0)
-        for a, u in g.get((i, k), {}).items():
-            for b, v in g.get((m, j), {}).items():
-                if om[a][b]:
-                    acc = acc + u * v * om[a][b]
-        return acc
-
-    return CurvatureTensor(
-        l,
-        [
-            [
-                [[p(i, k, m, j) - p(i, m, k, j) for m in range(n)] for k in range(n)]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ],
-    )
-
-
 @st.composite
 def _symplectic_curvatures(draw):
     """(l, R) with R = [G_X, G_Y] for a random G with three to eight terms."""
@@ -261,7 +258,7 @@ def _symplectic_curvatures(draw):
     for _ in range(draw(st.integers(3, 8))):
         idx = tuple(sorted(draw(st.tuples(index, index, index))))
         gamma[idx] = draw(_scalars)
-    return l, _commutator_curvature(l, gamma)
+    return l, commutator_curvature(l, gamma)
 
 
 @_property
@@ -318,5 +315,120 @@ def test_ricci_contract_rejects_exactly_the_asymmetric_contractions(case):
 def test_commutator_curvature_is_not_ricci_type(l):
     # the generator of the contraction property test reaches beyond the
     # Ricci-type tensors
-    R = _commutator_curvature(l, {(0, 0, 1): Scalar(1), (0, l, l + 1): Scalar(2, 1)})
+    R = commutator_curvature(l, {(0, 0, 1): Scalar(1), (0, l, l + 1): Scalar(2, 1)})
     assert not is_ricci_type(standard_space(l), R)
+
+
+def _full_loop_failure(l, e):
+    """The error text of the first invariant failure in full-loop order:
+    antisymmetry over every (i, j, k, m) with k <= m, then the cyclic sum
+    over every (i, j, k, m); None when both invariants hold."""
+    n = 2 * l
+    for i, j, k in product(range(n), repeat=3):
+        for m in range(k, n):
+            if e[i][j][k][m] != -e[i][j][m][k]:
+                return (
+                    "curvature must be antisymmetric in the last index pair, "
+                    f"fails at ({i + 1},{j + 1},{k + 1},{m + 1})"
+                )
+    for i, j, k, m in product(range(n), repeat=4):
+        if e[i][j][k][m] + e[i][k][m][j] + e[i][m][j][k]:
+            return f"first Bianchi identity fails at ({i + 1},{j + 1},{k + 1},{m + 1})"
+    return None
+
+
+def _single_entry(l, pos, mirrored):
+    n = 2 * l
+    e = [[[[Scalar(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    i, j, k, m = pos
+    e[i][j][k][m] = Scalar(1)
+    if mirrored:
+        e[i][j][m][k] = Scalar(-1)
+    return e
+
+
+def test_invariant_error_texts_pinned():
+    with pytest.raises(InvalidCurvatureError) as exc:
+        CurvatureTensor(1, _single_entry(1, (0, 1, 0, 1), mirrored=False))
+    assert str(exc.value) == (
+        "curvature must be antisymmetric in the last index pair, fails at (1,2,1,2)"
+    )
+    with pytest.raises(InvalidCurvatureError) as exc:
+        CurvatureTensor(2, _single_entry(2, (0, 3, 2, 1), mirrored=True))
+    assert str(exc.value) == "first Bianchi identity fails at (1,2,3,4)"
+
+
+@st.composite
+def _perturbed_tensors(draw, mirrored):
+    """(l, entries): a valid tensor (Ricci-type, or a commutator tensor for
+    l >= 2) with one to three entries changed.  Mirrored changes keep the
+    last pair antisymmetric, so only the Bianchi identity can fail; it
+    cannot fail at l = 1."""
+    l = draw(st.integers(2 if mirrored else 1, 3))
+    n = 2 * l
+    if l >= 2 and draw(st.booleans()):
+        base = commutator_curvature(l, {(0, 0, 1): Scalar(1), (0, l, l + 1): Scalar(2, 1)})
+    else:
+        base = random_ricci_type(standard_space(l), draw(st.integers(0, 9)))
+    e = [[[list(r3) for r3 in r2] for r2 in r1] for r1 in base.entries]
+    index = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(1, 3))):
+        i, j, k, m = draw(st.tuples(index, index, index, index))
+        c = draw(_scalars)
+        if mirrored and k == m:
+            m = (k + 1) % n
+        e[i][j][k][m] = e[i][j][k][m] + c
+        if mirrored:
+            e[i][j][m][k] = e[i][j][m][k] - c
+    return l, e
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["antisymmetry", "bianchi"])
+def test_invariant_failure_names_the_full_loop_position(mirrored):
+    _check_failure_position(mirrored)
+
+
+@_property
+@given(data=st.data())
+def _check_failure_position(mirrored, data):
+    l, e = data.draw(_perturbed_tensors(mirrored))
+    expected = _full_loop_failure(l, e)
+    if expected is None:
+        CurvatureTensor(l, e)
+    else:
+        with pytest.raises(InvalidCurvatureError) as exc:
+            CurvatureTensor(l, e)
+        assert str(exc.value) == expected
+
+
+_SIGMA_ENTRIES = {
+    "integer": st.builds(Scalar, st.integers(-5, 5)),
+    "rational": st.builds(Scalar, _rationals),
+    "gaussian": _scalars,
+}
+
+
+@st.composite
+def _symmetric_sigmas(draw, entries):
+    """(l, sigma) for l = 1..4: a symmetric tensor with a random set of
+    entries on and above the diagonal drawn from ``entries``, mirrored."""
+    l = draw(st.integers(1, 4))
+    n = 2 * l
+    s = [[Scalar(0)] * n for _ in range(n)]
+    index = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 2 * n))):
+        a, b = sorted(draw(st.tuples(index, index)))
+        s[a][b] = s[b][a] = draw(entries)
+    return l, RicciTensor(l, s)
+
+
+@pytest.mark.parametrize("kind", sorted(_SIGMA_ENTRIES))
+def test_sigma_tilde_is_the_dense_five_term_formula(kind):
+    _check_sigma_tilde(kind)
+
+
+@_property
+@given(data=st.data())
+def _check_sigma_tilde(kind, data):
+    l, sigma = data.draw(_symmetric_sigmas(_SIGMA_ENTRIES[kind]))
+    assert sigma_tilde(standard_space(l), sigma) == dense_sigma_tilde(l, sigma)

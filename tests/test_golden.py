@@ -18,11 +18,12 @@ untruncated diagnostic matrix, solved against many times), ``symbol-check``
 at l=4, D=1 (the l=4 edge and symbol matrices, and both windows of the
 untruncated diagnostic at i=5 and i=6), and
 ``curvature --input`` on the tensor from ``gen-curvature --l 2 --seed 7``.
-Four more ``curvature --input`` cases cover the split beyond a zero Weyl
+Five more ``curvature --input`` cases cover the split beyond a zero Weyl
 part: the tensors of ``gen-curvature --l 1 --seed 0`` and ``--l 3 --seed
 11``, the l=2 tensor that is a Ricci-type tensor plus a trace-free
-direction (not of Ricci type), and an l=1 tensor with an asymmetric Ricci
-contraction (exit 1 with a diagnosis).
+direction (not of Ricci type), an l=3 commutator tensor [G_X, G_Y] (not of
+Ricci type at the benchmark's l, so W is nonzero there) and an l=1 tensor
+with an asymmetric Ricci contraction (exit 1 with a diagnosis).
 A mismatch means the report changed; the recorded values are not to be
 rewritten to make a change pass.
 """
@@ -31,7 +32,11 @@ import hashlib
 import json
 
 import pytest
-from conftest import asymmetric_contraction_l1, ricci_type_plus_weyl_l2
+from conftest import (
+    asymmetric_contraction_l1,
+    commutator_curvature_l3,
+    ricci_type_plus_weyl_l2,
+)
 
 from symtwist.cli import main
 from symtwist.curvature import curvature_to_json
@@ -181,6 +186,11 @@ CURVATURE_INPUTS = {
         0,
         "f79585014ecb496cc89300975651ecd7805c28a4ddee52c3706de1258ae5511b",
     ),
+    "commutator-l3": (
+        _built(commutator_curvature_l3),
+        0,
+        "5cddbb2009b4b7aec1301df7fb21f19bb57318988e1c892c50d27efaf4eba3c0",
+    ),
     "asymmetric-contraction-l1": (
         _built(asymmetric_contraction_l1),
         1,
@@ -195,7 +205,7 @@ def test_curvature_input_report_bytes_match_golden(tmp_path, name):
     tensor = write(tmp_path)
     got = _run(tmp_path, "curvature", ("curvature", "--input", str(tensor)))
     assert got[:2] == (code, digest)
-    if name == "ricci-type-plus-weyl-l2":
+    if name in ("ricci-type-plus-weyl-l2", "commutator-l3"):
         assert json.loads(got[2].read_text())["is_ricci_type"] is False
     if name == "asymmetric-contraction-l1":
         assert "diagnosis" in json.loads(got[2].read_text())
