@@ -57,14 +57,78 @@ def _emit(report, args) -> None:
 
 def _write(report, fmt, fh) -> None:
     if fmt == "json":
-        # streamed: joining a 227 KB curvature report first would hold
-        # about 1.6 MB of chunk strings at once
-        json.dump(report, fh, indent=2, sort_keys=True)
+        _write_json(report, fh, "\n", _STREAMED_LEVELS)
         fh.write("\n")
     else:
         lines = []
         _render_text(report, lines, "")
         fh.write("\n".join(lines) + "\n")
+
+
+# json.dump with indent always runs the pure-Python encoder, with one write
+# per token (about 33,000 for a 227 KB curvature report).  This writer makes
+# the same text: strings are escaped by the C function json uses, each
+# dict or list below the top levels is joined once, and the top levels are
+# written one child at a time, so a curvature report never holds more than
+# one i-slab of a tensor's text at once.
+_encode_str = json.encoder.encode_basestring_ascii
+_STREAMED_LEVELS = 3
+
+
+def _write_json(node, fh, newline, levels):
+    """Write _json_text(node, newline) to fh, the containers of the top
+    ``levels`` levels one child at a time."""
+    if not levels or not isinstance(node, (dict, list, tuple)) or not node:
+        fh.write(_json_text(node, newline))
+        return
+    if isinstance(node, dict):
+        opener, closer = "{", "}"
+        items = [(_encode_str(key) + ": ", child) for key, child in sorted(node.items())]
+    else:
+        opener, closer = "[", "]"
+        items = [("", child) for child in node]
+    inner = newline + "  "
+    sep = opener + inner
+    for head, child in items:
+        fh.write(sep + head)
+        _write_json(child, fh, inner, levels - 1)
+        sep = "," + inner
+    fh.write(newline + closer)
+
+
+def _json_text(node, newline):
+    """The text json.dump(node, fh, indent=2, sort_keys=True) writes, for
+    str-keyed dicts, lists, tuples, str, int, bool and None; ``newline`` is
+    "\n" plus the indent of the line ``node`` starts on.  Any other type
+    raises TypeError (``_encode_str`` refuses a key that is not a str)."""
+    if isinstance(node, str):
+        return _encode_str(node)
+    if isinstance(node, dict):
+        if not node:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            _encode_str(key)
+            + ": "
+            + (_encode_str(child) if type(child) is str else _json_text(child, inner))
+            for key, child in sorted(node.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(node, (list, tuple)):
+        if not node:
+            return "[]"
+        inner = newline + "  "
+        items = [_json_text(child, inner) for child in node]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if node is None:
+        return "null"
+    if node is True:
+        return "true"
+    if node is False:
+        return "false"
+    if isinstance(node, int):
+        return int.__repr__(node)
+    raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
 
 
 def _render_text(node, lines, indent):
@@ -201,9 +265,19 @@ def _cmd_curvature(args):
     return EXIT_OK
 
 
+# gen-curvature holds (2l)^4 Scalars per tensor: this allows l <= 8
+MAX_CURVATURE_ENTRIES = 16**4
+
+
 def _cmd_gen_curvature(args):
     if args.l < 1:
         raise ValueError("need --l >= 1")
+    size = (2 * args.l) ** 4
+    if size > MAX_CURVATURE_ENTRIES:
+        raise ValueError(
+            f"--l {args.l} needs (2l)^4 = {size} curvature entries, "
+            f"more than the {MAX_CURVATURE_ENTRIES} gen-curvature builds"
+        )
     sp = standard_space(args.l)
     R = random_ricci_type(sp, args.seed)
     _emit(curvature_to_json(R), args)

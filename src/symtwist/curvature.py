@@ -77,19 +77,25 @@ class CurvatureTensor:
         e = self.entries
         for i in range(n):
             for j in range(n):
+                eij = e[i][j]
                 for k in range(n):
                     for m in range(k, n):
-                        if e[i][j][k][m] != -e[i][j][m][k]:
+                        if eij[k][m] != -eij[m][k]:
                             raise InvalidCurvatureError(
                                 "curvature must be antisymmetric in the last "
                                 f"index pair, fails at ({i + 1},{j + 1},{k + 1},{m + 1})"
                             )
+        # With the last pair antisymmetric, the cyclic sum over (j, k, m) is
+        # totally antisymmetric in them and vanishes when two coincide, so
+        # j < k < m covers every case.  The first failure in full-loop order
+        # is the sorted triple of some failing cyclic sum, so this loop names
+        # the same (i, j, k, m).
         for i in range(n):
+            ei = e[i]
             for j in range(n):
-                for k in range(n):
-                    for m in range(n):
-                        b = e[i][j][k][m] + e[i][k][m][j] + e[i][m][j][k]
-                        if b:
+                for k in range(j + 1, n):
+                    for m in range(k + 1, n):
+                        if ei[j][k][m] + ei[k][m][j] + ei[m][j][k]:
                             raise InvalidCurvatureError(
                                 "first Bianchi identity fails at "
                                 f"({i + 1},{j + 1},{k + 1},{m + 1})"
@@ -146,24 +152,39 @@ def ricci_contract(sp: SymplecticSpace, R: CurvatureTensor) -> RicciTensor:
 
 
 def sigma_tilde(sp: SymplecticSpace, sigma: RicciTensor) -> CurvatureTensor:
-    """The Ricci-type curvature tensor built linearly from sigma."""
+    """The Ricci-type curvature tensor built linearly from sigma.
+
+    Each of the five terms has one omega factor om_{ab}, nonzero only for
+    b = a +- l.  So each nonzero s_{xy} meets 2l omega entries once per
+    term: at most 5 n^3 products are scattered into their entries, and only
+    the nonzero sums are divided by 2(l+1).
+    """
     n, l = sp.dim, sp.l
-    om = [[omega_entry(l, i, j) for j in range(n)] for i in range(n)]
     s = sigma.entries
+    zero = Scalar(0)
+    out = [[[[zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        b = (a + l) % n
+        positive = omega_entry(l, a, b) > 0
+        out_a = out[a]
+        for x in range(n):
+            out_x = out[x]
+            for y, v in enumerate(s[x]):
+                if not v:
+                    continue
+                p = v if positive else -v
+                out_a[x][y][b] += p  # om_{im} s_{jk}
+                out_a[x][b][y] -= p  # -om_{ik} s_{jm}
+                out_x[a][y][b] += p  # om_{jm} s_{ik}
+                out_x[a][b][y] -= p  # -om_{jk} s_{im}
+                out_x[y][a][b] += p * 2  # 2 s_{ij} om_{km}
     denom = Scalar(2 * (l + 1))
-    out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for m in range(n):
-                    acc = (
-                        s[j][k] * om[i][m]
-                        - s[j][m] * om[i][k]
-                        + s[i][k] * om[j][m]
-                        - s[i][m] * om[j][k]
-                        + s[i][j] * (2 * om[k][m])
-                    )
-                    out[i][j][k][m] = acc / denom
+    for r1 in out:
+        for r2 in r1:
+            for r3 in r2:
+                for m, z in enumerate(r3):
+                    if z:
+                        r3[m] = z / denom
     return CurvatureTensor(sp.l, out)
 
 
@@ -220,11 +241,22 @@ def curvature_from_json(obj: dict) -> CurvatureTensor:
     if type(l) is not int:
         raise ValueError(f"half-dimension l must be an integer, got {l!r}")
     n = 2 * l
+    parsed = {}
+
+    def leaf(x):
+        # one parse per distinct (re, im) string pair; anything else goes to
+        # scalar_from_json, which raises its own error, and is not stored
+        try:
+            return parsed[x["re"], x["im"]]
+        except (KeyError, TypeError):
+            pass
+        z = parsed[x["re"], x["im"]] = scalar_from_json(x)
+        return z
 
     def level(x, depth):
         # every level is a list of exactly 2l items: nothing is cut off
         if depth == 4:
-            return scalar_from_json(x)
+            return leaf(x)
         if type(x) is not list or len(x) != n:
             raise ValueError(f"curvature entries must nest four lists of length 2l = {n}")
         return [level(y, depth + 1) for y in x]

@@ -1,8 +1,11 @@
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 
 def run_cli(*args, check=False, timeout=None):
@@ -253,3 +256,67 @@ def test_byte_reproducible(args):
     second = run_cli(*args)
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode
+
+
+def test_gen_curvature_refuses_oversized_l(tmp_path, capsys, monkeypatch):
+    # the bound is lowered so that no large tensor is ever built here
+    from symtwist import cli
+
+    assert (2 * 8) ** 4 <= cli.MAX_CURVATURE_ENTRIES
+    monkeypatch.setattr(cli, "MAX_CURVATURE_ENTRIES", 4**4)
+    assert cli.main(["gen-curvature", "--l", "2", "--out", str(tmp_path / "l2.json")]) == 0
+
+    def never(*args):
+        raise AssertionError("a tensor over the bound was built")
+
+    monkeypatch.setattr(cli, "random_ricci_type", never)
+    out = tmp_path / "l3.json"
+    capsys.readouterr()
+    assert cli.main(["gen-curvature", "--l", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --l 3 needs (2l)^4 = 1296 curvature entries, "
+        "more than the 256 gen-curvature builds\n"
+    )
+    assert not out.exists()
+
+
+_property = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+# quotes, backslashes, control characters, DEL, non-ASCII (BMP and astral),
+# line separators and a lone surrogate, mixed with arbitrary characters
+_tricky = st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "€", "😀", "\u2028", "\ud800"]
+)
+_text = st.text(_tricky | st.characters(), max_size=6)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _text,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(_text, kids, max_size=4),
+    max_leaves=24,
+)
+
+
+@_property
+@given(_json_values)
+def test_report_writer_matches_json_dump(value):
+    from symtwist.cli import _write
+
+    expected = io.StringIO()
+    json.dump(value, expected, indent=2, sort_keys=True)
+    got = io.StringIO()
+    _write(value, "json", got)
+    assert got.getvalue() == expected.getvalue() + "\n"
+
+
+@pytest.mark.parametrize(
+    "bad", [1.5, {1, 2}, b"x", object()], ids=["float", "set", "bytes", "object"]
+)
+def test_report_writer_refuses_other_types(bad):
+    from symtwist.cli import _write
+
+    for value in (bad, [1, bad], {"a": {"b": bad}}):
+        with pytest.raises(TypeError):
+            _write(value, "json", io.StringIO())
+    with pytest.raises(TypeError):
+        _write({1: "a"}, "json", io.StringIO())
