@@ -16,7 +16,9 @@ check reaches degree D + 2l), ``symbol-check`` at l=2, D=2 on the fractional cov
 the off-axis covector (1, 0, 2, -1, 1, 3) (one large component of the
 untruncated diagnostic matrix, solved against many times), ``symbol-check``
 at l=4, D=1 (the l=4 edge and symbol matrices, and both windows of the
-untruncated diagnostic at i=5 and i=6), and
+untruncated diagnostic at i=5 and i=6), ``relations`` at l=4, D=1 (every
+operator on the largest pinned relations window), ``project`` at l=3, D=2
+(its scale factors 2/(i-l) and i/(i-l) have odd denominators), and
 ``curvature --input`` on the tensor from ``gen-curvature --l 2 --seed 7``.
 Five more ``curvature --input`` cases cover the split beyond a zero Weyl
 part: the tensors of ``gen-curvature --l 1 --seed 0`` and ``--l 3 --seed
@@ -126,6 +128,16 @@ GOLDEN = {
         ("symbol-check", "--l", "4", "--degree", "1"),
         1,
         "d62fb485acf9d169a51001bd9b331aa18dd733b114c407ec0a23d7903758c10e",
+    ),
+    "relations-l4d1": (
+        ("relations", "--l", "4", "--degree", "1"),
+        0,
+        "39388e22934503f1c2c48ef07eb3dd0d6fa5abf86c7b2ce960d683ae98798826",
+    ),
+    "project-l3d2": (
+        ("project", "--l", "3", "--degree", "2"),
+        0,
+        "5edc121f4a69c6607485b4d8d662ea7fb598523c5cb356edf26ab8c6bb7dde7e",
     ),
 }
 
