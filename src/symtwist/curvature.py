@@ -224,14 +224,24 @@ def random_ricci_type(sp: SymplecticSpace, seed: int) -> CurvatureTensor:
 
 def curvature_to_json(R: CurvatureTensor) -> dict:
     n = 2 * R.l
+    # a tensor has (2l)^4 entries but few distinct values: each is rendered
+    # once, and every entry gets its own copy of the rendering
+    rendered = {}
+
+    def leaf(z):
+        # keyed by the canonical triple: hashing a real Scalar builds a
+        # Fraction, which costs more than rendering it
+        key = (z._a, z._b, z._d)
+        obj = rendered.get(key)
+        if obj is None:
+            obj = rendered[key] = scalar_to_json(z)
+        return dict(obj)
+
     return {
         "l": R.l,
         "entries": [
-            [
-                [[scalar_to_json(R.entries[i][j][k][m]) for m in range(n)] for k in range(n)]
-                for j in range(n)
-            ]
-            for i in range(n)
+            [[[leaf(z) for z in row] for row in block] for block in plane]
+            for plane in R.entries
         ],
     }
 

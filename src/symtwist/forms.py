@@ -2,44 +2,67 @@
 
 Terms are keyed by (form index tuple, monomial exponent tuple) with the
 form tuple kept strictly increasing; wedge and contraction compute the
-permutation sign on insertion/removal, so every value has one canonical
-representation and equality is dict equality.  A single SpinorForm is
-homogeneous in form degree; non-homogeneous data is handled as sequences
-of homogeneous pieces.  A spinor is a 0-form, its terms keyed
-((), exponent tuple); the Clifford action on the spinor factor lives in
-the spinors module.
+permutation sign on insertion/removal, so every key has one canonical
+form.  A single SpinorForm is homogeneous in form degree; non-homogeneous
+data is handled as sequences of homogeneous pieces.  A spinor is a 0-form,
+its terms keyed ((), exponent tuple); the Clifford action on the spinor
+factor lives in the spinors module.
 
-Every SpinorForm holds no zero coefficient and one form degree.  The
-constructor checks both on whatever it is given.  The operators of this
-layer and of osp and spinors build their results with
-``SpinorForm._trusted``, which checks nothing: each result dict comes
-from ``linalg.accumulate``, which drops every zero sum, applied to the
-terms of valid inputs with every index tuple changed in length by the
-same amount, or is a term-wise product with a nonzero scalar, which over
-a field has no zero term.
+A SpinorForm holds its coefficients as Gaussian-integer pairs over one
+denominator: a dict ``{(idx, e): (a, b)}`` and a positive int ``d``, the
+term at (idx, e) being (a + b*i) / d.  Neither the pairs nor d are
+reduced, so one value has many representations, and equality
+cross-multiplies by the two denominators.  The operators of this module
+and of osp and spinors run on the pairs with ``int`` arithmetic only:
+
+* F+ and F- double d, and a factor i swaps a pair and changes one sign;
+* a vector, covector or scale factor enters as Gaussian-integer pairs
+  over its own denominator, which multiplies d;
+* a sum takes the larger denominator when one divides the other and
+  their product otherwise, so no operation needs a gcd.
+
+``Scalar``s enter and leave only at the boundary.  The public constructor
+``SpinorForm(l, {key: Scalar})`` and ``basis_form`` take them, as do
+``scale``, ``coords_to_form`` and ``_combine``, whose coefficients are
+linalg's vectors.  The read-only ``.terms`` view, the entries of
+``operator_matrix`` and ``form_to_coords`` give canonical ones.
+
+Every SpinorForm holds no zero pair and one form degree.  The constructor
+checks both on whatever it is given.  The operators build their results
+with ``SpinorForm._trusted``, which checks nothing: each result dict is
+either built by ``_add``, which drops every zero sum, from the terms of
+valid inputs with every index tuple changed in length by the same amount,
+or is a term-wise product with a nonzero Gaussian integer, which has no
+zero term.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, lcm
 
-from .linalg import OperatorMatrix, accumulate
-from .scalars import Scalar
+from .linalg import OperatorMatrix
+from .scalars import ONE, Scalar, from_pair
 from .symplectic import Covector, SymplecticSpace
 
 
 class SpinorForm:
-    """Finitely supported map (index tuple, exponent tuple) -> Scalar."""
+    """Finitely supported map (index tuple, exponent tuple) -> Gaussian
+    rational, held as Gaussian-integer pairs over one denominator."""
 
-    __slots__ = ("l", "terms")
+    __slots__ = ("l", "_c", "_d")
 
     def __init__(self, l, terms=None):
+        """The form with the ``{key: Scalar}`` terms (ints and Fractions
+        are accepted too); zero coefficients are dropped."""
         self.l = l
         clean = {}
         degree = None
+        d = 1
         for (idx, e), c in (terms or {}).items():
+            if type(c) is not Scalar:
+                c = Scalar(c)
             if not c:
                 continue
             if degree is None:
@@ -47,108 +70,254 @@ class SpinorForm:
             elif len(idx) != degree:
                 raise ValueError("SpinorForm terms must share one form degree")
             clean[(idx, e)] = c
-        self.terms = clean
+            d = lcm(d, c._d)
+        self._c = {key: (c._a * (d // c._d), c._b * (d // c._d)) for key, c in clean.items()}
+        self._d = d
 
     @classmethod
-    def _trusted(cls, l, terms):
-        """Wrap ``terms`` as it is, unchecked and uncopied; the caller
-        guarantees no zero coefficient and one form degree."""
+    def _trusted(cls, l, pairs, d):
+        """Wrap ``pairs`` over the denominator ``d`` as it is, unchecked
+        and uncopied; the caller guarantees no zero pair and one form
+        degree."""
         self = object.__new__(cls)
         self.l = l
-        self.terms = terms
+        self._c = pairs
+        self._d = d
         return self
 
+    @property
+    def terms(self) -> dict:
+        """The terms as a new ``{key: Scalar}`` dict of canonical, nonzero
+        Scalars; changing it does not change the form."""
+        d = self._d
+        return {key: from_pair(a, b, d) for key, (a, b) in self._c.items()}
+
+    def keys(self):
+        """The basis keys (index tuple, exponent tuple) of the terms."""
+        return self._c.keys()
+
     def is_zero(self):
-        return not self.terms
+        return not self._c
 
     def form_degree(self):
         """Common length of the index tuples; None for the zero value."""
-        for (idx, _e) in self.terms:
+        for (idx, _e) in self._c:
             return len(idx)
         return None
 
     def spinor_degree(self):
-        if not self.terms:
+        if not self._c:
             return float("-inf")
-        return max(sum(e) for (_idx, e) in self.terms)
+        return max(sum(e) for (_idx, e) in self._c)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SpinorForm)
-            and self.l == other.l
-            and self.terms == other.terms
-        )
+        if not isinstance(other, SpinorForm) or self.l != other.l:
+            return False
+        mine, theirs = self._c, other._c
+        d, f = self._d, other._d
+        if d == f or not mine:
+            return mine == theirs
+        if len(mine) != len(theirs):
+            return False
+        # (a + b i)/d == (a' + b' i)/f  <=>  a f == a' d and b f == b' d
+        for key, (a, b) in mine.items():
+            t = theirs.get(key)
+            if t is None or a * f != t[0] * d or b * f != t[1] * d:
+                return False
+        return True
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
         if self.l != other.l:
             raise ValueError("mixing forms over different spaces")
         r, r_other = self.form_degree(), other.form_degree()
-        if r is not None and r_other is not None and r != r_other:
+        if r is None:
+            return other if sign == 1 else -other
+        if r_other is None:
+            return self
+        if r != r_other:
             raise ValueError("SpinorForm terms must share one form degree")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            accumulate(out, k, c)
-        return SpinorForm._trusted(self.l, out)
+        d, m, n = _common(self._d, other._d)
+        out = dict(self._c) if m == 1 else {k: (a * m, b * m) for k, (a, b) in self._c.items()}
+        n *= sign
+        for key, (a, b) in other._c.items():
+            _add(out, key, a * n, b * n)
+        return SpinorForm._trusted(self.l, out, d)
 
-    def __neg__(self):
-        return SpinorForm._trusted(self.l, {k: -c for k, c in self.terms.items()})
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
 
-    def scale(self, z: Scalar):
-        if not z:
-            return SpinorForm._trusted(self.l, {})
-        return SpinorForm._trusted(self.l, {k: z * c for k, c in self.terms.items()})
+    def __neg__(self):
+        return SpinorForm._trusted(self.l, {k: (-a, -b) for k, (a, b) in self._c.items()}, self._d)
+
+    def scale(self, z):
+        """z times the form, for a Scalar (or int or Fraction) z."""
+        if type(z) is not Scalar:
+            z = Scalar(z)
+        p, q = z._a, z._b
+        if not (p or q):
+            return SpinorForm._trusted(self.l, {}, 1)
+        if not q:
+            out = {k: (a * p, b * p) for k, (a, b) in self._c.items()}
+        elif not p:
+            out = {k: (-b * q, a * q) for k, (a, b) in self._c.items()}
+        else:
+            out = {k: (a * p - b * q, a * q + b * p) for k, (a, b) in self._c.items()}
+        return SpinorForm._trusted(self.l, out, self._d * z._d)
 
     def __repr__(self):
-        return f"SpinorForm(l={self.l}, r={self.form_degree()}, {len(self.terms)} terms)"
+        return f"SpinorForm(l={self.l}, r={self.form_degree()}, {len(self._c)} terms)"
 
 
-def basis_form(l, idx, exp, coef=Scalar(1)) -> SpinorForm:
+def basis_form(l, idx, exp, coef=ONE) -> SpinorForm:
     return SpinorForm(l, {(tuple(idx), tuple(exp)): coef})
 
 
-def _insert(idx: tuple, k: int):
-    """Sorted insertion with sign; None when k already present."""
-    pos = bisect_left(idx, k)
-    if pos < len(idx) and idx[pos] == k:
-        return None, 0
-    return idx[:pos] + (k,) + idx[pos:], -1 if pos % 2 else 1
+def _add(out: dict, key, a: int, b: int) -> None:
+    """Add the pair (a, b) to the sparse map ``out`` at ``key``; a zero sum
+    drops the key.  (a, b) is not (0, 0)."""
+    old = out.get(key)
+    if old is None:
+        out[key] = (a, b)
+        return
+    a += old[0]
+    b += old[1]
+    if a or b:
+        out[key] = (a, b)
+    else:
+        del out[key]
 
 
-def _remove(idx: tuple, k: int):
-    pos = bisect_left(idx, k)
-    if pos >= len(idx) or idx[pos] != k:
-        return None, 0
-    return idx[:pos] + idx[pos + 1 :], -1 if pos % 2 else 1
+def _common(d: int, f: int):
+    """(m, m // d, m // f) for two denominators d and f: m is a common
+    multiple, found by a divisibility test rather than a gcd."""
+    if d == f:
+        return d, 1, 1
+    if f % d == 0:
+        return f, f // d, 1
+    if d % f == 0:
+        return d, 1, d // f
+    return d * f, f, d
+
+
+# the pairs of the vector and covector tuples met last, by identity: the
+# suites pass the same basis tuples many thousands of times.  An entry holds
+# its tuple, so no other object can take that id while the entry is kept;
+# a list is never kept, since it could change.
+_VECTOR_PAIRS: dict = {}
+
+
+def _vector_pairs(components):
+    """The nonzero Scalar components of a vector or covector as a list of
+    (k, a, b), Gaussian-integer pairs over one denominator, and that
+    denominator."""
+    hit = _VECTOR_PAIRS.get(id(components))
+    if hit is not None:
+        return hit[1], hit[2]
+    out = []
+    k = -1
+    for x in components:
+        k += 1
+        a, b = x._a, x._b
+        if a or b:
+            if x._d != 1:
+                out, d = _fraction_pairs(components)
+                break
+            out.append((k, a, b))
+    else:
+        d = 1
+    if type(components) is tuple:
+        if len(_VECTOR_PAIRS) >= 64:
+            _VECTOR_PAIRS.clear()
+        _VECTOR_PAIRS[id(components)] = (components, out, d)
+    return out, d
+
+
+def _fraction_pairs(components):
+    """``_vector_pairs`` for components with a denominator other than 1."""
+    nonzero = [(k, x._a, x._b, x._d) for k, x in enumerate(components) if x]
+    d = 1
+    for _k, _a, _b, f in nonzero:
+        if d % f:
+            d = f if f % d == 0 else d * f
+    return [(k, a * (d // f), b * (d // f)) for k, a, b, f in nonzero], d
+
+
+class _Insertions(dict):
+    """idx -> {k: (idx with k inserted, sign)} over every k in range(n) not
+    in idx, in ascending k; each entry is built on its first lookup."""
+
+    def __init__(self, n):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, idx):
+        out = {}
+        for k in range(self.n):
+            pos = bisect_left(idx, k)
+            if pos == len(idx) or idx[pos] != k:
+                out[k] = (idx[:pos] + (k,) + idx[pos:], -1 if pos % 2 else 1)
+        self[idx] = out
+        return out
+
+
+class _Removals(dict):
+    """idx -> {k: (idx without k, sign)} over every k in idx; each entry is
+    built on its first lookup."""
+
+    def __missing__(self, idx):
+        out = {k: (idx[:pos] + idx[pos + 1 :], -1 if pos % 2 else 1) for pos, k in enumerate(idx)}
+        self[idx] = out
+        return out
+
+
+# the signed insertions and removals of every index tuple met so far: there
+# are C(2l, r) tuples of each degree, so the tables stay small
+_INSERTIONS: dict = {}
+_REMOVALS = _Removals()
+
+
+def _insertions(n: int) -> _Insertions:
+    """The insertion table for index tuples over range(n)."""
+    table = _INSERTIONS.get(n)
+    if table is None:
+        table = _INSERTIONS[n] = _Insertions(n)
+    return table
 
 
 def wedge(xi: Covector, psi: SpinorForm) -> SpinorForm:
     """Left exterior multiplication by the covector xi."""
     out: dict = {}
-    # zero tests once per call, not once per term (none for an empty psi)
-    nonzero = [(k, xk) for k, xk in enumerate(xi.components) if xk] if psi.terms else []
-    for (idx, e), c in psi.terms.items():
-        for k, xk in nonzero:
-            nidx, sign = _insert(idx, k)
-            if nidx is None:
-                continue
-            accumulate(out, (nidx, e), xk * c if sign == 1 else -(xk * c))
-    return SpinorForm._trusted(psi.l, out)
+    if not psi._c:
+        return SpinorForm._trusted(psi.l, out, 1)
+    comps, f = _vector_pairs(xi.components)
+    table = _insertions(len(xi.components))
+    for (idx, e), (a, b) in psi._c.items():
+        row = table[idx]
+        for k, p, q in comps:
+            t = row.get(k)
+            if t is not None:
+                nidx, s = t
+                _add(out, (nidx, e), s * (a * p - b * q), s * (a * q + b * p))
+    return SpinorForm._trusted(psi.l, out, psi._d * f)
 
 
 def contract(sp: SymplecticSpace, v, psi: SpinorForm) -> SpinorForm:
     """Interior product by the vector v (graded derivation of degree -1)."""
     out: dict = {}
-    nonzero = [(k, vk) for k, vk in enumerate(v) if vk] if psi.terms else []
-    for (idx, e), c in psi.terms.items():
-        for k, vk in nonzero:
-            nidx, sign = _remove(idx, k)
-            if nidx is None:
-                continue
-            accumulate(out, (nidx, e), vk * c if sign == 1 else -(vk * c))
-    return SpinorForm._trusted(psi.l, out)
+    if not psi._c:
+        return SpinorForm._trusted(psi.l, out, 1)
+    comps, f = _vector_pairs(v)
+    for (idx, e), (a, b) in psi._c.items():
+        row = _REMOVALS[idx]
+        for k, p, q in comps:
+            t = row.get(k)
+            if t is not None:
+                nidx, s = t
+                _add(out, (nidx, e), s * (a * p - b * q), s * (a * q + b * p))
+    return SpinorForm._trusted(psi.l, out, psi._d * f)
 
 
 def monomials_upto(l, D):
@@ -208,21 +377,22 @@ class FormWindow:
 
 def form_to_coords(psi: SpinorForm, rows: dict) -> dict | None:
     """Coordinates of psi on the ``rows`` of an operator matrix, a key ->
-    row map, as a solve right-hand side; None when a term of psi lies on no
-    row, since no column combination can reach it."""
+    row map, as a solve right-hand side of canonical Scalars; None when a
+    term of psi lies on no row, since no column combination can reach it."""
     coords = {}
-    for key, c in psi.terms.items():
+    d = psi._d
+    for key, (a, b) in psi._c.items():
         k = rows.get(key)
         if k is None:
             return None
-        coords[k] = c
+        coords[k] = from_pair(a, b, d)
     return coords
 
 
 def fits_window(psi: SpinorForm, r: int, D: int) -> bool:
     """Whether psi lies in FormWindow(psi.l, r, D), read from its terms
     without enumerating the window."""
-    return all(len(idx) == r and sum(e) <= D for (idx, e) in psi.terms)
+    return all(len(idx) == r and sum(e) <= D for (idx, e) in psi._c)
 
 
 def coords_to_form(coords: dict, win: FormWindow) -> SpinorForm:
@@ -232,14 +402,25 @@ def coords_to_form(coords: dict, win: FormWindow) -> SpinorForm:
 
 def _combine(l, vectors, coeffs) -> SpinorForm:
     """The sum of c * vectors[k] over the (k, c) pairs of ``coeffs``, a
-    sparse ``dict.items()`` or a dense ``enumerate``; the vectors share one
-    form degree, and pairs with c = 0 are skipped."""
+    sparse ``dict.items()`` or a dense ``enumerate`` of Scalars; the vectors
+    share one form degree, and pairs with c = 0 are skipped."""
+    scaled = []
+    d = 1
+    for k, z in coeffs:
+        if z:
+            v = vectors[k]
+            f = z._d * v._d
+            scaled.append((v._c, z._a, z._b, f))
+            if d % f:
+                d = f if f % d == 0 else d * f
     out: dict = {}
-    for k, a in coeffs:
-        if a:
-            for key, c in vectors[k].terms.items():
-                accumulate(out, key, a * c)
-    return SpinorForm._trusted(l, out)
+    for terms, p, q, f in scaled:
+        m = d // f
+        p *= m
+        q *= m
+        for key, (a, b) in terms.items():
+            _add(out, key, a * p - b * q, a * q + b * p)
+    return SpinorForm._trusted(l, out, d)
 
 
 def operator_matrix(fn, domain) -> OperatorMatrix:
@@ -249,13 +430,16 @@ def operator_matrix(fn, domain) -> OperatorMatrix:
     ``domain`` is any sequence of domain vectors, a window included.  The
     rows are the distinct basis keys of the images, in sorted order, so no
     row is empty and nothing is cut off; the key -> row map is kept on the
-    matrix as ``row_index``, for ``form_to_coords``.
+    matrix as ``row_index``, for ``form_to_coords``.  The entries are
+    canonical Scalars.
     """
     rows: dict = {}
     entries = {}
     for col, b in enumerate(domain):
-        for key, c in fn(b).terms.items():
-            entries[(rows.setdefault(key, len(rows)), col)] = c
+        img = fn(b)
+        d = img._d
+        for key, (a, bb) in img._c.items():
+            entries[(rows.setdefault(key, len(rows)), col)] = from_pair(a, bb, d)
     # renumber the rows from order of appearance to sorted key order: the
     # elimination takes the first unused row as pivot, and in order of
     # appearance its fill-in made one symbol check 2.3 times slower

@@ -42,17 +42,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .forms import (
+    _REMOVALS,
     FormWindow,
     SpinorForm,
+    _add,
     _combine,
-    _insert,
-    _remove,
+    _insertions,
     contract,
     coords_to_form,
     operator_matrix,
     wedge,
 )
-from .linalg import accumulate, kernel_basis
+from .linalg import OperatorMatrix, kernel_basis
 from .scalars import I, ONE, Scalar
 from .spinors import clifford_apply
 from .symplectic import SymplecticSpace, basis_covector, basis_vector, sharp
@@ -62,80 +63,61 @@ from .symplectic import SymplecticSpace, basis_covector, basis_vector, sharp
 # the five generators
 
 
-_HALF = Scalar(Fraction(1, 2))
-_HALF_I = I * _HALF
-
-
 def raising(sp: SymplecticSpace, psi: SpinorForm) -> SpinorForm:
     """F+: (i/2) sum_k eps^k ^ psi-form (x) e_k . psi-spinor."""
     l = sp.l
     out: dict = {}
-    for (idx, e), c in psi.terms.items():
-        # the coefficient before the insertion sign: (i/2) c, times i
-        # (so -c/2) on the first Lagrangian
-        second = _HALF_I * c
-        first = -(_HALF * c)
-        for k in range(2 * l):
-            nidx, sign = _insert(idx, k)
-            if nidx is None:
-                continue
+    table = _insertions(2 * l)
+    for (idx, e), (a, b) in psi._c.items():
+        for k, (nidx, s) in table[idx].items():
             if k < l:
-                e2 = list(e)
-                e2[k] += 1
-                accumulate(out, (nidx, tuple(e2)), first if sign == 1 else -first)
+                # (i/2) i x^k: the pair -(a, b), over 2d
+                _add(out, (nidx, e[:k] + (e[k] + 1,) + e[k + 1 :]), -s * a, -s * b)
             else:
-                kk = k - l
-                if e[kk]:
-                    e2 = list(e)
-                    e2[kk] -= 1
-                    base = second if sign == 1 else -second
-                    accumulate(out, (nidx, tuple(e2)), base * e[kk])
-    return SpinorForm._trusted(psi.l, out)
+                k -= l
+                n = e[k]
+                if n:
+                    # (i/2) d/dx^k: the pair i (a, b) n = (-b n, a n), over 2d
+                    n *= s
+                    _add(out, (nidx, e[:k] + (e[k] - 1,) + e[k + 1 :]), -b * n, a * n)
+    return SpinorForm._trusted(psi.l, out, 2 * psi._d)
 
 
 def lowering(sp: SymplecticSpace, psi: SpinorForm) -> SpinorForm:
     """F-: (1/2) sum_k [iota_{e_k} (x) d/dx^k  -  iota_{e_{k+l}} (x) i x^k]."""
     l = sp.l
     out: dict = {}
-    for (idx, e), c in psi.terms.items():
-        # the coefficient before the removal sign: c/2, and -(i/2) c on
-        # the second Lagrangian
-        first = _HALF * c
-        second = -(I * first)
-        for k in range(l):
-            nidx, sign = _remove(idx, k)
-            if nidx is not None and e[k]:
-                base = first if sign == 1 else -first
-                e2 = list(e)
-                e2[k] -= 1
-                accumulate(out, (nidx, tuple(e2)), base * e[k])
-            nidx, sign = _remove(idx, k + l)
-            if nidx is not None:
-                e2 = list(e)
-                e2[k] += 1
-                accumulate(out, (nidx, tuple(e2)), second if sign == 1 else -second)
-    return SpinorForm._trusted(psi.l, out)
+    for (idx, e), (a, b) in psi._c.items():
+        for k, (nidx, s) in _REMOVALS[idx].items():
+            if k < l:
+                n = e[k]
+                if n:
+                    # (1/2) d/dx^k: the pair (a, b) n, over 2d
+                    n *= s
+                    _add(out, (nidx, e[:k] + (e[k] - 1,) + e[k + 1 :]), a * n, b * n)
+            else:
+                k -= l
+                # -(i/2) x^k: the pair -i (a, b) = (b, -a), over 2d
+                _add(out, (nidx, e[:k] + (e[k] + 1,) + e[k + 1 :]), s * b, -s * a)
+    return SpinorForm._trusted(psi.l, out, 2 * psi._d)
 
 
 def omega_wedge(sp: SymplecticSpace, psi: SpinorForm) -> SpinorForm:
     """E+ = 2{F+, F+} evaluated in closed form: i * omega-2-form ^ psi."""
-    out: dict = {}
-    for k in range(sp.l):
-        pair = wedge(basis_covector(sp, k), wedge(basis_covector(sp, k + sp.l), psi))
-        for key, c in pair.terms.items():
-            accumulate(out, key, c)
-    return SpinorForm._trusted(psi.l, out).scale(I)
+    l = sp.l
+    pairs = [wedge(basis_covector(sp, k), wedge(basis_covector(sp, k + l), psi)) for k in range(l)]
+    return _combine(psi.l, pairs, [(k, I) for k in range(l)])
 
 
 def omega_trace(sp: SymplecticSpace, psi: SpinorForm) -> SpinorForm:
     """E- = -2{F-, F-} evaluated in closed form: the double contraction
     i * sum_k iota_{e_k} iota_{e_{k+l}} on the form part."""
-    out: dict = {}
-    for k in range(sp.l):
-        pair = contract(sp, basis_vector(sp, k), contract(sp, basis_vector(sp, k + sp.l), psi))
-        for key, c in pair.terms.items():
-            accumulate(out, key, c)
-    return SpinorForm._trusted(psi.l, out).scale(I)
+    l = sp.l
+    pairs = [
+        contract(sp, basis_vector(sp, k), contract(sp, basis_vector(sp, k + l), psi))
+        for k in range(l)
+    ]
+    return _combine(psi.l, pairs, [(k, I) for k in range(l)])
 
 
 def ff_plus(sp: SymplecticSpace, psi: SpinorForm) -> SpinorForm:
@@ -276,18 +258,48 @@ def edge_basis(sp: SymplecticSpace, r: int, D: int):
     return [coords_to_form(v, win) for v in kernel_basis(mat)]
 
 
-def component_basis(sp: SymplecticSpace, r: int, j: int, D: int):
+def component_basis(sp: SymplecticSpace, r: int, j: int, D: int, _cache=None):
     """Exact basis of the (r, j) component intersected with the window:
     kernel of F-F+ - c_{rj} (the distinct scalars make the eigenvalue a
-    faithful label)."""
+    faithful label).
+
+    The m_r + 1 label matrices of a column differ only on the diagonal, so
+    a caller that asks for every label of a column passes one ``_cache``
+    dict, and the F-F+ images of the window are built once for them all."""
     l = sp.l
     if not in_triangle(l, r, j):
         raise ValueError(f"(r, j)=({r}, {j}) outside the component triangle")
-    win = FormWindow(l, r, D)
+    win, rows, images = _ff_images(sp, r, D, _cache)
     c = component_scalar(l, r, j)
-    mat = operator_matrix(lambda p: ff_plus(sp, p) - p.scale(c), win)
-    vecs = kernel_basis(mat)
-    return [coords_to_form(v, win) for v in vecs]
+    entries = dict(images)
+    for col, key in enumerate(win.basis):
+        rc = (rows[key], col)
+        v = entries.get(rc)
+        entries[rc] = -c if v is None else v - c
+    mat = OperatorMatrix(len(rows), win.dim, entries, rows)
+    return [coords_to_form(v, win) for v in kernel_basis(mat)]
+
+
+def _ff_images(sp: SymplecticSpace, r: int, D: int, cache):
+    """The (r, D) window, the rows and the entries of the F-F+ matrix on
+    it; ``cache`` (when given) keeps them for the last (r, D) asked.
+
+    The rows are the sorted image keys and the window's own keys, the
+    diagonal of every label's matrix.  A window key that is no image key
+    and meets c_{rj} = 0 gives an empty row, which is never a pivot, so
+    the kernels are those of the matrix with image rows only."""
+    key = (sp.l, r, D)
+    if cache is not None and key in cache:
+        return cache[key]
+    win = FormWindow(sp.l, r, D)
+    mat = operator_matrix(lambda p: ff_plus(sp, p), win)
+    rows = {k: n for n, k in enumerate(sorted(set(mat.row_index).union(win.basis)))}
+    perm = {row: rows[k] for k, row in mat.row_index.items()}
+    out = (win, rows, {(perm[row], col): v for (row, col), v in mat.entries.items()})
+    if cache is not None:
+        cache.clear()
+        cache[key] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

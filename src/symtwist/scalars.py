@@ -1,8 +1,11 @@
 """Exact Gaussian-rational arithmetic.
 
-The single number type of the whole package: a + b*i with rational a, b.
-A ``Scalar`` stores three Python ints ``(a, b, d)`` and means
-``(a + b*i) / d``.  The triple is kept canonical after every operation:
+The number type of the package's interfaces: a + b*i with rational a, b.
+Linear algebra, curvature tensors, symbols and reports compute with it.
+The operator layer (``forms``, ``osp``, ``spinors``) does not: a form holds
+Gaussian-integer pairs over one denominator, and Scalars enter and leave
+it only at its boundary (see the forms module).  A ``Scalar`` stores three
+Python ints ``(a, b, d)`` and means ``(a + b*i) / d``.  The triple is kept canonical after every operation:
 
 * ``d > 0``;
 * ``gcd(a, b, d) == 1``;
@@ -190,6 +193,11 @@ def _norm(a: int, b: int, d: int) -> Scalar:
     z._b = b
     z._d = d
     return z
+
+
+# the normaliser under its public name, for the operator layer's Gaussian-
+# integer pairs over a denominator
+from_pair = _norm
 
 
 def _parts(x):

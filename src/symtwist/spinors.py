@@ -19,8 +19,7 @@ with a nonzero component in the first Lagrangian.
 
 from __future__ import annotations
 
-from .forms import SpinorForm
-from .linalg import accumulate
+from .forms import SpinorForm, _add, _vector_pairs
 from .scalars import I
 from .symplectic import omega_value
 
@@ -30,27 +29,25 @@ def clifford_apply(sp, v, psi: SpinorForm) -> SpinorForm:
     of psi; the form part is fixed."""
     l = sp.l
     out: dict = {}
-    # nonzero components of v as (k, factor) in the order v_0, v_l, v_1,
-    # v_{l+1}, ...; the factor is i*v_k on the first Lagrangian, v_k on the
-    # second.  Computed once per call, not once per term.
-    factors = (
-        [(k, I * v[k] if k < l else v[k]) for kk in range(l) for k in (kk, kk + l) if v[k]]
-        if psi.terms
-        else []
-    )
-    for (idx, e), c in psi.terms.items():
-        for k, f in factors:
+    if not psi._c:
+        return SpinorForm._trusted(psi.l, out, 1)
+    # the nonzero components of v as pairs (p, q) over the denominator f
+    comps, f = _vector_pairs(v)
+    for (idx, e), (a, b) in psi._c.items():
+        for k, p, q in comps:
+            # the pair (a, b) (p, q) = (x, y)
+            x = a * p - b * q
+            y = a * q + b * p
             if k < l:
-                # e_k . s = i x^k s
-                e2 = list(e)
-                e2[k] += 1
-                accumulate(out, (idx, tuple(e2)), f * c)
-            elif e[k - l]:
+                # e_k . s = i x^k s: the pair i (x, y) = (-y, x)
+                _add(out, (idx, e[:k] + (e[k] + 1,) + e[k + 1 :]), -y, x)
+            else:
                 # e_{k+l} . s = ds/dx^k
-                e2 = list(e)
-                e2[k - l] -= 1
-                accumulate(out, (idx, tuple(e2)), f * c * e[k - l])
-    return SpinorForm._trusted(psi.l, out)
+                k -= l
+                n = e[k]
+                if n:
+                    _add(out, (idx, e[:k] + (n - 1,) + e[k + 1 :]), x * n, y * n)
+    return SpinorForm._trusted(psi.l, out, psi._d * f)
 
 
 def commutator_defect(sp, v, w, s: SpinorForm) -> SpinorForm:

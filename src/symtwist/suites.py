@@ -131,7 +131,7 @@ def run_relations(sp: SymplecticSpace, D: int) -> dict:
             (idx, e) = fwin.basis[k]
             par = sum(e) % 2
             for img in (fplus, fminus):
-                if any((sum(e2) - par) % 2 == 0 for (_i2, e2) in img.terms):
+                if any((sum(e2) - par) % 2 == 0 for (_i2, e2) in img.keys()):
                     bad["parity_reversal"] += 1
                     break
             for a, v in enumerate(vectors):
@@ -178,8 +178,9 @@ def run_decompose(sp: SymplecticSpace, D: int) -> dict:
     dims = {}
     eigen_bad = 0
     bases = {}
+    images: dict = {}  # the F-F+ images of the column at hand
     for (r, j) in labels:
-        cb = component_basis(sp, r, j, D)
+        cb = component_basis(sp, r, j, D, _cache=images)
         bases[(r, j)] = cb
         dims[f"({r},{j})"] = len(cb)
         c = component_scalar(l, r, j)

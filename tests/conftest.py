@@ -240,3 +240,165 @@ def dense_sigma_tilde(l, sigma):
                     )
                     out[i][j][k][m] = acc / denom
     return CurvatureTensor(l, out)
+
+
+# ---------------------------------------------------------------------------
+# The Scalar operator layer: the reference for the Gaussian-integer pairs of
+# ``symtwist.forms``.  Each function reads and returns ``{key: Scalar}``
+# term dicts without zero values, and computes term by term in Scalar
+# arithmetic; a vector is a tuple of 2l Scalars.
+
+
+def _ref_accumulate(out, key, c):
+    s = c if key not in out else out[key] + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+def _ref_insert(idx, k):
+    """Sorted insertion with sign; (None, 0) when k is already present."""
+    if k in idx:
+        return None, 0
+    pos = sum(1 for j in idx if j < k)
+    return idx[:pos] + (k,) + idx[pos:], -1 if pos % 2 else 1
+
+
+def _ref_remove(idx, k):
+    if k not in idx:
+        return None, 0
+    pos = idx.index(k)
+    return idx[:pos] + idx[pos + 1 :], -1 if pos % 2 else 1
+
+
+def _shift(e, k, by):
+    e2 = list(e)
+    e2[k] += by
+    return tuple(e2)
+
+
+def ref_wedge(components, terms):
+    out = {}
+    for (idx, e), c in terms.items():
+        for k, xk in enumerate(components):
+            nidx, sign = _ref_insert(idx, k)
+            if xk and nidx is not None:
+                _ref_accumulate(out, (nidx, e), xk * c * sign)
+    return out
+
+
+def ref_contract(v, terms):
+    out = {}
+    for (idx, e), c in terms.items():
+        for k, vk in enumerate(v):
+            nidx, sign = _ref_remove(idx, k)
+            if vk and nidx is not None:
+                _ref_accumulate(out, (nidx, e), vk * c * sign)
+    return out
+
+
+def ref_clifford(l, v, terms):
+    """e_k acts by i x^k for k < l and by d/dx^(k-l) from l on."""
+    from symtwist.scalars import I
+
+    out = {}
+    for (idx, e), c in terms.items():
+        for k, vk in enumerate(v):
+            if not vk:
+                continue
+            if k < l:
+                _ref_accumulate(out, (idx, _shift(e, k, 1)), I * vk * c)
+            elif e[k - l]:
+                _ref_accumulate(out, (idx, _shift(e, k - l, -1)), vk * c * e[k - l])
+    return out
+
+
+def ref_raising(l, terms):
+    """F+ = (i/2) sum_k eps^k ^ (x) e_k."""
+    from fractions import Fraction
+
+    from symtwist.scalars import I, Scalar
+
+    half_i = I * Scalar(Fraction(1, 2))
+    out = {}
+    for (idx, e), c in terms.items():
+        for k in range(2 * l):
+            nidx, sign = _ref_insert(idx, k)
+            if nidx is None:
+                continue
+            if k < l:
+                _ref_accumulate(out, (nidx, _shift(e, k, 1)), half_i * I * c * sign)
+            elif e[k - l]:
+                _ref_accumulate(out, (nidx, _shift(e, k - l, -1)), half_i * c * (sign * e[k - l]))
+    return out
+
+
+def ref_lowering(l, terms):
+    """F- = (1/2) sum_k [iota_{e_k} (x) d/dx^k - iota_{e_{k+l}} (x) i x^k]."""
+    from fractions import Fraction
+
+    from symtwist.scalars import I, Scalar
+
+    half = Scalar(Fraction(1, 2))
+    out = {}
+    for (idx, e), c in terms.items():
+        for k in range(l):
+            nidx, sign = _ref_remove(idx, k)
+            if nidx is not None and e[k]:
+                _ref_accumulate(out, (nidx, _shift(e, k, -1)), half * c * (sign * e[k]))
+            nidx, sign = _ref_remove(idx, k + l)
+            if nidx is not None:
+                _ref_accumulate(out, (nidx, _shift(e, k, 1)), -(half * I * c * sign))
+    return out
+
+
+def _unit(l, k):
+    from symtwist.scalars import Scalar
+
+    return tuple(Scalar(1 if j == k else 0) for j in range(2 * l))
+
+
+def ref_omega_wedge(l, terms):
+    """E+ = i sum_k eps^k ^ eps^(k+l) ^."""
+    from symtwist.scalars import I
+
+    out = {}
+    for k in range(l):
+        inner = ref_wedge(_unit(l, k + l), terms)
+        for key, c in ref_wedge(_unit(l, k), inner).items():
+            _ref_accumulate(out, key, c)
+    return ref_scale(I, out)
+
+
+def ref_omega_trace(l, terms):
+    """E- = i sum_k iota_{e_k} iota_{e_(k+l)}."""
+    from symtwist.scalars import I
+
+    out = {}
+    for k in range(l):
+        inner = ref_contract(_unit(l, k + l), terms)
+        for key, c in ref_contract(_unit(l, k), inner).items():
+            _ref_accumulate(out, key, c)
+    return ref_scale(I, out)
+
+
+def ref_scale(z, terms):
+    return {key: z * c for key, c in terms.items()} if z else {}
+
+
+def ref_add(terms, other):
+    out = dict(terms)
+    for key, c in other.items():
+        _ref_accumulate(out, key, c)
+    return out
+
+
+def ref_combine(vectors, coeffs):
+    """The sum of c * vectors[k] over the (k, c) pairs of ``coeffs``."""
+    out = {}
+    for k, a in coeffs:
+        for key, c in vectors[k].items():
+            if a:
+                _ref_accumulate(out, key, a * c)
+    return out
