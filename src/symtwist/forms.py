@@ -215,34 +215,18 @@ def _vector_pairs(components):
     denominator."""
     hit = _VECTOR_PAIRS.get(id(components))
     if hit is not None:
-        return hit[1], hit[2]
-    out = []
-    k = -1
-    for x in components:
-        k += 1
-        a, b = x._a, x._b
-        if a or b:
-            if x._d != 1:
-                out, d = _fraction_pairs(components)
-                break
-            out.append((k, a, b))
-    else:
-        d = 1
+        return hit[0], hit[1]
+    nonzero = [(k, x) for k, x in enumerate(components) if x._a or x._b]
+    d = 1
+    for _k, x in nonzero:
+        if d % x._d:
+            d = x._d if x._d % d == 0 else d * x._d
+    pairs = [(k, x._a * (d // x._d), x._b * (d // x._d)) for k, x in nonzero]
     if type(components) is tuple:
         if len(_VECTOR_PAIRS) >= 64:
             _VECTOR_PAIRS.clear()
-        _VECTOR_PAIRS[id(components)] = (components, out, d)
-    return out, d
-
-
-def _fraction_pairs(components):
-    """``_vector_pairs`` for components with a denominator other than 1."""
-    nonzero = [(k, x._a, x._b, x._d) for k, x in enumerate(components) if x]
-    d = 1
-    for _k, _a, _b, f in nonzero:
-        if d % f:
-            d = f if f % d == 0 else d * f
-    return [(k, a * (d // f), b * (d // f)) for k, a, b, f in nonzero], d
+        _VECTOR_PAIRS[id(components)] = (pairs, d, components)
+    return pairs, d
 
 
 class _Insertions(dict):
