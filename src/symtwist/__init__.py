@@ -25,7 +25,6 @@ from .osp import (
     component_scalar,
     edge_basis,
     edge_projector,
-    project_component,
     project_wedge,
 )
 from .scalars import Scalar

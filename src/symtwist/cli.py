@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .curvature import (
@@ -23,7 +24,7 @@ from .curvature import (
 )
 from .scalars import Scalar, fraction_from_str
 from .suites import run_decompose, run_project, run_relations
-from .symbols import check_complex, check_exactness
+from .symbols import check_complex, check_exactness, describe_covector
 from .symplectic import Covector, canonical_covector, standard_space
 
 EXIT_OK = 0
@@ -37,11 +38,10 @@ def _parse_xi(sp, text):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != sp.dim:
         raise ValueError(f"--xi needs {sp.dim} comma-separated components or 'canonical'")
-    comps = tuple(Scalar(fraction_from_str(p)) for p in parts)
-    xi = Covector(comps)
+    xi = Covector(tuple(Scalar(fraction_from_str(p)) for p in parts))
     if xi.is_zero():
         raise ValueError("--xi must be nonzero")
-    return xi, [str(c) for c in comps]
+    return xi, describe_covector(xi)
 
 
 def _emit(report, args) -> None:
@@ -51,8 +51,17 @@ def _emit(report, args) -> None:
                 _write(report, args.format, fh)
         except OSError as exc:
             raise ValueError(f"cannot write report to {args.out}: {exc}") from None
+    elif sys.stdout is None:  # the process started with stdout closed
+        raise ValueError("cannot write report to stdout: it is closed")
     else:
-        _write(report, args.format, sys.stdout)
+        try:
+            _write(report, args.format, sys.stdout)
+            sys.stdout.flush()
+        except OSError as exc:
+            # stdout is closed (a reader such as `head` has gone): point it
+            # at the null device, so the flush at exit has nowhere to fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ValueError(f"cannot write report to stdout: {exc}") from None
 
 
 def _write(report, fmt, fh) -> None:

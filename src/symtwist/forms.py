@@ -229,79 +229,70 @@ def _vector_pairs(components):
     return pairs, d
 
 
-class _Insertions(dict):
-    """idx -> {k: (idx with k inserted, sign)} over every k in range(n) not
-    in idx, in ascending k; each entry is built on its first lookup."""
+class _Moves(dict):
+    """idx -> (insertions, removals) for index tuples over range(n): the
+    insertions map each k in range(n) not in idx to (idx with k inserted,
+    sign), the removals each k in idx to (idx without k, sign), both in
+    ascending k; the sign is -1 for an odd slot of k.  Each entry is built
+    on its first lookup."""
 
     def __init__(self, n):
         super().__init__()
         self.n = n
 
     def __missing__(self, idx):
-        out = {}
+        out = ({}, {})
         for k in range(self.n):
             pos = bisect_left(idx, k)
-            if pos == len(idx) or idx[pos] != k:
-                out[k] = (idx[:pos] + (k,) + idx[pos:], -1 if pos % 2 else 1)
+            s = -1 if pos % 2 else 1
+            if pos < len(idx) and idx[pos] == k:
+                out[1][k] = (idx[:pos] + idx[pos + 1 :], s)
+            else:
+                out[0][k] = (idx[:pos] + (k,) + idx[pos:], s)
         self[idx] = out
         return out
 
 
-class _Removals(dict):
-    """idx -> {k: (idx without k, sign)} over every k in idx; each entry is
-    built on its first lookup."""
-
-    def __missing__(self, idx):
-        out = {k: (idx[:pos] + idx[pos + 1 :], -1 if pos % 2 else 1) for pos, k in enumerate(idx)}
-        self[idx] = out
-        return out
+# the signed moves of every index tuple met so far, one table per n: there
+# are C(n, r) tuples of each degree r, so the tables stay small
+_MOVES: dict = {}
 
 
-# the signed insertions and removals of every index tuple met so far: there
-# are C(2l, r) tuples of each degree, so the tables stay small
-_INSERTIONS: dict = {}
-_REMOVALS = _Removals()
-
-
-def _insertions(n: int) -> _Insertions:
-    """The insertion table for index tuples over range(n)."""
-    table = _INSERTIONS.get(n)
+def _moves(n: int) -> _Moves:
+    """The insertion and removal table for index tuples over range(n)."""
+    table = _MOVES.get(n)
     if table is None:
-        table = _INSERTIONS[n] = _Insertions(n)
+        table = _MOVES[n] = _Moves(n)
     return table
+
+
+def _move_indices(psi: SpinorForm, components, removal: int) -> SpinorForm:
+    """Sum over k of the k-th component times the signed insertion
+    (``removal`` 0) or removal (``removal`` 1) of the index k in each term
+    of psi."""
+    out: dict = {}
+    if not psi._c:
+        return SpinorForm._trusted(psi.l, out, 1)
+    comps, f = _vector_pairs(components)
+    table = _moves(len(components))
+    for (idx, e), (a, b) in psi._c.items():
+        row = table[idx][removal]
+        for k, p, q in comps:
+            t = row.get(k)
+            if t is not None:
+                nidx, s = t
+                _add(out, (nidx, e), s * (a * p - b * q), s * (a * q + b * p))
+    return SpinorForm._trusted(psi.l, out, psi._d * f)
 
 
 def wedge(xi: Covector, psi: SpinorForm) -> SpinorForm:
     """Left exterior multiplication by the covector xi."""
-    out: dict = {}
-    if not psi._c:
-        return SpinorForm._trusted(psi.l, out, 1)
-    comps, f = _vector_pairs(xi.components)
-    table = _insertions(len(xi.components))
-    for (idx, e), (a, b) in psi._c.items():
-        row = table[idx]
-        for k, p, q in comps:
-            t = row.get(k)
-            if t is not None:
-                nidx, s = t
-                _add(out, (nidx, e), s * (a * p - b * q), s * (a * q + b * p))
-    return SpinorForm._trusted(psi.l, out, psi._d * f)
+    return _move_indices(psi, xi.components, 0)
 
 
 def contract(sp: SymplecticSpace, v, psi: SpinorForm) -> SpinorForm:
     """Interior product by the vector v (graded derivation of degree -1)."""
-    out: dict = {}
-    if not psi._c:
-        return SpinorForm._trusted(psi.l, out, 1)
-    comps, f = _vector_pairs(v)
-    for (idx, e), (a, b) in psi._c.items():
-        row = _REMOVALS[idx]
-        for k, p, q in comps:
-            t = row.get(k)
-            if t is not None:
-                nidx, s = t
-                _add(out, (nidx, e), s * (a * p - b * q), s * (a * q + b * p))
-    return SpinorForm._trusted(psi.l, out, psi._d * f)
+    return _move_indices(psi, v, 1)
 
 
 def monomials_upto(l, D):

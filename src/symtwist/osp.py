@@ -28,9 +28,13 @@ the whole algebra.
 
 The spectral projectors are Sylvester's Frobenius covariants of A = F-F+:
 the projector onto (r, j) is the Lagrange polynomial prod_{j' != j}
-(A - c_{r j'}) / (c_{r j} - c_{r j'}).  Its exact coefficients are applied
+(A - c_{r j'}) / (c_{r j} - c_{r j'}).  ``column_projections`` is the one
+path that applies them: it applies the exact coefficients of every label
 to the Krylov sequence psi, A psi, ..., A^{m_r} psi, so all projections of
-one vector cost m_r applications of A.  The product of (A - c_{r k}) over
+one vector cost m_r applications of A (``edge_projector`` reads the edge
+row alone).  The coefficient table of a column is expanded on the first
+projection that meets its tuple of scalars c_{r 0}, ..., c_{r m_r}, and
+kept for every later one.  The product of (A - c_{r k}) over
 a set of labels is a factor of every projector outside the set, so when
 it kills psi, every projection of psi outside the set is zero
 (``passes_component_screen``).
@@ -38,23 +42,19 @@ it kills psi, every projection of psi outside the set is zero
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-
 from .forms import (
-    _REMOVALS,
     FormWindow,
     SpinorForm,
     _add,
     _combine,
-    _insertions,
+    _moves,
     contract,
     coords_to_form,
     operator_matrix,
     wedge,
 )
 from .linalg import OperatorMatrix, kernel_basis
-from .scalars import I, ONE, Scalar
+from .scalars import I, ONE, Scalar, from_pair
 from .spinors import clifford_apply
 from .symplectic import SymplecticSpace, basis_covector, basis_vector, sharp
 
@@ -67,9 +67,9 @@ def raising(sp: SymplecticSpace, psi: SpinorForm) -> SpinorForm:
     """F+: (i/2) sum_k eps^k ^ psi-form (x) e_k . psi-spinor."""
     l = sp.l
     out: dict = {}
-    table = _insertions(2 * l)
+    table = _moves(2 * l)
     for (idx, e), (a, b) in psi._c.items():
-        for k, (nidx, s) in table[idx].items():
+        for k, (nidx, s) in table[idx][0].items():
             if k < l:
                 # (i/2) i x^k: the pair -(a, b), over 2d
                 _add(out, (nidx, e[:k] + (e[k] + 1,) + e[k + 1 :]), -s * a, -s * b)
@@ -87,8 +87,9 @@ def lowering(sp: SymplecticSpace, psi: SpinorForm) -> SpinorForm:
     """F-: (1/2) sum_k [iota_{e_k} (x) d/dx^k  -  iota_{e_{k+l}} (x) i x^k]."""
     l = sp.l
     out: dict = {}
+    table = _moves(2 * l)
     for (idx, e), (a, b) in psi._c.items():
-        for k, (nidx, s) in _REMOVALS[idx].items():
+        for k, (nidx, s) in table[idx][1].items():
             if k < l:
                 n = e[k]
                 if n:
@@ -148,69 +149,53 @@ def component_scalar(l: int, i: int, j: int) -> Scalar:
     """
     if not in_triangle(l, i, j):
         raise ValueError(f"(i, j)=({i}, {j}) outside the component triangle")
-    if (i + j) % 2 == 1:
-        return Scalar(Fraction(1 + i - j, 8))
-    return Scalar(Fraction(i + j - 2 * l, 8))
-
-
-def component_scalars_row(l: int, r: int) -> dict:
-    return {j: component_scalar(l, r, j) for j in range(m_index(l, r) + 1)}
+    return from_pair(1 + i - j if (i + j) % 2 else i + j - 2 * l, 0, 8)
 
 
 # ---------------------------------------------------------------------------
 # spectral projectors
 
+# the Lagrange table of every tuple of column scalars met so far, keyed by
+# the scalars' triples: a column has m_r + 1 <= l + 1 labels, so it is small
+_LAGRANGE: dict = {}
 
-def _lagrange_coefficients(scalars: list, j: int) -> list:
-    """Coefficients, lowest degree first, of Sylvester's Lagrange polynomial
-    prod_{j' != j} (x - c_{j'}) / (c_j - c_{j'}) on the column's scalars."""
-    poly = [ONE]
-    denom = ONE
-    for jp, c in enumerate(scalars):
-        if jp == j:
-            continue
-        # poly * (x - c)
-        poly = (
-            [-(c * poly[0])]
-            + [poly[k - 1] - c * poly[k] for k in range(1, len(poly))]
-            + [poly[-1]]
-        )
-        denom = denom * (scalars[j] - c)
-    inv = ONE / denom
-    return [a * inv for a in poly]
+
+def _lagrange_table(scalars: list) -> list:
+    """Row j: the coefficients, lowest degree first, of Sylvester's
+    Lagrange polynomial prod_{k != j} (x - c_k) / (c_j - c_k) on the
+    column's scalars c_0, ..., c_m; expanded once for each distinct tuple
+    of scalars."""
+    key = tuple((c._a, c._b, c._d) for c in scalars)
+    table = _LAGRANGE.get(key)
+    if table is None:
+        table = []
+        for j, cj in enumerate(scalars):
+            poly, denom = [ONE], ONE
+            for k, c in enumerate(scalars):
+                if k != j:
+                    # poly * (x - c)
+                    poly = [a - c * b for a, b in zip([0] + poly, poly + [0])]
+                    denom = denom * (cj - c)
+            table.append([a / denom for a in poly])
+        _LAGRANGE[key] = table
+    return table
 
 
 def _krylov(sp: SymplecticSpace, r: int, psi: SpinorForm):
-    """The scalars c_{r 0}, ..., c_{r m_r} and the Krylov sequence psi,
-    A psi, ..., A^{m_r} psi of A = F-F+."""
-    scalars = list(component_scalars_row(sp.l, r).values())
+    """The Lagrange table of column r and the Krylov sequence psi, A psi,
+    ..., A^{m_r} psi of A = F-F+."""
+    scalars = [component_scalar(sp.l, r, j) for j in range(m_index(sp.l, r) + 1)]
     seq = [psi]
     for _ in range(len(scalars) - 1):
         seq.append(ff_plus(sp, seq[-1]))
-    return scalars, seq
+    return _lagrange_table(scalars), seq
 
 
 def column_projections(sp: SymplecticSpace, r: int, psi: SpinorForm) -> list:
     """Every spectral projection of a homogeneous r-form, [P_0 psi, ...,
     P_{m_r} psi], from one Krylov sequence psi, A psi, ..., A^{m_r} psi."""
-    scalars, seq = _krylov(sp, r, psi)
-    return [_combine(sp.l, seq, enumerate(_lagrange_coefficients(scalars, j))) for j in range(len(scalars))]
-
-
-def project_component(sp: SymplecticSpace, r: int, j: int, psi: SpinorForm) -> SpinorForm:
-    """Spectral projector onto the (r, j) component, applied to a
-    homogeneous r-form.
-
-    This is Sylvester's formula for the Frobenius covariant of A = F-F+:
-    the product of (A - c_{r j'}) / (c_{r j} - c_{r j'}) over j' != j.  The
-    product is expanded into its exact coefficients and applied to the
-    Krylov sequence psi, A psi, ..., A^{m_r} psi, so every projection of
-    psi reads the same m_r applications of A (``column_projections``
-    returns them all)."""
-    if not in_triangle(sp.l, r, j):
-        raise ValueError(f"(r, j)=({r}, {j}) outside the component triangle")
-    scalars, seq = _krylov(sp, r, psi)
-    return _combine(sp.l, seq, enumerate(_lagrange_coefficients(scalars, j)))
+    table, seq = _krylov(sp, r, psi)
+    return [_combine(sp.l, seq, enumerate(row)) for row in table]
 
 
 def passes_component_screen(sp: SymplecticSpace, r: int, js, psi: SpinorForm) -> bool:
@@ -229,8 +214,10 @@ def passes_component_screen(sp: SymplecticSpace, r: int, js, psi: SpinorForm) ->
 
 
 def edge_projector(sp: SymplecticSpace, r: int, psi: SpinorForm) -> SpinorForm:
-    """Projector onto the edge component (r, m_r)."""
-    return project_component(sp, r, m_index(sp.l, r), psi)
+    """Projector onto the edge component (r, m_r): the edge row of the
+    Lagrange table on the Krylov sequence of ``column_projections``."""
+    table, seq = _krylov(sp, r, psi)
+    return _combine(sp.l, seq, enumerate(table[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +293,6 @@ def _ff_images(sp: SymplecticSpace, r: int, D: int, cache):
 # the chain model
 
 
-@dataclass
 class ChainModel:
     """F+-chains over degree-truncated primitive vectors.
 
@@ -315,11 +301,12 @@ class ChainModel:
     the five operators.  The certificate records the machine-checked
     closure facts."""
 
-    l: int
-    D: int
-    primitive_dims: dict
-    chains: dict
-    certificate: dict = field(default_factory=dict)
+    def __init__(self, l: int, D: int, primitive_dims: dict, chains: dict, certificate: dict):
+        self.l = l
+        self.D = D
+        self.primitive_dims = primitive_dims
+        self.chains = chains
+        self.certificate = certificate
 
     def degree_slice(self, r):
         return [(j, v) for (rr, j), vec in sorted(self.chains.items()) if rr == r for v in vec]
@@ -387,8 +374,8 @@ def project_wedge(sp: SymplecticSpace, i: int, xi, psi: SpinorForm) -> SpinorFor
     if i >= l:
         return w
     xs = sharp(sp, xi)
-    beta = Scalar(Fraction(2, i - l))
-    gamma = I * Scalar(Fraction(1, i - l))
+    beta = from_pair(-2, 0, l - i)  # 2/(i-l)
+    gamma = from_pair(0, -1, l - i)  # i/(i-l)
     t1 = raising(sp, clifford_apply(sp, xs, psi)).scale(beta)
     t2 = omega_wedge(sp, contract(sp, xs, psi)).scale(gamma)
     return w + t1 + t2

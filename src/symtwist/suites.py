@@ -23,7 +23,6 @@ from .osp import (
     column_projections,
     component_basis,
     component_scalar,
-    component_scalars_row,
     edge_basis,
     edge_projector,
     ff_plus,
@@ -166,9 +165,9 @@ def run_decompose(sp: SymplecticSpace, D: int) -> dict:
     table = {}
     distinct_ok = True
     for r in range(2 * l + 1):
-        row = component_scalars_row(l, r)
         seen = set()
-        for j, c in row.items():
+        for j in range(m_index(l, r) + 1):
+            c = component_scalar(l, r, j)
             table[f"({r},{j})"] = str(c)
             if c in seen:
                 distinct_ok = False

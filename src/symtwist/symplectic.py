@@ -18,16 +18,15 @@ the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .scalars import ONE, Scalar
 
 
-@dataclass(frozen=True)
-class Covector:
+class Covector(namedtuple("Covector", "components")):
     """Element of V*, components against the dual basis."""
 
-    components: tuple
+    __slots__ = ()
 
     def is_zero(self):
         return not any(self.components)

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -233,6 +234,48 @@ def test_unwritable_out_rejected(tmp_path):
     res = run_cli("symbol-check", "--l", "1", "--degree", "0", "--out", str(out))
     _assert_bad_input(res)
     assert str(out) in res.stderr
+
+
+def _run_with_stdout(stdout, preexec_fn=None):
+    return subprocess.run(
+        [sys.executable, "-m", "symtwist", "project", "--l", "1", "--degree", "0"],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        preexec_fn=preexec_fn,
+        timeout=120,
+    )
+
+
+def test_closed_pipe_on_stdout_rejected():
+    # the reader's end is closed before the child starts, so every write
+    # the child makes meets a broken pipe (as under `| head -3`)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = _run_with_stdout(write_end)
+    finally:
+        os.close(write_end)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: cannot write report to stdout: ")
+    assert res.stderr.count("\n") == 1, res.stderr
+
+
+def test_closed_stdout_rejected():
+    res = _run_with_stdout(None, preexec_fn=lambda: os.close(1))
+    assert res.returncode == 2
+    assert res.stderr == "error: cannot write report to stdout: it is closed\n"
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # both modules cost import time on every run and no CLI path needs them
+    code = (
+        "import symtwist.cli, sys; "
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
 
 
 def test_text_format(tmp_path):

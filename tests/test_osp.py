@@ -7,11 +7,11 @@ from conftest import window_index, window_matrix
 from symtwist.forms import FormWindow, SpinorForm, basis_form, fits_window, form_to_coords, wedge
 from symtwist.linalg import solve
 from symtwist.osp import (
+    _lagrange_table,
     chain_model,
     column_projections,
     component_basis,
     component_scalar,
-    component_scalars_row,
     edge_basis,
     edge_projector,
     ff_plus,
@@ -20,7 +20,6 @@ from symtwist.osp import (
     m_index,
     omega_trace,
     passes_component_screen,
-    project_component,
     project_wedge,
     raising,
     triangle_labels,
@@ -84,9 +83,33 @@ def test_component_scalar_table_hand_values():
 @pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 6])
 def test_component_scalars_pairwise_distinct(l):
     for r in range(2 * l + 1):
-        row = component_scalars_row(l, r)
-        vals = [(c.re, c.im) for c in row.values()]
+        row = _column_scalars(l, r)
+        vals = [(c.re, c.im) for c in row]
         assert len(set(vals)) == len(vals)
+
+
+def _column_scalars(l, r):
+    return [component_scalar(l, r, j) for j in range(m_index(l, r) + 1)]
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 6])
+def test_lagrange_table_interpolates_the_column_scalars(l):
+    # direct oracle for the projector coefficients, with no F-F+: row j,
+    # evaluated at c_k, is exactly delta_jk, and the rows sum to the
+    # constant polynomial 1
+    for r in range(2 * l + 1):
+        scalars = _column_scalars(l, r)
+        table = _lagrange_table(scalars)
+        assert len(table) == len(scalars)
+        for j, row in enumerate(table):
+            assert len(row) == len(scalars)
+            for k, c in enumerate(scalars):
+                value = Scalar(0)
+                for a in reversed(row):
+                    value = value * c + a
+                assert value == (Scalar(1) if j == k else Scalar(0))
+        sums = [sum((row[n] for row in table), Scalar(0)) for n in range(len(scalars))]
+        assert sums == [Scalar(1)] + [Scalar(0)] * (len(scalars) - 1)
 
 
 def test_primitive_basis_hand_value(sp1):
@@ -156,18 +179,19 @@ def test_edge_projector_l1_window(sp1):
 def test_projectors_fix_and_separate(sp2):
     for (r, j) in triangle_labels(2):
         for b in component_basis(sp2, r, j, 1):
-            assert project_component(sp2, r, j, b) == b
+            proj = column_projections(sp2, r, b)
+            assert proj[j] == b
             for k in range(m_index(2, r) + 1):
                 if k != j:
-                    assert project_component(sp2, r, k, b).is_zero()
+                    assert proj[k].is_zero()
 
 
 def _horner_projection(sp, r, j, psi):
     """Oracle: the product of (F-F+ - c_{r j'}) over j' != j, applied factor
     by factor, divided by the product of the scalar differences."""
-    row = component_scalars_row(sp.l, r)
+    row = _column_scalars(sp.l, r)
     cur, denom = psi, Scalar(1)
-    for jp, c in row.items():
+    for jp, c in enumerate(row):
         if jp != j:
             cur = ff_plus(sp, cur) - cur.scale(c)
             denom = denom * (row[j] - c)
@@ -195,7 +219,6 @@ def test_krylov_projections_equal_horner_oracle(l, D):
             for j, pv in enumerate(proj):
                 oracle = _horner_projection(sp, r, j, v)
                 assert pv == oracle
-                assert project_component(sp, r, j, v) == oracle
             assert edge_projector(sp, r, v) == proj[-1]
 
 
