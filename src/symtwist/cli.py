@@ -163,15 +163,13 @@ def _report_passed(report) -> bool:
     return status in ("pass", "vacuous")
 
 
-def _add_common(p, slack=False, xi=False, seed=False):
+def _add_common(p, slack=False, xi=False):
     p.add_argument("--l", type=int, default=2, help="half-dimension (default 2)")
     p.add_argument("--degree", type=int, default=2, help="spinor degree bound D (default 2)")
     if slack:
         p.add_argument("--slack", type=int, default=4, help="extra degree room for preimages (default 4)")
     if xi:
         p.add_argument("--xi", default="canonical", help="'canonical' or 2l comma-separated rationals")
-    if seed:
-        p.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -223,11 +221,8 @@ def _cmd_symbol_check(args):
         raise ValueError("need --l >= 1, --degree >= 0 and --slack >= 0")
     sp = standard_space(args.l)
     xi, label = _parse_xi(sp, args.xi)
-    cache = {}
-    complex_report = check_complex(sp, args.degree, xi, xi_label=label, _cache=cache)
-    exact_report = check_exactness(
-        sp, args.degree, xi, args.slack, xi_label=label, _cache=cache
-    )
+    complex_report = check_complex(sp, args.degree, xi, xi_label=label)
+    exact_report = check_exactness(sp, args.degree, xi, args.slack, xi_label=label)
     report = {
         "suite": "symbol-check",
         "complex": complex_report,

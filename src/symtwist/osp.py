@@ -24,7 +24,8 @@ ker(F-) below the halfway degree and ker(F+) from it on; the eigen-kernel
 of F-F+ - c_{rj} serves every other component and checks the edge.  The
 chain model spans the F+-orbits of primitive vectors (the edges up to the
 halfway degree) and is the smallest window-sized subspace closed under
-the whole algebra.
+the whole algebra.  The space keeps every basis it is asked for, so a
+window kernel is eliminated once per space.
 
 The spectral projectors are Sylvester's Frobenius covariants of A = F-F+:
 the projector onto (r, j) is the Lagrange polynomial prod_{j' != j}
@@ -32,9 +33,8 @@ the projector onto (r, j) is the Lagrange polynomial prod_{j' != j}
 path that applies them: it applies the exact coefficients of every label
 to the Krylov sequence psi, A psi, ..., A^{m_r} psi, so all projections of
 one vector cost m_r applications of A (``edge_projector`` reads the edge
-row alone).  The coefficient table of a column is expanded on the first
-projection that meets its tuple of scalars c_{r 0}, ..., c_{r m_r}, and
-kept for every later one.  The product of (A - c_{r k}) over
+row alone).  The space keeps the coefficient table of each column,
+expanded on the column's first projection.  The product of (A - c_{r k}) over
 a set of labels is a factor of every projector outside the set, so when
 it kills psi, every projection of psi outside the set is zero
 (``passes_component_screen``).
@@ -155,40 +155,40 @@ def component_scalar(l: int, i: int, j: int) -> Scalar:
 # ---------------------------------------------------------------------------
 # spectral projectors
 
-# the Lagrange table of every tuple of column scalars met so far, keyed by
-# the scalars' triples: a column has m_r + 1 <= l + 1 labels, so it is small
-_LAGRANGE: dict = {}
+
+def _kept(sp: SymplecticSpace, key, build):
+    """The table the space keeps under key, built by build() on first use."""
+    table = sp._memo.get(key)
+    if table is None:
+        table = sp._memo[key] = build()
+    return table
 
 
 def _lagrange_table(scalars: list) -> list:
     """Row j: the coefficients, lowest degree first, of Sylvester's
     Lagrange polynomial prod_{k != j} (x - c_k) / (c_j - c_k) on the
-    column's scalars c_0, ..., c_m; expanded once for each distinct tuple
-    of scalars."""
-    key = tuple((c._a, c._b, c._d) for c in scalars)
-    table = _LAGRANGE.get(key)
-    if table is None:
-        table = []
-        for j, cj in enumerate(scalars):
-            poly, denom = [ONE], ONE
-            for k, c in enumerate(scalars):
-                if k != j:
-                    # poly * (x - c)
-                    poly = [a - c * b for a, b in zip([0] + poly, poly + [0])]
-                    denom = denom * (cj - c)
-            table.append([a / denom for a in poly])
-        _LAGRANGE[key] = table
+    column's scalars c_0, ..., c_m."""
+    table = []
+    for j, cj in enumerate(scalars):
+        poly, denom = [ONE], ONE
+        for k, c in enumerate(scalars):
+            if k != j:
+                # poly * (x - c)
+                poly = [a - c * b for a, b in zip([0] + poly, poly + [0])]
+                denom = denom * (cj - c)
+        table.append([a / denom for a in poly])
     return table
 
 
 def _krylov(sp: SymplecticSpace, r: int, psi: SpinorForm):
-    """The Lagrange table of column r and the Krylov sequence psi, A psi,
-    ..., A^{m_r} psi of A = F-F+."""
-    scalars = [component_scalar(sp.l, r, j) for j in range(m_index(sp.l, r) + 1)]
+    """The Lagrange table of column r, kept on the space, and the Krylov
+    sequence psi, A psi, ..., A^{m_r} psi of A = F-F+."""
+    scalars = (component_scalar(sp.l, r, j) for j in range(m_index(sp.l, r) + 1))
+    table = _kept(sp, ("lagrange", r), lambda: _lagrange_table(list(scalars)))
     seq = [psi]
-    for _ in range(len(scalars) - 1):
+    for _ in range(len(table) - 1):
         seq.append(ff_plus(sp, seq[-1]))
-    return _lagrange_table(scalars), seq
+    return table, seq
 
 
 def column_projections(sp: SymplecticSpace, r: int, psi: SpinorForm) -> list:
@@ -226,7 +226,7 @@ def edge_projector(sp: SymplecticSpace, r: int, psi: SpinorForm) -> SpinorForm:
 
 def edge_basis(sp: SymplecticSpace, r: int, D: int):
     """Exact basis of the edge component (r, m_r) on the (r, D) window, as a
-    first-order kernel.
+    first-order kernel; the space keeps the list, which callers only read.
 
     Below the halfway degree (0 < r < l) the edge (r, r) is the primitive
     part ker(F-): F+F- acts on (r, j) for j < r by c_{r-1, j}, which is
@@ -236,6 +236,10 @@ def edge_basis(sp: SymplecticSpace, r: int, D: int):
     normalised kernel basis depends only on the subspace, so this is the
     basis of component_basis(sp, r, m_r, D), element for element.
     """
+    return _kept(sp, ("edge", r, D), lambda: _edge_kernel(sp, r, D))
+
+
+def _edge_kernel(sp: SymplecticSpace, r: int, D: int):
     l = sp.l
     win = FormWindow(l, r, D)
     if r == 0 or r == 2 * l:
@@ -245,48 +249,43 @@ def edge_basis(sp: SymplecticSpace, r: int, D: int):
     return [coords_to_form(v, win) for v in kernel_basis(mat)]
 
 
-def component_basis(sp: SymplecticSpace, r: int, j: int, D: int, _cache=None):
+def component_basis(sp: SymplecticSpace, r: int, j: int, D: int):
     """Exact basis of the (r, j) component intersected with the window:
     kernel of F-F+ - c_{rj} (the distinct scalars make the eigenvalue a
     faithful label).
 
-    The m_r + 1 label matrices of a column differ only on the diagonal, so
-    a caller that asks for every label of a column passes one ``_cache``
-    dict, and the F-F+ images of the window are built once for them all."""
-    l = sp.l
-    if not in_triangle(l, r, j):
+    The space keeps the bases of every label of the column (r, D), built
+    together on the first label asked; callers only read the lists."""
+    if not in_triangle(sp.l, r, j):
         raise ValueError(f"(r, j)=({r}, {j}) outside the component triangle")
-    win, rows, images = _ff_images(sp, r, D, _cache)
-    c = component_scalar(l, r, j)
-    entries = dict(images)
-    for col, key in enumerate(win.basis):
-        rc = (rows[key], col)
-        v = entries.get(rc)
-        entries[rc] = -c if v is None else v - c
-    mat = OperatorMatrix(len(rows), win.dim, entries, rows)
-    return [coords_to_form(v, win) for v in kernel_basis(mat)]
+    return _kept(sp, ("component", r, D), lambda: _column_bases(sp, r, D))[j]
 
 
-def _ff_images(sp: SymplecticSpace, r: int, D: int, cache):
-    """The (r, D) window, the rows and the entries of the F-F+ matrix on
-    it; ``cache`` (when given) keeps them for the last (r, D) asked.
+def _column_bases(sp: SymplecticSpace, r: int, D: int):
+    """The component bases of every label of column r on the (r, D) window.
 
-    The rows are the sorted image keys and the window's own keys, the
-    diagonal of every label's matrix.  A window key that is no image key
-    and meets c_{rj} = 0 gives an empty row, which is never a pivot, so
-    the kernels are those of the matrix with image rows only."""
-    key = (sp.l, r, D)
-    if cache is not None and key in cache:
-        return cache[key]
-    win = FormWindow(sp.l, r, D)
+    The m_r + 1 label matrices differ only on the diagonal, so the F-F+
+    images are built once.  Their rows are the sorted image keys and the
+    window's own keys, the diagonal of every label's matrix.  A window key
+    that is no image key and meets c_{rj} = 0 gives an empty row, which is
+    never a pivot, so the kernels are those of the matrix with image rows."""
+    l = sp.l
+    win = FormWindow(l, r, D)
     mat = operator_matrix(lambda p: ff_plus(sp, p), win)
     rows = {k: n for n, k in enumerate(sorted(set(mat.row_index).union(win.basis)))}
     perm = {row: rows[k] for k, row in mat.row_index.items()}
-    out = (win, rows, {(perm[row], col): v for (row, col), v in mat.entries.items()})
-    if cache is not None:
-        cache.clear()
-        cache[key] = out
-    return out
+    images = {(perm[row], col): v for (row, col), v in mat.entries.items()}
+    bases = []
+    for j in range(m_index(l, r) + 1):
+        c = component_scalar(l, r, j)
+        entries = dict(images)
+        for col, key in enumerate(win.basis):
+            rc = (rows[key], col)
+            v = entries.get(rc)
+            entries[rc] = -c if v is None else v - c
+        shifted = OperatorMatrix(len(rows), win.dim, entries, rows)
+        bases.append([coords_to_form(v, win) for v in kernel_basis(shifted)])
+    return bases
 
 
 # ---------------------------------------------------------------------------

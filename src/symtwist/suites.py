@@ -176,11 +176,8 @@ def run_decompose(sp: SymplecticSpace, D: int) -> dict:
 
     dims = {}
     eigen_bad = 0
-    bases = {}
-    images: dict = {}  # the F-F+ images of the column at hand
     for (r, j) in labels:
-        cb = component_basis(sp, r, j, D, _cache=images)
-        bases[(r, j)] = cb
+        cb = component_basis(sp, r, j, D)
         dims[f"({r},{j})"] = len(cb)
         c = component_scalar(l, r, j)
         for b in cb:
@@ -262,7 +259,7 @@ def run_decompose(sp: SymplecticSpace, D: int) -> dict:
         far = [k for k in targets if abs(k - j) > 1]
         if not far:
             continue
-        for psi in bases[(i, j)]:
+        for psi in component_basis(sp, i, j, D):
             for xi in covectors:
                 w = wedge(xi, psi)
                 transfer_total += len(far)

@@ -62,32 +62,21 @@ def xi_regime(sp: SymplecticSpace, xi: Covector) -> str:
     return "pure-derivative (outside polynomial-model injectivity)"
 
 
-def _edge_basis(sp, i, D, cache):
-    key = (i, D)
-    if key not in cache:
-        cache[key] = edge_basis(sp, i, D)
-    return cache[key]
-
-
-def check_complex(sp: SymplecticSpace, D: int, xi: Covector, xi_label=None, _cache=None) -> dict:
+def check_complex(sp: SymplecticSpace, D: int, xi: Covector, xi_label=None) -> dict:
     """Exact zero test of every consecutive symbol composite."""
     if xi.is_zero():
         raise ValueError("need a nonzero covector")
     l = sp.l
-    cache = {} if _cache is None else _cache
     entries = []
     positions = list(range(0, l - 1)) + list(range(l, 2 * l))
     for i in positions:
         note = None
+        basis = edge_basis(sp, i, D)
+        nonzero = 0
         if i == 2 * l - 1:
             # the next symbol is zero by convention, composite trivially zero
-            nonzero = 0
             note = "upper symbol is zero by convention"
-            dim = len(_edge_basis(sp, i, D, cache))
         else:
-            basis = _edge_basis(sp, i, D, cache)
-            dim = len(basis)
-            nonzero = 0
             for b in basis:
                 comp = symbol_apply(sp, i + 1, xi, symbol_apply(sp, i, xi, b))
                 if not comp.is_zero():
@@ -95,7 +84,7 @@ def check_complex(sp: SymplecticSpace, D: int, xi: Covector, xi_label=None, _cac
         rec = {
             "i": i,
             "side": "left" if i <= l - 2 else "right",
-            "dim_domain": dim,
+            "dim_domain": len(basis),
             "nonzero_composites": nonzero,
             "status": "pass" if nonzero == 0 else "fail",
         }
@@ -113,12 +102,11 @@ def check_complex(sp: SymplecticSpace, D: int, xi: Covector, xi_label=None, _cac
     }
 
 
-def check_exactness(sp: SymplecticSpace, D: int, xi: Covector, slack: int = 4, xi_label=None, _cache=None) -> dict:
+def check_exactness(sp: SymplecticSpace, D: int, xi: Covector, slack: int = 4, xi_label=None) -> dict:
     """Constructive exactness report for the truncated symbol sequences."""
     if xi.is_zero():
         raise ValueError("need a nonzero covector")
     l = sp.l
-    cache = {} if _cache is None else _cache
     xs = sharp(sp, xi)
     positions = []
 
@@ -135,9 +123,9 @@ def check_exactness(sp: SymplecticSpace, D: int, xi: Covector, slack: int = 4, x
             }
         )
     for i in range(0, l - 1):
-        positions.append(_left_position(sp, i, D, xi, xs, slack, cache))
+        positions.append(_left_position(sp, i, D, xi, xs, slack))
     for i in range(l + 1, 2 * l + 1):
-        positions.append(_right_position(sp, i, D, xi, slack, cache))
+        positions.append(_right_position(sp, i, D, xi, slack))
 
     ok = all(p["status"] in ("pass", "vacuous") for p in positions)
     return {
@@ -151,17 +139,17 @@ def check_exactness(sp: SymplecticSpace, D: int, xi: Covector, slack: int = 4, x
     }
 
 
-def _kernel_forms(sp, i, D, xi, cache):
-    basis = _edge_basis(sp, i, D, cache)
+def _kernel_forms(sp, i, D, xi):
+    basis = edge_basis(sp, i, D)
     mat = operator_matrix(lambda b: symbol_apply(sp, i, xi, b), basis)
     return basis, [_combine(sp.l, basis, v.items()) for v in kernel_basis(mat)]
 
 
-def _preimage_degrees(sp, i_prev, Dbig, xi, targets, cache):
+def _preimage_degrees(sp, i_prev, Dbig, xi, targets):
     """Solve sigma_{i_prev}(x) = phi over the edge window at degree Dbig for
     each phi in targets, all on one symbol matrix; returns the spinor degree
     of each witness, None for a target without one."""
-    basis = _edge_basis(sp, i_prev, Dbig, cache)
+    basis = edge_basis(sp, i_prev, Dbig)
     mat = operator_matrix(lambda b: symbol_apply(sp, i_prev, xi, b), basis)
     degrees = []
     for phi in targets:
@@ -185,8 +173,8 @@ def _record_preimages(rec, D, degrees):
     rec["status"] = "pass" if len(found) == rec["dim_kernel"] else "fail"
 
 
-def _left_position(sp, i, D, xi, xs, slack, cache):
-    basis, kernel = _kernel_forms(sp, i, D, xi, cache)
+def _left_position(sp, i, D, xi, xs, slack):
+    basis, kernel = _kernel_forms(sp, i, D, xi)
     rec = {
         "i": i,
         "side": "left",
@@ -211,11 +199,11 @@ def _left_position(sp, i, D, xi, xs, slack, cache):
     # status reflects constructed preimages only; the contraction identity
     # of the kernel vectors is reported as its own count (it can fail on
     # kernel vectors that nevertheless have preimages)
-    _record_preimages(rec, D, _preimage_degrees(sp, i - 1, D + slack, xi, kernel, cache))
+    _record_preimages(rec, D, _preimage_degrees(sp, i - 1, D + slack, xi, kernel))
     return rec
 
 
-def _right_position(sp, i, D, xi, slack, cache):
+def _right_position(sp, i, D, xi, slack):
     l = sp.l
     if i == 2 * l:
         # surjectivity onto the top window: every top basis vector needs a
@@ -230,14 +218,14 @@ def _right_position(sp, i, D, xi, slack, cache):
             "note": "top position: upper symbol is zero, kernel is the whole window",
         }
     else:
-        basis, targets = _kernel_forms(sp, i, D, xi, cache)
+        basis, targets = _kernel_forms(sp, i, D, xi)
         rec = {
             "i": i,
             "side": "right",
             "dim_domain": len(basis),
             "dim_kernel": len(targets),
         }
-    degrees = _preimage_degrees(sp, i - 1, D + slack, xi, targets, cache)
+    degrees = _preimage_degrees(sp, i - 1, D + slack, xi, targets)
     _record_preimages(rec, D, degrees)
     unreachable = [phi for phi, d in zip(targets, degrees) if d is None]
     if unreachable:
@@ -247,7 +235,7 @@ def _right_position(sp, i, D, xi, slack, cache):
         # preceding twistor operator is actually defined on.  The projected
         # wedge is never formed: phi = E(xi ^ p) is solved as
         # xi ^ p + F-(q) = phi (see _untruncated_solver).  Its matrices
-        # serve this position only, so they stay out of the cache.
+        # serve this position only, so the space does not keep them.
         solver = _untruncated_solver(sp, i, D, xi, slack)
         rec["preimages_from_untruncated_domain"] = rec["preimages_found"] + sum(
             1 for phi in unreachable if solver(phi)

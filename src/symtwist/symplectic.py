@@ -33,7 +33,7 @@ class Covector(namedtuple("Covector", "components")):
 
 
 class SymplecticSpace:
-    __slots__ = ("l", "dim", "_basis", "_cobasis")
+    __slots__ = ("l", "dim", "_basis", "_cobasis", "_memo")
 
     def __init__(self, l):
         self.l = l
@@ -45,6 +45,10 @@ class SymplecticSpace:
             for k in range(self.dim)
         )
         self._cobasis = tuple(Covector(e) for e in self._basis)
+        # the window tables osp derives from the space (edge and component
+        # bases, Lagrange tables), each built on first use and freed with
+        # the space
+        self._memo = {}
 
 
 def standard_space(l: int) -> SymplecticSpace:

@@ -206,11 +206,10 @@ def test_criterion_7_symbol_sequences():
         sp = standard_space(l)
         xi = canonical_covector(sp)
         for D in range(0, 4):
-            cache = {}
-            cc = check_complex(sp, D, xi, _cache=cache)
+            cc = check_complex(sp, D, xi)
             if cc["status"] != "pass":
                 failures.append(f"l={l} D={D}: nonzero composite")
-            ce = check_exactness(sp, D, xi, 4, _cache=cache)
+            ce = check_exactness(sp, D, xi, 4)
             for p in ce["positions"]:
                 if p["status"] not in ("pass", "vacuous"):
                     failures.append(
