@@ -66,7 +66,7 @@ def _emit(report, args) -> None:
 
 def _write(report, fmt, fh) -> None:
     if fmt == "json":
-        _write_json(report, fh, "\n", _STREAMED_LEVELS)
+        _write_json(report, fh, "\n", _STREAMED_LEVELS, {})
         fh.write("\n")
     else:
         lines = []
@@ -78,17 +78,27 @@ def _write(report, fmt, fh) -> None:
 # per token (about 33,000 for a 227 KB curvature report).  This writer makes
 # the same text: strings are escaped by the C function json uses, each
 # dict or list below the top levels is joined once, and the top levels are
-# written one child at a time, so a curvature report never holds more than
-# one i-slab of a tensor's text at once.
+# written one child at a time.
+#
+# A container that occurs more than once (a curvature report shares one
+# leaf dict per distinct value) is rendered once per indent in one write:
+# ``memo`` maps each indent to {id(node): (node, text)} for the containers
+# rendered at it.  Holding the node keeps its id from being reused, and the
+# memo lives for one _write call only, so a node edited between two writes
+# is rendered again.  It keeps every text it holds until the write ends, so
+# a curvature report's i-slabs are all held at once.  A parent looks its
+# children up itself: a call per child costs more than the rendering the
+# memo saves.
 _encode_str = json.encoder.encode_basestring_ascii
 _STREAMED_LEVELS = 3
 
 
-def _write_json(node, fh, newline, levels):
-    """Write _json_text(node, newline) to fh, the containers of the top
-    ``levels`` levels one child at a time."""
+def _write_json(node, fh, newline, levels, memo):
+    """Write _json_text(node, newline, memo) to fh, the containers of the
+    top ``levels`` levels one child at a time."""
     if not levels or not isinstance(node, (dict, list, tuple)) or not node:
-        fh.write(_json_text(node, newline))
+        hit = memo.get(newline, {}).get(id(node))
+        fh.write(hit[1] if hit else _json_text(node, newline, memo))
         return
     if isinstance(node, dict):
         opener, closer = "{", "}"
@@ -100,35 +110,47 @@ def _write_json(node, fh, newline, levels):
     sep = opener + inner
     for head, child in items:
         fh.write(sep + head)
-        _write_json(child, fh, inner, levels - 1)
+        _write_json(child, fh, inner, levels - 1, memo)
         sep = "," + inner
     fh.write(newline + closer)
 
 
-def _json_text(node, newline):
+def _json_text(node, newline, memo):
     """The text json.dump(node, fh, indent=2, sort_keys=True) writes, for
     str-keyed dicts, lists, tuples, str, int, bool and None; ``newline`` is
     "\n" plus the indent of the line ``node`` starts on.  Any other type
-    raises TypeError (``_encode_str`` refuses a key that is not a str)."""
+    raises TypeError (``_encode_str`` refuses a key that is not a str).
+    The text of a container is stored in ``memo``, and a child found there
+    is not rendered again."""
     if isinstance(node, str):
         return _encode_str(node)
-    if isinstance(node, dict):
+    if isinstance(node, (dict, list, tuple)):
         if not node:
-            return "{}"
+            return "{}" if isinstance(node, dict) else "[]"
         inner = newline + "  "
-        items = [
-            _encode_str(key)
-            + ": "
-            + (_encode_str(child) if type(child) is str else _json_text(child, inner))
-            for key, child in sorted(node.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(node, (list, tuple)):
-        if not node:
-            return "[]"
-        inner = newline + "  "
-        items = [_json_text(child, inner) for child in node]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        done = memo.setdefault(inner, {})
+        if isinstance(node, dict):
+            items = [
+                _encode_str(key)
+                + ": "
+                + (
+                    _encode_str(child)
+                    if type(child) is str
+                    else hit[1]
+                    if (hit := done.get(id(child)))
+                    else _json_text(child, inner, memo)
+                )
+                for key, child in sorted(node.items())
+            ]
+            text = "{" + inner + ("," + inner).join(items) + newline + "}"
+        else:
+            items = [
+                hit[1] if (hit := done.get(id(child))) else _json_text(child, inner, memo)
+                for child in node
+            ]
+            text = "[" + inner + ("," + inner).join(items) + newline + "]"
+        memo.setdefault(newline, {})[id(node)] = (node, text)
+        return text
     if node is None:
         return "null"
     if node is True:

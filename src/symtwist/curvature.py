@@ -79,8 +79,15 @@ class CurvatureTensor:
             for j in range(n):
                 eij = e[i][j]
                 for k in range(n):
+                    eijk = eij[k]
                     for m in range(k, n):
-                        if eij[k][m] != -eij[m][k]:
+                        x, y = eijk[m], eij[m][k]
+                        if type(x) is Scalar and type(y) is Scalar:
+                            # x != -y on canonical triples, with no -y built
+                            bad = x._d != y._d or x._a != -y._a or x._b != -y._b
+                        else:
+                            bad = x != -y
+                        if bad:
                             raise InvalidCurvatureError(
                                 "curvature must be antisymmetric in the last "
                                 f"index pair, fails at ({i + 1},{j + 1},{k + 1},{m + 1})"
@@ -225,7 +232,9 @@ def random_ricci_type(sp: SymplecticSpace, seed: int) -> CurvatureTensor:
 def curvature_to_json(R: CurvatureTensor) -> dict:
     n = 2 * R.l
     # a tensor has (2l)^4 entries but few distinct values: each is rendered
-    # once, and every entry gets its own copy of the rendering
+    # once, and equal entries share one leaf dict (so the report writer
+    # renders it once too).  Edit a copy of the result, not the result: one
+    # edited leaf would change every equal entry.
     rendered = {}
 
     def leaf(z):
@@ -235,7 +244,7 @@ def curvature_to_json(R: CurvatureTensor) -> dict:
         obj = rendered.get(key)
         if obj is None:
             obj = rendered[key] = scalar_to_json(z)
-        return dict(obj)
+        return obj
 
     return {
         "l": R.l,
@@ -247,9 +256,16 @@ def curvature_to_json(R: CurvatureTensor) -> dict:
 
 
 def curvature_from_json(obj: dict) -> CurvatureTensor:
+    if not isinstance(obj, dict):
+        raise ValueError("the input is not a JSON object")
+    for key in ("l", "entries"):
+        if key not in obj:
+            raise ValueError(f"missing key {key!r}")
     l = obj["l"]
     if type(l) is not int:
         raise ValueError(f"half-dimension l must be an integer, got {l!r}")
+    if l < 1:
+        raise ValueError(f"half-dimension l must be >= 1, got {l}")
     n = 2 * l
     parsed = {}
 

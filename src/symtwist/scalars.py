@@ -80,7 +80,12 @@ class Scalar:
         return hash(Fraction(self._a, self._d))
 
     def __neg__(self):
-        return _norm(-self._a, -self._b, self._d)
+        # negation keeps a canonical triple canonical: no gcd to divide out
+        z = _new(Scalar)
+        z._a = -self._a
+        z._b = -self._b
+        z._d = self._d
+        return z
 
     def __add__(self, other):
         if type(other) is Scalar:

@@ -131,7 +131,9 @@ def _assert_bad_curvature(tmp_path, edit, tensor=None):
     from symtwist.curvature import curvature_to_json
     from symtwist.symplectic import standard_space
 
-    obj = curvature_to_json(tensor or zero_curvature(standard_space(1)))
+    # a copy: equal entries share one leaf dict, so an edit of the result
+    # itself would reach every equal entry
+    obj = json.loads(json.dumps(curvature_to_json(tensor or zero_curvature(standard_space(1)))))
     edit(obj)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
@@ -165,9 +167,10 @@ def test_curvature_last_leaf_malformed(tmp_path, capsys, where, bad, detail):
     # a second run in the same process gets it again
     from symtwist.cli import main
     from symtwist.curvature import curvature_to_json, random_ricci_type
+    from symtwist.scalars import scalar_from_json
     from symtwist.symplectic import standard_space
 
-    obj = curvature_to_json(random_ricci_type(standard_space(2), 7))
+    obj = json.loads(json.dumps(curvature_to_json(random_ricci_type(standard_space(2), 7))))
     last = obj["entries"][3][3][3]
     if where == "leaf":
         last[3] = bad
@@ -175,6 +178,17 @@ def test_curvature_last_leaf_malformed(tmp_path, capsys, where, bad, detail):
         last[3][where] = bad
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
+
+    def malformed(leaf):
+        try:
+            scalar_from_json(leaf)
+        except (KeyError, TypeError, ValueError):
+            return True
+        return False
+
+    written = json.loads(path.read_text())["entries"]
+    leaves = [x for plane in written for block in plane for row in block for x in row]
+    assert [i for i, x in enumerate(leaves) if malformed(x)] == [len(leaves) - 1]
     for _ in range(2):
         assert main(["curvature", "--input", str(path)]) == 2
         captured = capsys.readouterr()
@@ -184,6 +198,29 @@ def test_curvature_last_leaf_malformed(tmp_path, capsys, where, bad, detail):
 
 def test_curvature_boolean_l_rejected(tmp_path):
     _assert_bad_curvature(tmp_path, lambda obj: obj.update(l=True))
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        ('{"l": 0, "entries": []}', "half-dimension l must be >= 1, got 0"),
+        ('{"l": -1, "entries": []}', "half-dimension l must be >= 1, got -1"),
+        ('{"entries": []}', "missing key 'l'"),
+        ('{"l": 1}', "missing key 'entries'"),
+        ('[{"l": 1, "entries": []}]', "the input is not a JSON object"),
+        ('"l"', "the input is not a JSON object"),
+    ],
+    ids=["l-zero", "l-negative", "no-l", "no-entries", "array", "string"],
+)
+def test_curvature_input_structure_errors(tmp_path, capsys, text, detail):
+    from symtwist.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["curvature", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read curvature tensor from {path}: {detail}\n"
 
 
 def test_curvature_deeply_nested_json_rejected(tmp_path):
@@ -363,3 +400,59 @@ def test_report_writer_refuses_other_types(bad):
             _write(value, "json", io.StringIO())
     with pytest.raises(TypeError):
         _write({1: "a"}, "json", io.StringIO())
+
+
+@_property
+@given(_json_values)
+def test_report_writer_matches_json_dump_on_shared_subtrees(value):
+    # one value object at several depths, streamed and not, and several
+    # times at one depth: the writer renders each container once per write
+    # and indent, and must still write every occurrence at its own indent
+    from symtwist.cli import _write
+
+    report = {
+        "a": value,
+        "b": [value, {"c": value, "d": [value, [value, (value,)]]}],
+        "e": {"f": {"g": [value, {"h": value}], "i": [[value], [[value]]]}},
+    }
+    expected = io.StringIO()
+    json.dump(report, expected, indent=2, sort_keys=True)
+    got = io.StringIO()
+    _write(report, "json", got)
+    assert got.getvalue() == expected.getvalue() + "\n"
+
+
+def test_report_writer_renders_an_edited_shared_leaf_again():
+    from symtwist.cli import _write
+    from symtwist.curvature import curvature_to_json, random_ricci_type
+    from symtwist.symplectic import standard_space
+
+    report = {"tensor": curvature_to_json(random_ricci_type(standard_space(2), 7))}
+    first = io.StringIO()
+    _write(report, "json", first)
+    leaf = report["tensor"]["entries"][0][0][0][0]
+    assert leaf == {"re": "0/1", "im": "0/1"}
+    leaf["re"] = "5/1"
+    expected = io.StringIO()
+    json.dump(report, expected, indent=2, sort_keys=True)
+    second = io.StringIO()
+    _write(report, "json", second)
+    assert second.getvalue() == expected.getvalue() + "\n" != first.getvalue()
+
+
+def test_curvature_report_renders_each_distinct_leaf_once(tmp_path, monkeypatch):
+    # a count, not a time: per-leaf rendering makes 4 string encodings per
+    # leaf (two keys, two values), 1,026 for the 256 leaves of this report
+    from symtwist import cli
+
+    calls = []
+
+    def counted(text, _encode=cli._encode_str):
+        calls.append(text)
+        return _encode(text)
+
+    monkeypatch.setattr(cli, "_encode_str", counted)
+    out = tmp_path / "R.json"
+    assert cli.main(["gen-curvature", "--l", "2", "--seed", "7", "--out", str(out)]) == 0
+    assert 0 < len(calls) < 256
+    assert len(json.loads(out.read_text())["entries"]) == 4

@@ -200,6 +200,15 @@ def _leaves(node):
         yield node
 
 
+def test_equal_entries_share_one_json_leaf(sp2):
+    R = random_ricci_type(sp2, 7)
+    leaves = {}
+    entries = (z for plane in R.entries for block in plane for row in block for z in row)
+    for z, x in zip(entries, _leaves(curvature_to_json(R)["entries"])):
+        assert leaves.setdefault((z._a, z._b, z._d), x) is x
+    assert 1 < len(leaves) < 4**4
+
+
 def test_repeated_strings_parse_to_equal_scalars(sp2):
     obj = curvature_to_json(random_ricci_type(sp2, 4))
     R = curvature_from_json(obj)
@@ -356,6 +365,39 @@ def test_invariant_error_texts_pinned():
     with pytest.raises(InvalidCurvatureError) as exc:
         CurvatureTensor(2, _single_entry(2, (0, 3, 2, 1), mirrored=True))
     assert str(exc.value) == "first Bianchi identity fails at (1,2,3,4)"
+
+
+@pytest.mark.parametrize(
+    "entry, mirror",
+    [
+        (1, Scalar(-1)),
+        (Scalar(1), -1),
+        (2, -2),
+        (Fraction(1, 2), Scalar(Fraction(-1, 2))),
+        (Scalar(Fraction(1, 3)), Fraction(-1, 3)),
+        (1, Scalar(1)),
+        (Fraction(1, 3), -1),
+        (Scalar(0, 1), 1),
+    ],
+)
+def test_antisymmetry_check_of_entries_that_are_not_scalars(entry, mirror):
+    # an int or Fraction entry is compared by value, as ``x != -y`` does
+    e = _single_entry(1, (0, 1, 0, 1), mirrored=True)
+    e[0][1][0][1], e[0][1][1][0] = entry, mirror
+    expected = _full_loop_failure(1, e)
+    if expected is None:
+        CurvatureTensor(1, e)
+    else:
+        with pytest.raises(InvalidCurvatureError) as exc:
+            CurvatureTensor(1, e)
+        assert str(exc.value) == expected
+
+
+def test_antisymmetry_check_of_an_entry_with_no_negation():
+    e = _single_entry(1, (0, 1, 0, 1), mirrored=True)
+    e[0][1][1][0] = None
+    with pytest.raises(TypeError):
+        CurvatureTensor(1, e)
 
 
 @st.composite
