@@ -36,13 +36,27 @@ class InvalidCurvatureError(ValueError):
     tensor (asymmetric Ricci contraction)."""
 
 
+_CURVATURE_SHAPE = "curvature entries must nest four lists of length 2l = {}"
+_RICCI_SHAPE = "Ricci entries must nest two lists of length 2l = {}"
+
+
+def _nested(x, n, depth, shape):
+    """x as ``depth`` levels of nested tuples, copying whole rows; every
+    level must have exactly n items, else InvalidCurvatureError with the
+    ``shape`` message: nothing is cut off."""
+    t = tuple(x) if depth == 1 else tuple(_nested(y, n, depth - 1, shape) for y in x)
+    if len(t) != n:
+        raise InvalidCurvatureError(shape.format(n))
+    return t
+
+
 class RicciTensor:
     __slots__ = ("l", "entries")
 
     def __init__(self, l, entries):
         n = 2 * l
         self.l = l
-        self.entries = tuple(tuple(entries[i][j] for j in range(n)) for i in range(n))
+        self.entries = _nested(entries, n, 2, _RICCI_SHAPE)
         for i in range(n):
             for j in range(i + 1, n):
                 if self.entries[i][j] != self.entries[j][i]:
@@ -67,13 +81,7 @@ class CurvatureTensor:
     def __init__(self, l, entries):
         n = 2 * l
         self.l = l
-        self.entries = tuple(
-            tuple(
-                tuple(tuple(entries[i][j][k][m] for m in range(n)) for k in range(n))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
+        self.entries = _nested(entries, n, 4, _CURVATURE_SHAPE)
         e = self.entries
         for i in range(n):
             for j in range(n):
@@ -284,7 +292,7 @@ def curvature_from_json(obj: dict) -> CurvatureTensor:
         if depth == 4:
             return leaf(x)
         if type(x) is not list or len(x) != n:
-            raise ValueError(f"curvature entries must nest four lists of length 2l = {n}")
+            raise ValueError(_CURVATURE_SHAPE.format(n))
         return [level(y, depth + 1) for y in x]
 
     return CurvatureTensor(l, level(obj["entries"], 0))

@@ -5,11 +5,10 @@ Matrices are maps between explicitly enumerated finite bases, stored as
 linear solving all read one factorisation of the matrix.  The matrix is
 split into the connected components of its nonzero pattern (rows and
 columns are the nodes, every nonzero entry an edge), found in one pass
-over the entries, and each component is reduced by one fraction-free
-(Bareiss-style) forward elimination with exact division.  Since the
-scalars form a field, every division is exact, and the cross-multiplied
-update keeps intermediate fractions close to minors of the input on
-integer-seeded data.
+over the entries, and each component is reduced by one forward Gaussian
+elimination: each row update subtracts one multiple of the pivot row,
+with one division for the multiplier.  The scalars form a field and keep
+every result in lowest terms, so no fraction-free scheme is needed.
 
 The factorisation is lazy and kept on the matrix: the first call of
 ``rank``, ``kernel_basis`` or ``solve`` splits it, and each component is
@@ -35,16 +34,6 @@ from __future__ import annotations
 from .scalars import ONE, Scalar
 
 _ZERO = Scalar(0)
-
-
-def accumulate(out: dict, key, c) -> None:
-    """Add c to the sparse map ``out`` at ``key``; a zero sum drops the key."""
-    acc = out.get(key)
-    s = c if acc is None else acc + c
-    if s:
-        out[key] = s
-    elif acc is not None:
-        del out[key]
 
 
 class OperatorMatrix:
@@ -114,20 +103,18 @@ def _eliminate(rows, ncols):
 
     Returns (pivots, free_cols, ops): pivots is a list of (row, col) in
     ascending column order, and ops lists every row update, in order, as
-    (row, pivot row, pivot, factor, previous pivot); the update took row to
-    (pivot * row - factor * pivot row) / previous pivot.  Rows never chosen
-    as pivots end up as zero rows.
+    (row, pivot row, multiplier); the update took row to row - multiplier *
+    pivot row.  Rows never chosen as pivots end up as zero rows.
     """
     nrows = len(rows)
     used = [False] * nrows
-    prev = [ONE] * nrows  # last pivot folded into each row (Bareiss bookkeeping)
     pivots = []
     free_cols = []
     ops = []
     for col in range(ncols):
         prow = None
         for r in range(nrows):
-            if not used[r] and rows[r].get(col):
+            if not used[r] and col in rows[r]:
                 prow = r
                 break
         if prow is None:
@@ -136,27 +123,22 @@ def _eliminate(rows, ncols):
         used[prow] = True
         pivots.append((prow, col))
         piv = rows[prow][col]
-        prow_items = list(rows[prow].items())
-        for r in range(nrows):
-            if used[r]:
+        prow_items = [(c, v) for c, v in rows[prow].items() if c != col]
+        # unused rows above prow hold no entry in col: the search passed them
+        for r in range(prow + 1, nrows):
+            row = rows[r]
+            if used[r] or col not in row:
                 continue
-            fac = rows[r].get(col)
-            if not fac:
-                continue
-            d = prev[r]
-            nfac = -fac
-            new = {}
-            for c, v in rows[r].items():
-                if c == col:
-                    continue
-                new[c] = piv * v / d
+            mult = row.pop(col) / piv
+            nmult = -mult
             for c, v in prow_items:
-                if c == col:
-                    continue
-                accumulate(new, c, nfac * v / d)
-            rows[r] = new
-            ops.append((r, prow, piv, fac, d))
-            prev[r] = piv
+                s = row.get(c)
+                s = nmult * v if s is None else s + nmult * v
+                if s:
+                    row[c] = s
+                else:
+                    del row[c]
+            ops.append((r, prow, mult))
     return pivots, free_cols, ops
 
 
@@ -230,9 +212,9 @@ def solve(m: OperatorMatrix, b):
     x: dict = {}
     for rsel, csel, rows, pivots, _free, ops in _factored(m, b):
         rhs = [b.get(r, _ZERO) for r in rsel]
-        for r, prow, piv, fac, d in ops:
-            if rhs[r] or rhs[prow]:
-                rhs[r] = (piv * rhs[r] - fac * rhs[prow]) / d
+        for r, prow, mult in ops:
+            if rhs[prow]:
+                rhs[r] = rhs[r] - mult * rhs[prow]
         pivot_rows = {pr for pr, _ in pivots}
         if any(rhs[r] for r in range(len(rows)) if r not in pivot_rows):
             return None

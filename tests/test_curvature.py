@@ -81,6 +81,38 @@ def test_curvature_invariants_enforced(sp1):
         CurvatureTensor(1, bad)
 
 
+def _nest(leaf, n, depth, level, items):
+    """``depth`` levels of nested lists of n items ending in ``leaf``,
+    except that the lists at ``level`` have ``items`` items."""
+    count = items if level == 0 else n
+    if depth == 1:
+        return [leaf] * count
+    return [_nest(leaf, n, depth - 1, level - 1, items) for _ in range(count)]
+
+
+@pytest.mark.parametrize("level", range(4))
+@pytest.mark.parametrize("items", [1, 3])
+def test_curvature_of_the_wrong_shape_refused(level, items):
+    # a level longer than 2l is refused, not cut to 2l, with the message
+    # that curvature_from_json gives for the same nesting
+    message = "curvature entries must nest four lists of length 2l = 2"
+    with pytest.raises(InvalidCurvatureError) as exc:
+        CurvatureTensor(1, _nest(Scalar(0), 2, 4, level, items))
+    assert str(exc.value) == message
+    leaf = {"re": "0", "im": "0"}
+    with pytest.raises(ValueError) as exc:
+        curvature_from_json({"l": 1, "entries": _nest(leaf, 2, 4, level, items)})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("level", range(2))
+@pytest.mark.parametrize("items", [1, 3])
+def test_ricci_of_the_wrong_shape_refused(level, items):
+    with pytest.raises(InvalidCurvatureError) as exc:
+        RicciTensor(1, _nest(Scalar(0), 2, 2, level, items))
+    assert str(exc.value) == "Ricci entries must nest two lists of length 2l = 2"
+
+
 def test_sigma_tilde_hand_value(sp1):
     st = sigma_tilde(sp1, _unit_sigma(1, 0, 0))
     assert st.entries[0][0][0][1] == Scalar(1)

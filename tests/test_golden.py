@@ -14,7 +14,9 @@ configuration), at l=3, D=2 and at l=4, D=1 (windows on which the span
 check reaches degree D + 2l), ``symbol-check`` at l=2, D=2 on the fractional covector
 (1/2, 0, -1/3, 2) (non-unit denominators), ``symbol-check`` at l=3, D=1 on
 the off-axis covector (1, 0, 2, -1, 1, 3) (one large component of the
-untruncated diagnostic matrix, solved against many times), ``symbol-check``
+untruncated diagnostic matrix, solved against many times) and at l=3, D=2
+with slack 4 on the same covector (the heaviest elimination of any pinned
+configuration, with the largest intermediate fractions), ``symbol-check``
 at l=4, D=1 (the l=4 edge and symbol matrices, and both windows of the
 untruncated diagnostic at i=5 and i=6), ``relations`` at l=4, D=1 (every
 operator on the largest pinned relations window), ``project`` at l=3, D=2
@@ -123,6 +125,11 @@ GOLDEN = {
         ("symbol-check", "--l", "3", "--degree", "1", "--slack", "2", "--xi", "1,0,2,-1,1,3"),
         1,
         "a27eaf5ee1a6ecd4807e557d6a0bb451b654be5ac4cbfb1584b4cca3238a73c3",
+    ),
+    "symbol-check-l3d2-xi-offaxis": (
+        ("symbol-check", "--l", "3", "--degree", "2", "--slack", "4", "--xi", "1,0,2,-1,1,3"),
+        1,
+        "3f8156be7f940f1a45b0c3411b60db4146214cf22c1bac5fdfadb6ece6f58540",
     ),
     "symbol-check-l4d1": (
         ("symbol-check", "--l", "4", "--degree", "1"),

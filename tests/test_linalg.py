@@ -275,23 +275,30 @@ def test_matches_sympy_oracle():
 
 def test_l3_operator_matrices_match_sympy_oracle():
     # matrices as the package builds them, rows from the images: F+ on the
-    # halfway 3-forms, F- on the 2-forms and the symbol map at i = 4
+    # halfway 3-forms, F- on the 2-forms and the symbol map at i = 4, at the
+    # canonical covector and, at D = 2, at an off-axis covector with a
+    # fractional component, where the kernel has denominators up to 48
     from symtwist.forms import FormWindow, operator_matrix
     from symtwist.osp import edge_basis, lowering, raising
     from symtwist.symbols import symbol_apply
-    from symtwist.symplectic import canonical_covector, standard_space
+    from symtwist.symplectic import Covector, canonical_covector, standard_space
 
     sp = standard_space(3)
     xi = canonical_covector(sp)
+    off_axis = Covector(tuple(Scalar(x) for x in (1, 0, 2, -1, Fraction(1, 2), 3)))
     cases = [
         operator_matrix(lambda p: raising(sp, p), FormWindow(3, 3, 1)),
         operator_matrix(lambda p: lowering(sp, p), FormWindow(3, 2, 1)),
         operator_matrix(lambda p: symbol_apply(sp, 4, xi, p), edge_basis(sp, 4, 1)),
+        operator_matrix(lambda p: symbol_apply(sp, 4, off_axis, p), edge_basis(sp, 4, 2)),
     ]
     for m in cases:
         red, pivots = _oracle_rref(m)
         assert rank(m) == len(pivots)
         assert kernel_basis(m) == _oracle_kernel(m.cols, red, pivots)
+    m, rng = cases[-1], random.Random(6)
+    b = matvec(m, {c: rng.choice(SMALL) for c in range(m.cols)})
+    assert solve(m, b) == _oracle_solve(m, b) is not None
 
 
 def _three_components():
@@ -396,3 +403,21 @@ def test_one_component_is_eliminated_once(monkeypatch):
         solve(m, b or {0: ONE})
     kernel_basis(m)
     assert len(calls) == 1
+
+
+def test_one_division_per_row_update(monkeypatch):
+    # plain elimination divides once per row update, for its multiplier,
+    # and nowhere else; counted without any clock
+    calls = []
+    truediv = Scalar.__truediv__
+
+    def counted(a, b):
+        calls.append(1)
+        return truediv(a, b)
+
+    parts, _owner = linalg._partition(_one_component(random.Random(5)))
+    monkeypatch.setattr(Scalar, "__truediv__", counted)
+    [(_rsel, csel, rows)] = parts
+    _pivots, _free, ops = linalg._eliminate(rows, len(csel))
+    monkeypatch.undo()
+    assert ops and len(calls) == len(ops)
