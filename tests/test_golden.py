@@ -20,7 +20,10 @@ configuration, with the largest intermediate fractions), ``symbol-check``
 at l=4, D=1 (the l=4 edge and symbol matrices, and both windows of the
 untruncated diagnostic at i=5 and i=6), ``relations`` at l=4, D=1 (every
 operator on the largest pinned relations window), ``project`` at l=3, D=2
-(its scale factors 2/(i-l) and i/(i-l) have odd denominators), and
+(its scale factors 2/(i-l) and i/(i-l) have odd denominators),
+``symbol-check`` at l=3, D=2 with slack 4 on the covector
+(0, 0, 0, 0, -1/2, 0) (matrices whose columns have non-unit image
+denominators, on the weight-blocked path), and
 ``curvature --input`` on the tensor from ``gen-curvature --l 2 --seed 7``.
 Five more ``curvature --input`` cases cover the split beyond a zero Weyl
 part: the tensors of ``gen-curvature --l 1 --seed 0`` and ``--l 3 --seed
@@ -145,6 +148,11 @@ GOLDEN = {
         ("project", "--l", "3", "--degree", "2"),
         0,
         "5edc121f4a69c6607485b4d8d662ea7fb598523c5cb356edf26ab8c6bb7dde7e",
+    ),
+    "symbol-check-l3d2-xi-half-axis": (
+        ("symbol-check", "--l", "3", "--degree", "2", "--slack", "4", "--xi", "0,0,0,0,-1/2,0"),
+        1,
+        "ba9c51d26482fa0cc5240e56f7fdb2358854e9635d9ebaac003e24851da04c4e",
     ),
 }
 
