@@ -24,8 +24,9 @@ and of osp and spinors run on the pairs with ``int`` arithmetic only:
 ``Scalar``s enter and leave only at the boundary.  The public constructor
 ``SpinorForm(l, {key: Scalar})`` and ``basis_form`` take them, as do
 ``scale``, ``coords_to_form`` and ``_combine``, whose coefficients are
-linalg's vectors.  The read-only ``.terms`` view, the entries of
-``operator_matrix`` and ``form_to_coords`` give canonical ones.
+linalg's vectors.  The read-only ``.terms`` view and ``form_to_coords``
+give canonical ones.  ``operator_matrix`` hands the pairs of each image
+to linalg as they are, over the image's denominator.
 
 Every SpinorForm holds no zero pair and one form degree.  The constructor
 checks both on whatever it is given.  The operators build their results
@@ -337,8 +338,7 @@ class FormWindow:
         return len(self.basis)
 
     def element(self, k) -> SpinorForm:
-        idx, e = self.basis[k]
-        return basis_form(self.l, idx, e)
+        return SpinorForm._trusted(self.l, {self.basis[k]: (1, 0)}, 1)
 
     # a window is also the sequence of its basis elements
     __getitem__ = element
@@ -405,22 +405,25 @@ def operator_matrix(fn, domain) -> OperatorMatrix:
     ``domain`` is any sequence of domain vectors, a window included.  The
     rows are the distinct basis keys of the images, in sorted order, so no
     row is empty and nothing is cut off; the key -> row map is kept on the
-    matrix as ``row_index``, for ``form_to_coords``.  The entries are
-    canonical Scalars.
+    matrix as ``row_index``, for ``form_to_coords``.  Each row holds the
+    images' Gaussian-integer pairs as they are, and each column the
+    denominator of its image (see the linalg module), with no Scalar and no
+    gcd.
     """
-    rows: dict = {}
-    entries = {}
+    by_key: dict = {}
+    dens = []
     for col, b in enumerate(domain):
         img = fn(b)
-        d = img._d
-        for key, (a, bb) in img._c.items():
-            entries[(rows.setdefault(key, len(rows)), col)] = from_pair(a, bb, d)
-    # renumber the rows from order of appearance to sorted key order: the
-    # elimination takes the first unused row as pivot, and in order of
-    # appearance its fill-in made one symbol check 2.3 times slower
-    perm = [0] * len(rows)
-    for k, key in enumerate(sorted(rows)):
-        perm[rows[key]] = k
-        rows[key] = k
-    entries = {(perm[r], col): c for (r, col), c in entries.items()}
-    return OperatorMatrix(len(rows), len(domain), entries, rows)
+        dens.append(img._d)
+        for key, pair in img._c.items():
+            row = by_key.get(key)
+            if row is None:
+                by_key[key] = {col: pair}
+            else:
+                row[col] = pair
+    # rows in sorted key order: the elimination takes the first unused row
+    # as pivot, and in order of appearance its fill-in made one symbol
+    # check 2.3 times slower
+    keys = sorted(by_key)
+    row_index = {key: k for k, key in enumerate(keys)}
+    return OperatorMatrix._trusted(len(keys), len(dens), [by_key[k] for k in keys], dens, row_index)

@@ -47,6 +47,7 @@ from .forms import (
     SpinorForm,
     _add,
     _combine,
+    _common,
     _moves,
     contract,
     coords_to_form,
@@ -272,18 +273,26 @@ def _column_bases(sp: SymplecticSpace, r: int, D: int):
     l = sp.l
     win = FormWindow(l, r, D)
     mat = operator_matrix(lambda p: ff_plus(sp, p), win)
-    rows = {k: n for n, k in enumerate(sorted(set(mat.row_index).union(win.basis)))}
-    perm = {row: rows[k] for k, row in mat.row_index.items()}
-    images = {(perm[row], col): v for (row, col), v in mat.entries.items()}
+    keys = sorted(set(mat.row_index).union(win.basis))
+    rows = {k: n for n, k in enumerate(keys)}
+    images = [{} for _ in keys]
+    for key, row in mat.row_index.items():
+        images[rows[key]] = mat._rows[row]
+    diagonal = [rows[key] for key in win.basis]
     bases = []
     for j in range(m_index(l, r) + 1):
+        # subtract c = ca / cd on the diagonal: column col goes over the
+        # common denominator of its own and cd
         c = component_scalar(l, r, j)
-        entries = dict(images)
-        for col, key in enumerate(win.basis):
-            rc = (rows[key], col)
-            v = entries.get(rc)
-            entries[rc] = -c if v is None else v - c
-        shifted = OperatorMatrix(len(rows), win.dim, entries, rows)
+        scaled = [_common(d, c._d) for d in mat._dens]
+        pairs = [
+            {col: (a * scaled[col][1], b * scaled[col][1]) for col, (a, b) in row.items()}
+            for row in images
+        ]
+        if c:
+            for col, (_d, _m, n) in enumerate(scaled):
+                _add(pairs[diagonal[col]], col, -c._a * n, -c._b * n)
+        shifted = OperatorMatrix._trusted(len(rows), win.dim, pairs, [t[0] for t in scaled], rows)
         bases.append([coords_to_form(v, win) for v in kernel_basis(shifted)])
     return bases
 

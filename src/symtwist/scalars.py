@@ -1,10 +1,12 @@
 """Exact Gaussian-rational arithmetic.
 
 The number type of the package's interfaces: a + b*i with rational a, b.
-Linear algebra, curvature tensors, symbols and reports compute with it.
-The operator layer (``forms``, ``osp``, ``spinors``) does not: a form holds
-Gaussian-integer pairs over one denominator, and Scalars enter and leave
-it only at its boundary (see the forms module).  A ``Scalar`` stores three
+Curvature tensors, symbols and reports compute with it.  The operator
+layer (``forms``, ``osp``, ``spinors``) and linear algebra (``linalg``) do
+not: a form holds Gaussian-integer pairs over one denominator, an operator
+matrix holds Gaussian-integer rows over one denominator per column, and
+Scalars enter and leave both only at their boundaries (see the forms and
+linalg modules).  A ``Scalar`` stores three
 Python ints ``(a, b, d)`` and means ``(a + b*i) / d``.  The triple is kept canonical after every operation:
 
 * ``d > 0``;

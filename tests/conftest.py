@@ -402,3 +402,126 @@ def ref_combine(vectors, coeffs):
             if a:
                 _ref_accumulate(out, key, a * c)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Scalar linear algebra: the reference for the Gaussian-integer rows of
+# ``symtwist.linalg``.  The same pivot rule (columns left to right, the
+# first unused row with an entry), plain Gaussian elimination on
+# ``{col: Scalar}`` rows read from ``m.entries``, one division per row
+# update, and no factorisation kept between calls.
+
+
+def ref_partition(m):
+    """Connected components of the nonzero pattern of m, as a list of
+    [global rows, global cols, local rows] with ``{local col: Scalar}``
+    rows, found by a union-find over the entries; components in order of
+    first appearance among the columns, then among the rows."""
+    entries = m.entries
+    parent = list(range(m.rows + m.cols))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for r, c in entries:
+        a, b = find(r), find(m.rows + c)
+        if a != b:
+            parent[b] = a
+    groups: dict = {}
+    col_pos = []
+    for c in range(m.cols):
+        cols = groups.setdefault(find(m.rows + c), ([], []))[1]
+        col_pos.append(len(cols))
+        cols.append(c)
+    for r in range(m.rows):
+        groups.setdefault(find(r), ([], []))[0].append(r)
+    rows = [dict() for _ in range(m.rows)]
+    for (r, c), v in entries.items():
+        rows[r][col_pos[c]] = v
+    return [[rsel, csel, [rows[r] for r in rsel]] for rsel, csel in groups.values()]
+
+
+def ref_eliminate(rows, ncols):
+    """Forward elimination of the ``{col: Scalar}`` rows in place; returns
+    (pivots, free_cols, ops) with ops as (row, pivot row, multiplier)."""
+    nrows = len(rows)
+    used = [False] * nrows
+    pivots, free_cols, ops = [], [], []
+    for col in range(ncols):
+        prow = next((r for r in range(nrows) if not used[r] and col in rows[r]), None)
+        if prow is None:
+            free_cols.append(col)
+            continue
+        used[prow] = True
+        pivots.append((prow, col))
+        piv = rows[prow][col]
+        for r in range(prow + 1, nrows):
+            row = rows[r]
+            if used[r] or col not in row:
+                continue
+            mult = row.pop(col) / piv
+            for c, v in rows[prow].items():
+                if c != col:
+                    _ref_accumulate(row, c, -(mult * v))
+            ops.append((r, prow, mult))
+    return pivots, free_cols, ops
+
+
+def ref_back_substitute(rows, pivots, x, rhs=None):
+    """Fill in the pivot coordinates of x so that every eliminated row meets
+    its entry of the eliminated right-hand side (zero when None)."""
+    from symtwist.scalars import Scalar
+
+    for prow, pcol in reversed(pivots):
+        acc = Scalar(0) if rhs is None else rhs[prow]
+        for c, coef in rows[prow].items():
+            if c != pcol and c in x:
+                acc = acc - coef * x[c]
+        if acc:
+            x[pcol] = acc / rows[prow][pcol]
+    return x
+
+
+def _ref_factored(m):
+    parts = ref_partition(m)
+    for part in parts:
+        part.extend(ref_eliminate(part[2], len(part[1])))
+    return parts
+
+
+def ref_rank(m) -> int:
+    return sum(len(pivots) for _rsel, _csel, _rows, pivots, _free, _ops in _ref_factored(m))
+
+
+def ref_kernel_basis(m):
+    """The kernel vectors with a 1 at their own free column and 0 at every
+    other, ordered by that column."""
+    from symtwist.scalars import ONE
+
+    tagged = []
+    for _rsel, csel, rows, pivots, free_cols, _ops in _ref_factored(m):
+        for f in free_cols:
+            v = ref_back_substitute(rows, pivots, {f: ONE})
+            tagged.append((csel[f], {csel[c]: x for c, x in v.items()}))
+    tagged.sort(key=lambda t: t[0])
+    return [v for _, v in tagged]
+
+
+def ref_solve(m, b):
+    """The solution of m@x = b with every free variable 0, or None."""
+    from symtwist.scalars import Scalar
+
+    x: dict = {}
+    for rsel, csel, rows, pivots, _free, ops in _ref_factored(m):
+        rhs = [b.get(r, Scalar(0)) for r in rsel]
+        for r, prow, mult in ops:
+            rhs[r] = rhs[r] - mult * rhs[prow]
+        pivot_rows = {pr for pr, _ in pivots}
+        if any(rhs[r] for r in range(len(rows)) if r not in pivot_rows):
+            return None
+        for c, v in ref_back_substitute(rows, pivots, {}, rhs).items():
+            x[csel[c]] = v
+    return x

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from conftest import matvec, window_matrix
+from conftest import matvec, ref_kernel_basis, ref_rank, ref_solve, window_matrix
 from symtwist import linalg
 from symtwist.linalg import OperatorMatrix, kernel_basis, rank, solve
 from symtwist.scalars import I, ONE, Scalar
@@ -405,19 +406,208 @@ def test_one_component_is_eliminated_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_one_division_per_row_update(monkeypatch):
-    # plain elimination divides once per row update, for its multiplier,
-    # and nowhere else; counted without any clock
+def _gaussian_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def test_updated_rows_are_content_reduced():
+    # replaying the recorded ops (row, pivot row, P, F, g) on the rows of the
+    # partition must divide exactly by g, leave every updated row with
+    # integer content 1 (or empty) and end at the eliminated rows
+    rng = random.Random(5)
+    cases = [_one_component(rng) for _ in range(30)] + [_non_unit_pivots()]
+    for m in cases:
+        for rsel, csel, rows in linalg._partition(m)[0]:
+            start = [dict(row) for row in rows]
+            _pivots, _free, ops = linalg._eliminate(rows, csel)
+            for r, p, P, F, g in ops:
+                new = {}
+                for c, v in start[r].items():
+                    new[c] = _gaussian_mul(P, v)
+                for c, v in start[p].items():
+                    a, b = new.get(c, (0, 0))
+                    fa, fb = _gaussian_mul(F, v)
+                    new[c] = (a - fa, b - fb)
+                new = {c: v for c, v in new.items() if v != (0, 0)}
+                assert all(a % g == 0 and b % g == 0 for a, b in new.values())
+                new = {c: (a // g, b // g) for c, (a, b) in new.items()}
+                assert not new or gcd(*(x for v in new.values() for x in v)) == 1
+                start[r] = new
+            assert start == rows
+    assert any(g > 1 for m in cases for part in linalg._partition(m)[0]
+               for *_r, g in linalg._eliminate(part[2], part[1])[2])
+
+
+def _non_unit_pivots():
+    """A one-component matrix whose row updates leave a common factor 2:
+    row 1 - row 0 is 2 * (0, 1, 1)."""
+    return M(3, 3, {
+        (0, 0): ONE, (0, 1): Scalar(1), (0, 2): Scalar(-1),
+        (1, 0): ONE, (1, 1): Scalar(3), (1, 2): Scalar(1),
+        (2, 1): Scalar(0, 2), (2, 2): Scalar(0, 6),
+    })
+
+
+def test_no_scalar_inside_the_factorisation(monkeypatch):
+    # partition, elimination, the replay of a right-hand side and
+    # back-substitution create and combine no Scalar: every Scalar method,
+    # the normaliser and linalg's boundary conversion are counted, and the
+    # count must stay 0; the counters do see the Scalar reference
+    from symtwist import scalars
+
+    rng = random.Random(7)
+    cases = [_one_component(rng) for _ in range(10)] + [_three_components(), _non_unit_pivots()]
+    rhss = []
+    for m in cases:
+        b = matvec(m, {c: rng.choice(SMALL) for c in range(m.cols)})
+        bd = 1
+        for z in b.values():
+            bd = bd * z._d // gcd(bd, z._d)
+        rhss.append({r: (z._a * (bd // z._d), z._b * (bd // z._d), 1) for r, z in b.items()})
     calls = []
-    truediv = Scalar.__truediv__
 
-    def counted(a, b):
-        calls.append(1)
-        return truediv(a, b)
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
 
-    parts, _owner = linalg._partition(_one_component(random.Random(5)))
-    monkeypatch.setattr(Scalar, "__truediv__", counted)
-    [(_rsel, csel, rows)] = parts
-    _pivots, _free, ops = linalg._eliminate(rows, len(csel))
-    monkeypatch.undo()
-    assert ops and len(calls) == len(ops)
+        return wrapper
+
+    for name in ("__init__", "__bool__", "__eq__", "__hash__", "__neg__", "__add__",
+                 "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(Scalar, name, counted(getattr(Scalar, name)))
+    monkeypatch.setattr(scalars, "_norm", counted(scalars._norm))
+    monkeypatch.setattr(linalg, "from_pair", counted(linalg.from_pair))
+    nops = 0
+    for m, pairs in zip(cases, rhss):
+        for rsel, csel, rows in linalg._partition(m)[0]:
+            pivots, free_cols, ops = linalg._eliminate(rows, csel)
+            nops += len(ops)
+            for f in free_cols:
+                linalg._back_substitute(rows, pivots, {f: (1, 0)})
+            rhs = [pairs.get(r, (0, 0, 1)) for r in rsel]
+            linalg._replay(ops, rhs)
+            linalg._back_substitute(rows, pivots, {}, rhs)
+    assert nops and calls == []
+    ref_solve(cases[0], {0: ONE})
+    assert calls
+
+
+# Sparse Gaussian-rational matrices for the comparison with the Scalar
+# reference: each column draws its own denominator, so the columns of one
+# matrix are scaled differently, and the entries mix unit, non-unit, purely
+# imaginary and general values, so that pivots of every kind occur.
+_numerator = st.integers(-6, 6).filter(bool)
+
+
+@st.composite
+def _mixed_entry(draw, den):
+    kind = draw(st.sampled_from(("unit", "real", "imaginary", "general")))
+    if kind == "unit":
+        return draw(st.sampled_from((ONE, -ONE, I, -I)))
+    a, b = draw(_numerator), draw(_numerator)
+    if kind == "real":
+        return Scalar(Fraction(a, den))
+    if kind == "imaginary":
+        return Scalar(0, Fraction(b, den))
+    return Scalar(Fraction(a, den), Fraction(b, draw(st.integers(1, 12))))
+
+
+@st.composite
+def _mixed_systems(draw):
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    dens = [draw(st.sampled_from((1, 1, 2, 3, 4, 6, 8, 9))) for _ in range(cols)]
+    cells = draw(st.sets(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))))
+    entries = {(r, c): draw(_mixed_entry(dens[c])) for r, c in sorted(cells)}
+    if rows > 1 and draw(st.booleans()):
+        # a row that is a multiple of another, so that rank < rows
+        src, dst = draw(st.permutations(range(rows)))[:2]
+        f = draw(_mixed_entry(1))
+        for c in range(cols):
+            entries.pop((dst, c), None)
+            if (src, c) in entries:
+                entries[(dst, c)] = entries[(src, c)] * f
+    m = M(rows, cols, entries)
+    if draw(st.booleans()):
+        b = matvec(m, {c: draw(_mixed_entry(3)) for c in sorted(draw(st.sets(st.integers(0, cols - 1))))})
+    else:
+        b = {r: draw(_mixed_entry(2)) for r in sorted(draw(st.sets(st.integers(0, rows - 1))))}
+    return m, b
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_mixed_systems())
+def test_matches_scalar_reference(system):
+    m, b = system
+    assert kernel_basis(m) == ref_kernel_basis(m)
+    assert rank(m) == ref_rank(m)
+    assert solve(m, b) == ref_solve(m, b)
+    # a fresh matrix, solved before anything else factors it
+    fresh = M(m.rows, m.cols, m.entries)
+    assert solve(fresh, b) == ref_solve(m, b)
+
+
+# p = 2^61 - 1 is prime and 3 mod 4, so i stays outside F_p and the
+# Gaussian integers mod p form the field F_{p^2}
+_P = (1 << 61) - 1
+
+
+def _rank_mod_p(m):
+    """The rank of m over F_{p^2}, read from its Scalar entries; a lower
+    bound for the rank over Q(i) when p divides no denominator."""
+    rows: dict = {}
+    for (r, c), z in m.entries.items():
+        re, im = z.re, z.im
+        assert re.denominator % _P and im.denominator % _P
+        a = re.numerator * pow(re.denominator, -1, _P) % _P
+        b = im.numerator * pow(im.denominator, -1, _P) % _P
+        rows.setdefault(r, {})[c] = (a, b)
+    pivots: dict = {}
+    for row in rows.values():
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                a, b = row[c]
+                n = pow(a * a + b * b, -1, _P)
+                inv = (a * n % _P, -b * n % _P)
+                pivots[c] = {k: tuple(x % _P for x in _gaussian_mul(v, inv)) for k, v in row.items()}
+                break
+            f = row[c]
+            for k, v in prow.items():
+                fa, fb = _gaussian_mul(f, v)
+                a, b = row.get(k, (0, 0))
+                a, b = (a - fa) % _P, (b - fb) % _P
+                if a or b:
+                    row[k] = (a, b)
+                else:
+                    row.pop(k, None)
+    return len(pivots)
+
+
+def test_rank_certificate_at_l4():
+    # rank and kernel_basis certified without a second exact solver, at a
+    # size where SymPy is too slow: the rank over F_{p^2} bounds the rank
+    # from below, and kernel vectors that pass an exact product and have a 1
+    # at their own free column (the largest column of their support, so the
+    # vectors are independent) bound it from above
+    from symtwist.forms import FormWindow, operator_matrix
+    from symtwist.osp import lowering, raising
+    from symtwist.symplectic import standard_space
+
+    sp = standard_space(4)
+    cases = [
+        operator_matrix(lambda p: raising(sp, p), FormWindow(4, 4, 2)),
+        operator_matrix(lambda p: lowering(sp, p), FormWindow(4, 3, 2)),
+    ]
+    for m in cases:
+        vecs = kernel_basis(m)
+        own = [max(v) for v in vecs]
+        assert len(set(own)) == len(vecs)
+        for v, f in zip(vecs, own):
+            assert v[f] == ONE
+            assert matvec(m, v) == {}
+        lower, upper = _rank_mod_p(m), m.cols - len(vecs)
+        assert lower == upper == rank(m)
+        assert 0 < rank(m) < m.cols
