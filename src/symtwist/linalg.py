@@ -205,8 +205,8 @@ def _eliminate(rows, cols):
             if col not in row:
                 continue
             fa, fb = row.pop(col)
-            k = gcd(pa, pb, fa, fb)
-            Pa, Pb, Fa, Fb = pa // k, pb // k, fa // k, fb // k
+            h = gcd(pa, pb, fa, fb)
+            Pa, Pb, Fa, Fb = pa // h, pb // h, fa // h, fb // h
             if Pa * Pa + Pb * Pb == 1:
                 # a unit P: divide the update by it, F / P = F * conj(P)
                 Fa, Fb, Pa, Pb = Fa * Pa + Fb * Pb, Fb * Pa - Fa * Pb, 1, 0
@@ -328,7 +328,8 @@ def kernel_basis(m: OperatorMatrix):
             # vector of m is d_c * y_c / d_f
             x, delta = _back_substitute(rows, pivots, {f: (1, 0)})
             den = delta * dens[f]
-            tagged.append((f, {c: from_pair(a * dens[c], b * dens[c], den) for c, (a, b) in x.items()}))
+            v = {c: from_pair(a * dens[c], b * dens[c], den) for c, (a, b) in x.items()}
+            tagged.append((f, v))
     tagged.sort(key=lambda t: t[0])
     return [v for _, v in tagged]
 
@@ -337,26 +338,17 @@ def _replay(ops, rhs):
     """Apply the recorded row updates to the right-hand side ``rhs``, a list
     of ``(a, b, s)`` meaning (a + b*i) / s, in place."""
     for r, p, (Pa, Pb), (Fa, Fb), g in ops:
-        ra, rb, rs = rhs[r]
+        ra, rb, s = rhs[r]
         pa, pb, ps = rhs[p]
-        if not (pa or pb):
-            if not (ra or rb):
-                continue
-            na, nb, s = Pa * ra - Pb * rb, Pa * rb + Pb * ra, rs
-        else:
-            ua, ub = Fa * pa - Fb * pb, Fa * pb + Fb * pa
-            if not (ra or rb):
-                na, nb, s = -ua, -ub, ps
-            else:
-                va, vb = Pa * ra - Pb * rb, Pa * rb + Pb * ra
-                if rs == ps:
-                    s = rs
-                else:
-                    # over the least common multiple of the two denominators
-                    k = gcd(rs, ps)
-                    s = rs // k * ps
-                    va, vb, ua, ub = va * (ps // k), vb * (ps // k), ua * (rs // k), ub * (rs // k)
-                na, nb = va - ua, vb - ub
+        if not (ra or rb or pa or pb):
+            continue
+        if s != ps:
+            # both over the least common multiple of the two denominators
+            k = gcd(s, ps)
+            ra, rb, pa, pb = ra * (ps // k), rb * (ps // k), pa * (s // k), pb * (s // k)
+            s = s // k * ps
+        na = Pa * ra - Pb * rb - Fa * pa + Fb * pb
+        nb = Pa * rb + Pb * ra - Fa * pb - Fb * pa
         if g != 1:
             k = gcd(na, nb, g)
             na //= k
@@ -373,21 +365,19 @@ def solve(m: OperatorMatrix, b):
     Only the components holding a row of ``b`` are read; every other
     component is consistent and contributes nothing to x.
     """
-    # b as Gaussian-integer pairs over one common denominator bd
+    # b as Gaussian-integer pairs over one common denominator bd, each over
+    # its own row denominator 1 for the replay
     bd = 1
     for r, z in b.items():
         if not (0 <= r < m.rows):
             raise ValueError(f"rhs index {r} outside {m.rows} rows")
         if bd % z._d:
             bd = z._d if z._d % bd == 0 else bd * z._d
-    pairs = {r: (z._a * (bd // z._d), z._b * (bd // z._d)) for r, z in b.items() if z}
+    scaled = {r: (z._a * (bd // z._d), z._b * (bd // z._d), 1) for r, z in b.items()}
     dens = m._dens
     x: dict = {}
     for rsel, _csel, rows, pivots, _free, ops in _factored(m, b):
-        rhs = []
-        for r in rsel:
-            p = pairs.get(r)
-            rhs.append((0, 0, 1) if p is None else (p[0], p[1], 1))
+        rhs = [scaled.get(r, (0, 0, 1)) for r in rsel]
         _replay(ops, rhs)
         pivot_rows = {pr for pr, _ in pivots}
         if any(rhs[r][0] or rhs[r][1] for r in range(len(rows)) if r not in pivot_rows):
