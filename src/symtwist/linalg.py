@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .scalars import Scalar, from_pair
+from .scalars import from_pair
 
 
 class OperatorMatrix:
@@ -76,8 +76,6 @@ class OperatorMatrix:
         nonzero = []
         dens = [1] * cols
         for (r, c), v in entries.items():
-            if type(v) is not Scalar:
-                v = Scalar(v)
             if not v:
                 continue
             if not (0 <= r < rows and 0 <= c < cols):
