@@ -22,7 +22,8 @@ fraction-free forward elimination on the pairs: each row update is
 where P is the pivot and F the row's entry in the pivot column, both first
 divided by their common integer content; the updated row is then divided
 by the integer content g of its components (the gcd of every real and
-imaginary part).  The update is recorded as ``(row, pivot row, P, F, g)``.
+imaginary part).  The update is recorded as ``(row, pivot row, P, F, g)``,
+the pairs P and F flattened into the tuple.
 Back-substitution computes Gaussian-integer pairs over one running
 denominator, multiplied up only when a pivot division is not exact.
 
@@ -177,9 +178,10 @@ def _eliminate(rows, cols):
 
     Returns (pivots, free_cols, ops): pivots is a list of (row, col) in
     ascending column order, and ops lists every row update, in order, as
-    (row, pivot row, P, F, g); the update took row to (P * row - F * pivot
-    row) / g, with P, F Gaussian-integer pairs and g the positive integer
-    content of P * row - F * pivot row.  Rows never chosen as pivots end up
+    (row, pivot row, Pa, Pb, Fa, Fb, g); the update took row to (P * row -
+    F * pivot row) / g, with the Gaussian integers P = Pa + Pb*i and
+    F = Fa + Fb*i and g the positive integer content of P * row - F * pivot
+    row.  Rows never chosen as pivots end up
     as zero rows.
     """
     unused = list(range(len(rows)))
@@ -235,7 +237,7 @@ def _eliminate(rows, cols):
                     row[c] = (a // g, b // g)
             else:
                 g = 1
-            ops.append((r, prow, (Pa, Pb), (Fa, Fb), g))
+            ops.append((r, prow, Pa, Pb, Fa, Fb, g))
     return pivots, free_cols, ops
 
 
@@ -335,7 +337,7 @@ def kernel_basis(m: OperatorMatrix):
 def _replay(ops, rhs):
     """Apply the recorded row updates to the right-hand side ``rhs``, a list
     of ``(a, b, s)`` meaning (a + b*i) / s, in place."""
-    for r, p, (Pa, Pb), (Fa, Fb), g in ops:
+    for r, p, Pa, Pb, Fa, Fb, g in ops:
         ra, rb, s = rhs[r]
         pa, pb, ps = rhs[p]
         if not (ra or rb or pa or pb):

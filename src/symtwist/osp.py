@@ -47,7 +47,6 @@ from .forms import (
     SpinorForm,
     _add,
     _combine,
-    _common,
     _moves,
     contract,
     coords_to_form,
@@ -281,18 +280,16 @@ def _column_bases(sp: SymplecticSpace, r: int, D: int):
     diagonal = [rows[key] for key in win.basis]
     bases = []
     for j in range(m_index(l, r) + 1):
-        # subtract c = ca / cd on the diagonal: column col goes over the
-        # common denominator of its own and cd
+        # subtract c = (ca + cb i) / cd on the diagonal, every column over
+        # its denominator d times cd
         c = component_scalar(l, r, j)
-        scaled = [_common(d, c._d) for d in mat._dens]
-        pairs = [
-            {col: (a * scaled[col][1], b * scaled[col][1]) for col, (a, b) in row.items()}
-            for row in images
-        ]
+        cd = c._d
+        pairs = [{col: (a * cd, b * cd) for col, (a, b) in row.items()} for row in images]
         if c:
-            for col, (_d, _m, n) in enumerate(scaled):
-                _add(pairs[diagonal[col]], col, -c._a * n, -c._b * n)
-        shifted = OperatorMatrix._trusted(len(rows), win.dim, pairs, [t[0] for t in scaled], rows)
+            for col, d in enumerate(mat._dens):
+                _add(pairs[diagonal[col]], col, -c._a * d, -c._b * d)
+        dens = [d * cd for d in mat._dens]
+        shifted = OperatorMatrix._trusted(len(rows), win.dim, pairs, dens, rows)
         bases.append([coords_to_form(v, win) for v in kernel_basis(shifted)])
     return bases
 

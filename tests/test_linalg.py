@@ -411,16 +411,17 @@ def _gaussian_mul(x, y):
 
 
 def test_updated_rows_are_content_reduced():
-    # replaying the recorded ops (row, pivot row, P, F, g) on the rows of the
-    # partition must divide exactly by g, leave every updated row with
-    # integer content 1 (or empty) and end at the eliminated rows
+    # replaying the recorded ops (row, pivot row, Pa, Pb, Fa, Fb, g) on the
+    # rows of the partition must divide exactly by g, leave every updated row
+    # with integer content 1 (or empty) and end at the eliminated rows
     rng = random.Random(5)
     cases = [_one_component(rng) for _ in range(30)] + [_non_unit_pivots()]
     for m in cases:
         for rsel, csel, rows in linalg._partition(m)[0]:
             start = [dict(row) for row in rows]
             _pivots, _free, ops = linalg._eliminate(rows, csel)
-            for r, p, P, F, g in ops:
+            for r, p, Pa, Pb, Fa, Fb, g in ops:
+                P, F = (Pa, Pb), (Fa, Fb)
                 new = {}
                 for c, v in start[r].items():
                     new[c] = _gaussian_mul(P, v)
@@ -434,18 +435,23 @@ def test_updated_rows_are_content_reduced():
                 assert not new or gcd(*(x for v in new.values() for x in v)) == 1
                 start[r] = new
             assert start == rows
-    assert any(g > 1 for m in cases for part in linalg._partition(m)[0]
-               for *_r, g in linalg._eliminate(part[2], part[1])[2])
+    assert any(
+        g > 1
+        for m in cases
+        for _rsel, csel, rows in linalg._partition(m)[0]
+        for *_op, g in linalg._eliminate(rows, csel)[2]
+    )
 
 
 def _non_unit_pivots():
     """A one-component matrix whose row updates leave a common factor 2:
     row 1 - row 0 is 2 * (0, 1, 1)."""
-    return M(3, 3, {
+    entries = {
         (0, 0): ONE, (0, 1): Scalar(1), (0, 2): Scalar(-1),
         (1, 0): ONE, (1, 1): Scalar(3), (1, 2): Scalar(1),
         (2, 1): Scalar(0, 2), (2, 2): Scalar(0, 6),
-    })
+    }
+    return M(3, 3, entries)
 
 
 def test_no_scalar_inside_the_factorisation(monkeypatch):
