@@ -128,14 +128,13 @@ class OperatorMatrix:
 
 def _partition(m: OperatorMatrix):
     """Connected components of the nonzero pattern of m, as a list of
-    [global rows, global cols, row copies] and the component of each row.
+    [global rows, global cols] and the component of each row.
 
     A breadth-first search from each column not yet reached collects its
     component, alternating between a column's rows and a row's columns.
-    The row copies keep the global column indices.  A row or column
-    without nonzeros is a component of its own.  Components come in order
-    of first appearance among the columns, then among the rows, each with
-    ascending indices.
+    A row or column without nonzeros is a component of its own.
+    Components come in order of first appearance among the columns, then
+    among the rows, each with ascending indices.
     """
     pairs = m._rows
     col_rows = [[] for _ in range(m.cols)]
@@ -164,11 +163,11 @@ def _partition(m: OperatorMatrix):
                             csel.append(c2)
         csel.sort()
         rsel.sort()
-        parts.append([rsel, csel, [dict(pairs[r]) for r in rsel]])
+        parts.append([rsel, csel])
     for r in range(m.rows):
         if owner[r] < 0:
             owner[r] = len(parts)
-            parts.append([[r], [], [{}]])
+            parts.append([[r], []])
     return parts, owner
 
 
@@ -245,7 +244,8 @@ def _factored(m: OperatorMatrix, touching=None):
     """The components of m that hold a row of ``touching`` (every component
     when None), in order, as [global rows, global cols, eliminated rows,
     pivots, free cols, ops].  m is split on the first call, and each
-    component is eliminated on its first use; both are kept on m."""
+    component is eliminated, on copies of its rows that keep the global
+    column indices, on its first use; both are kept on m."""
     if m._parts is None:
         m._parts, m._owner = _partition(m)
     if touching is None:
@@ -255,8 +255,10 @@ def _factored(m: OperatorMatrix, touching=None):
     out = []
     for k in ks:
         part = m._parts[k]
-        if len(part) == 3:  # not eliminated yet
-            part.extend(_eliminate(part[2], part[1]))
+        if len(part) == 2:  # not eliminated yet
+            rows = [dict(m._rows[r]) for r in part[0]]
+            part.append(rows)
+            part.extend(_eliminate(rows, part[1]))
         out.append(part)
     return out
 
@@ -275,9 +277,10 @@ def _back_substitute(rows, pivots, x, rhs=None):
         row = rows[prow]
         sa = sb = 0
         # x holds no entry at pcol yet: each pivot column is filled once
-        for c, (ca, cb) in row.items():
+        for c, v in row.items():
             xv = x.get(c)
             if xv is not None:
+                ca, cb = v
                 xa, xb = xv
                 sa += ca * xa - cb * xb
                 sb += ca * xb + cb * xa

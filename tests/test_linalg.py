@@ -417,7 +417,8 @@ def test_updated_rows_are_content_reduced():
     rng = random.Random(5)
     cases = [_one_component(rng) for _ in range(30)] + [_non_unit_pivots()]
     for m in cases:
-        for rsel, csel, rows in linalg._partition(m)[0]:
+        for rsel, csel in linalg._partition(m)[0]:
+            rows = [dict(m._rows[r]) for r in rsel]
             start = [dict(row) for row in rows]
             _pivots, _free, ops = linalg._eliminate(rows, csel)
             for r, p, Pa, Pb, Fa, Fb, g in ops:
@@ -438,8 +439,8 @@ def test_updated_rows_are_content_reduced():
     assert any(
         g > 1
         for m in cases
-        for _rsel, csel, rows in linalg._partition(m)[0]
-        for *_op, g in linalg._eliminate(rows, csel)[2]
+        for rsel, csel in linalg._partition(m)[0]
+        for *_op, g in linalg._eliminate([dict(m._rows[r]) for r in rsel], csel)[2]
     )
 
 
@@ -487,8 +488,7 @@ def test_no_scalar_inside_the_factorisation(monkeypatch):
     monkeypatch.setattr(linalg, "from_pair", counted(linalg.from_pair))
     nops = 0
     for m, pairs in zip(cases, rhss):
-        for rsel, csel, rows in linalg._partition(m)[0]:
-            pivots, free_cols, ops = linalg._eliminate(rows, csel)
+        for rsel, _csel, rows, pivots, free_cols, ops in linalg._factored(m):
             nops += len(ops)
             for f in free_cols:
                 linalg._back_substitute(rows, pivots, {f: (1, 0)})
