@@ -14,18 +14,20 @@ gives the solution x_c = d_c·y_c.
 Rank, kernel bases and linear solving all read one factorisation of the
 matrix.  The matrix is split into the connected components of its nonzero
 pattern (rows and columns are the nodes, every nonzero entry an edge),
-found in one pass over the rows, and each component is reduced by one
-fraction-free forward elimination on the pairs: each row update is
+found by one breadth-first search, and each component is reduced by one
+fraction-free forward elimination on copies of its rows: each row update
+is
 
     row <- P*row - F*pivot row,
 
 where P is the pivot and F the row's entry in the pivot column, both first
-divided by their common integer content; the updated row is then divided
-by the integer content g of its components (the gcd of every real and
-imaginary part).  The update is recorded as ``(row, pivot row, P, F, g)``,
-the pairs P and F flattened into the tuple.
-Back-substitution computes Gaussian-integer pairs over one running
-denominator, multiplied up only when a pivot division is not exact.
+divided by their common integer content, and F then divided by P when P
+is a unit (1, -1, i or -i), which makes P = 1.  The updated row is then
+divided by the integer content g of its components (the gcd of every
+real and imaginary part).  The update is recorded as ``(row, pivot row,
+P, F, g)``, the pairs P and F flattened into the tuple.  Back-substitution
+computes Gaussian-integer pairs over one running denominator, multiplied
+up only when a pivot division is not exact.
 
 ``Scalar``s enter and leave only at the boundary: the public constructor
 ``OperatorMatrix(rows, cols, {(row, col): Scalar})`` converts its entries
@@ -40,8 +42,8 @@ The factorisation is lazy and kept on the matrix: the first call of
 eliminated on its first use and never again.  A solve replays the recorded
 row operations on its right-hand side instead of eliminating again; the
 replayed right-hand side holds one Gaussian-integer pair and one
-denominator per row, the denominator multiplied by g only when g does not
-divide the pair.  Kernel vectors and solutions come from one
+denominator per row, and each replayed update divides the pair by the
+part of g that divides it and multiplies the denominator by the rest.  Kernel vectors and solutions come from one
 back-substitution over the eliminated rows.  A solve factors only the
 components its right-hand side touches: on an untouched component the
 right-hand side is zero, which is consistent and gives that component's
