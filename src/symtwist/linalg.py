@@ -43,11 +43,11 @@ eliminated on its first use and never again.  A solve replays the recorded
 row operations on its right-hand side instead of eliminating again; the
 replayed right-hand side holds one Gaussian-integer pair and one
 denominator per row, and each replayed update divides the pair by the
-part of g that divides it and multiplies the denominator by the rest.  Kernel vectors and solutions come from one
-back-substitution over the eliminated rows.  A solve factors only the
-components its right-hand side touches: on an untouched component the
-right-hand side is zero, which is consistent and gives that component's
-part of the solution as zero.
+part of g that divides it and multiplies the denominator by the rest.
+Kernel vectors and solutions come from one back-substitution over the
+eliminated rows.  A solve factors only the components its right-hand side
+touches: on an untouched component the right-hand side is zero, which is
+consistent and gives that component's part of the solution as zero.
 
 Pivoting is deterministic: columns are scanned left to right and the first
 not-yet-used row with a nonzero entry wins.  A column is a pivot exactly
@@ -182,8 +182,8 @@ def _eliminate(rows, cols):
     (row, pivot row, Pa, Pb, Fa, Fb, g); the update took row to (P * row -
     F * pivot row) / g, with the Gaussian integers P = Pa + Pb*i and
     F = Fa + Fb*i and g the positive integer content of P * row - F * pivot
-    row.  Rows never chosen as pivots end up
-    as zero rows.
+    row (1 for a zero row).  Rows never chosen as pivots end up as zero
+    rows.
     """
     unused = list(range(len(rows)))
     pivots = []
@@ -211,12 +211,9 @@ def _eliminate(rows, cols):
             if Pa * Pa + Pb * Pb == 1:
                 # a unit P: divide the update by it, F / P = F * conj(P)
                 Fa, Fb, Pa, Pb = Fa * Pa + Fb * Pb, Fb * Pa - Fa * Pb, 1, 0
-            if Pb:
+            if Pb or Pa != 1:
                 for c, (a, b) in row.items():
                     row[c] = (Pa * a - Pb * b, Pa * b + Pb * a)
-            elif Pa != 1:
-                for c, (a, b) in row.items():
-                    row[c] = (Pa * a, Pa * b)
             for c, (a, b) in prow_items:
                 ua, ub = Fa * a - Fb * b, Fa * b + Fb * a
                 s = row.get(c)
@@ -293,14 +290,10 @@ def _back_substitute(rows, pivots, x, rhs=None):
             na, nb = ra * delta - s * sa, rb * delta - s * sb
         if not (na or nb):
             continue
-        # x[pcol] / delta = (na + nb i) / (s * delta * piv)
+        # x[pcol] / delta = (na + nb i) / (s * delta * piv), and 1 / piv is
+        # conj(piv) / |piv|^2
         pa, pb = row[pcol]
-        if pb == 0 and (pa == 1 or pa == -1):
-            qa, qb, den = na * pa, nb * pa, s
-        elif pa == 0 and (pb == 1 or pb == -1):
-            qa, qb, den = nb * pb, -na * pb, s
-        else:
-            qa, qb, den = na * pa + nb * pb, nb * pa - na * pb, s * (pa * pa + pb * pb)
+        qa, qb, den = na * pa + nb * pb, nb * pa - na * pb, s * (pa * pa + pb * pb)
         if den != 1:
             k = gcd(qa, qb, den)
             qa //= k

@@ -6,8 +6,9 @@ layer (``forms``, ``osp``, ``spinors``) and linear algebra (``linalg``) do
 not: a form holds Gaussian-integer pairs over one denominator, an operator
 matrix holds Gaussian-integer rows over one denominator per column, and
 Scalars enter and leave both only at their boundaries (see the forms and
-linalg modules).  A ``Scalar`` stores three
-Python ints ``(a, b, d)`` and means ``(a + b*i) / d``.  The triple is kept canonical after every operation:
+linalg modules).  A ``Scalar`` stores three Python ints ``(a, b, d)`` and
+means ``(a + b*i) / d``.  The triple is kept canonical after every
+operation:
 
 * ``d > 0``;
 * ``gcd(a, b, d) == 1``;

@@ -536,7 +536,8 @@ def _mixed_systems(draw):
                 entries[(dst, c)] = entries[(src, c)] * f
     m = M(rows, cols, entries)
     if draw(st.booleans()):
-        b = matvec(m, {c: draw(_mixed_entry(3)) for c in sorted(draw(st.sets(st.integers(0, cols - 1))))})
+        x = {c: draw(_mixed_entry(3)) for c in sorted(draw(st.sets(st.integers(0, cols - 1))))}
+        b = matvec(m, x)
     else:
         b = {r: draw(_mixed_entry(2)) for r in sorted(draw(st.sets(st.integers(0, rows - 1))))}
     return m, b
@@ -578,7 +579,7 @@ def _rank_mod_p(m):
                 a, b = row[c]
                 n = pow(a * a + b * b, -1, _P)
                 inv = (a * n % _P, -b * n % _P)
-                pivots[c] = {k: tuple(x % _P for x in _gaussian_mul(v, inv)) for k, v in row.items()}
+                pivots[c] = {k: _gaussian_mul(v, inv) for k, v in row.items()}
                 break
             f = row[c]
             for k, v in prow.items():
