@@ -410,17 +410,26 @@ def _gaussian_mul(x, y):
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
+def _non_unit_pivots():
+    """A one-component matrix whose row updates leave a common factor 2:
+    row 1 - row 0 is 2 * (0, 1, 1)."""
+    entries = {
+        (0, 0): ONE, (0, 1): Scalar(1), (0, 2): Scalar(-1),
+        (1, 0): ONE, (1, 1): Scalar(3), (1, 2): Scalar(1),
+        (2, 1): Scalar(0, 2), (2, 2): Scalar(0, 6),
+    }
+    return M(3, 3, entries)
+
+
 def test_updated_rows_are_content_reduced():
     # replaying the recorded ops (row, pivot row, Pa, Pb, Fa, Fb, g) on the
-    # rows of the partition must divide exactly by g, leave every updated row
-    # with integer content 1 (or empty) and end at the eliminated rows
+    # rows of each component must divide exactly by g, leave every updated
+    # row with integer content 1 (or empty) and end at the eliminated rows
     rng = random.Random(5)
     cases = [_one_component(rng) for _ in range(30)] + [_non_unit_pivots()]
     for m in cases:
-        for rsel, csel in linalg._partition(m)[0]:
-            rows = [dict(m._rows[r]) for r in rsel]
-            start = [dict(row) for row in rows]
-            _pivots, _free, ops = linalg._eliminate(rows, csel)
+        for rsel, _csel, rows, _pivots, _free, ops in linalg._factored(m):
+            start = [dict(m._rows[r]) for r in rsel]
             for r, p, Pa, Pb, Fa, Fb, g in ops:
                 P, F = (Pa, Pb), (Fa, Fb)
                 new = {}
@@ -436,23 +445,7 @@ def test_updated_rows_are_content_reduced():
                 assert not new or gcd(*(x for v in new.values() for x in v)) == 1
                 start[r] = new
             assert start == rows
-    assert any(
-        g > 1
-        for m in cases
-        for rsel, csel in linalg._partition(m)[0]
-        for *_op, g in linalg._eliminate([dict(m._rows[r]) for r in rsel], csel)[2]
-    )
-
-
-def _non_unit_pivots():
-    """A one-component matrix whose row updates leave a common factor 2:
-    row 1 - row 0 is 2 * (0, 1, 1)."""
-    entries = {
-        (0, 0): ONE, (0, 1): Scalar(1), (0, 2): Scalar(-1),
-        (1, 0): ONE, (1, 1): Scalar(3), (1, 2): Scalar(1),
-        (2, 1): Scalar(0, 2), (2, 2): Scalar(0, 6),
-    }
-    return M(3, 3, entries)
+    assert any(g > 1 for m in cases for *_part, ops in linalg._factored(m) for *_op, g in ops)
 
 
 def test_no_scalar_inside_the_factorisation(monkeypatch):
