@@ -23,7 +23,11 @@ operator on the largest pinned relations window), ``project`` at l=3, D=2
 (its scale factors 2/(i-l) and i/(i-l) have odd denominators),
 ``symbol-check`` at l=3, D=2 with slack 4 on the covector
 (0, 0, 0, 0, -1/2, 0) (matrices whose columns have non-unit image
-denominators, on the weight-blocked path), and
+denominators, on the weight-blocked path), ``symbol-check`` at l=3, D=2
+with slack 4 on the covector (0, 1, 0, 0, 0, 0) (sharp in the second
+Lagrangian, so every symbol map lowers the weight by one) and on
+(0, 0, 0, 1, -2, 1/2) (three components in the second half, so the
+symbol raises the weight by one), and
 ``curvature --input`` on the tensor from ``gen-curvature --l 2 --seed 7``.
 Five more ``curvature --input`` cases cover the split beyond a zero Weyl
 part: the tensors of ``gen-curvature --l 1 --seed 0`` and ``--l 3 --seed
@@ -153,6 +157,16 @@ GOLDEN = {
         ("symbol-check", "--l", "3", "--degree", "2", "--slack", "4", "--xi", "0,0,0,0,-1/2,0"),
         1,
         "ba9c51d26482fa0cc5240e56f7fdb2358854e9635d9ebaac003e24851da04c4e",
+    ),
+    "symbol-check-l3d2-xi-first-half": (
+        ("symbol-check", "--l", "3", "--degree", "2", "--slack", "4", "--xi", "0,1,0,0,0,0"),
+        0,
+        "32f456e8ef3ad6540c2845a1f8620d0b3c20bc2ac3b36f09d4574d87f986c2a6",
+    ),
+    "symbol-check-l3d2-xi-second-half": (
+        ("symbol-check", "--l", "3", "--degree", "2", "--slack", "4", "--xi", "0,0,0,1,-2,1/2"),
+        1,
+        "851a64ee2a4b7d2337dfcc98a4c23b03f67796643ebec263e307e05ba66bac2c",
     ),
 }
 
