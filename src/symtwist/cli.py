@@ -229,6 +229,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the parser of this process, built on the first main call: building it
+# costs about as much as a small report, and parse_args leaves it unchanged
+_PARSER = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def _cmd_suite(args, runner):
     if args.l < 1 or args.degree < 0:
         raise ValueError("need --l >= 1 and --degree >= 0")
@@ -311,8 +323,7 @@ def _cmd_gen_curvature(args):
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "relations":
             return _cmd_suite(args, run_relations)

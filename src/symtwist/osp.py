@@ -224,9 +224,10 @@ def edge_projector(sp: SymplecticSpace, r: int, psi: SpinorForm) -> SpinorForm:
 # exact bases of the edge and of general components on windows
 
 
-def edge_basis(sp: SymplecticSpace, r: int, D: int):
+def edge_basis(sp: SymplecticSpace, r: int, D: int, weights=None):
     """Exact basis of the edge component (r, m_r) on the (r, D) window, as a
-    first-order kernel; the space keeps the list, which callers only read.
+    first-order kernel; the space keeps the list, under the weight set too,
+    and callers only read it.
 
     Below the halfway degree (0 < r < l) the edge (r, r) is the primitive
     part ker(F-): F+F- acts on (r, j) for j < r by c_{r-1, j}, which is
@@ -235,13 +236,22 @@ def edge_basis(sp: SymplecticSpace, r: int, D: int):
     edge.  At r = 0 and r = 2l the whole window is one component.  A
     normalised kernel basis depends only on the subspace, so this is the
     basis of component_basis(sp, r, m_r, D), element for element.
+
+    With a set ``weights``, only the window keys of those weights (see
+    forms.weight) are columns of the kernel.  F+ and F- keep the weight, so
+    their matrix is block-diagonal by weight: each basis vector lies in one
+    weight, a column is free exactly when it is on the whole window, and
+    the result is the whole-window basis filtered to those weights, element
+    for element.  None takes the whole window.
     """
-    return _kept(sp, ("edge", r, D), lambda: _edge_kernel(sp, r, D))
+    if weights is not None:
+        weights = frozenset(weights)
+    return _kept(sp, ("edge", r, D, weights), lambda: _edge_kernel(sp, r, D, weights))
 
 
-def _edge_kernel(sp: SymplecticSpace, r: int, D: int):
+def _edge_kernel(sp: SymplecticSpace, r: int, D: int, weights):
     l = sp.l
-    win = FormWindow(l, r, D)
+    win = FormWindow(l, r, D, weights)
     if r == 0 or r == 2 * l:
         return [win.element(k) for k in range(win.dim)]
     op = lowering if r < l else raising

@@ -24,6 +24,14 @@ the non-edge part of the i-forms is the image of F-, and F+ and F- keep a
 weight that bounds the degree of the F- preimage needed, which makes the
 window exact (see _untruncated_solver).
 
+The weight |e| - #first + #second of a term (forms.weight) grades both
+sequences: F+ and F- keep it, and at a covector in one Lagrangian half
+every symbol map moves it by the same step (see _weight_step).  There
+both the preimage search and the junction diagnostic eliminate only the
+window columns whose weight can reach their targets.  Their matrices are
+block-diagonal by weight, so every witness, and every report byte, is
+the one the whole windows give.
+
 The default covector is the one whose sharp is the first Lagrangian basis
 vector.  For covectors whose sharp lies entirely in the second Lagrangian,
 Clifford multiplication is not injective on the polynomial spinor model,
@@ -41,6 +49,7 @@ from .forms import (
     form_to_coords,
     operator_matrix,
     wedge,
+    weight,
 )
 from .linalg import kernel_basis, solve
 from .osp import edge_basis, lowering, project_wedge
@@ -145,11 +154,39 @@ def _kernel_forms(sp, i, D, xi):
     return basis, [_combine(sp.l, basis, v.items()) for v in kernel_basis(mat)]
 
 
+def _weight_step(sp, xi):
+    """How far every symbol map at xi moves the weight (forms.weight): +1
+    when xi is a combination of eps^l..eps^{2l-1}, whose sharp lies in the
+    first Lagrangian half, -1 when of eps^0..eps^{l-1}, and None when xi
+    meets both halves, where the symbol mixes weights.
+
+    Every term of project_wedge moves it alike: the wedge inserts one index
+    of xi's half, the Clifford action of the sharp multiplies (+1) or
+    differentiates (-1), its contraction removes an index of the other
+    half, and F+ and E+ keep the weight."""
+    comps = xi.components
+    if not any(comps[: sp.l]):
+        return 1
+    if not any(comps[sp.l :]):
+        return -1
+    return None
+
+
 def _preimage_degrees(sp, i_prev, Dbig, xi, targets):
     """Solve sigma_{i_prev}(x) = phi over the edge window at degree Dbig for
     each phi in targets, all on one symbol matrix; returns the spinor degree
-    of each witness, None for a target without one."""
-    basis = edge_basis(sp, i_prev, Dbig)
+    of each witness, None for a target without one.
+
+    When xi lies in one half, the symbol matrix is block-diagonal by weight
+    and moves it by the step, so only edge vectors of a target's weights
+    minus the step can reach a target.  The columns are those vectors, the
+    rest of the window is never eliminated, and each witness is the one the
+    whole window gives: the pivots of the kept weights do not change."""
+    step = _weight_step(sp, xi)
+    weights = None
+    if step is not None:
+        weights = {weight(sp.l, key) - step for phi in targets for key in phi.keys()}
+    basis = edge_basis(sp, i_prev, Dbig, weights)
     mat = operator_matrix(lambda b: symbol_apply(sp, i_prev, xi, b), basis)
     degrees = []
     for phi in targets:
@@ -269,26 +306,36 @@ def _untruncated_solver(sp, i, D, xi, slack):
     every kernel vector of the CLI; only a "no" there is retried on the
     exact window.  Every witness (p, q) is re-checked by applying wedge and
     lowering.
+
+    When xi lies in one half, xi ^ . moves the weight by its step (see
+    _weight_step) and F- keeps it, so the block matrix is block-diagonal by
+    weight.  Then the columns for phi are the p of phi's weights minus the
+    step and the q of phi's weights, and phi has a solution there exactly
+    when it has one on the whole windows.  The matrices are kept per degree
+    bound and weight set, and kernel vectors of one weight share one.
     """
     l = sp.l
-    dom = FormWindow(l, i - 1, D + slack)
+    step = _weight_step(sp, xi)
     first, exact = D + slack + 1, D + slack + 2 * (2 * l - i) - 1
     windows = [first] if exact <= first else [first, exact]
     built = {}
 
-    def block_matrix(Dq):
-        if Dq not in built:
-            qwin = FormWindow(l, i + 1, Dq) if i < 2 * l else None
+    def block_matrix(Dq, weights):
+        if (Dq, weights) not in built:
+            shifted = None if weights is None else {w - step for w in weights}
+            dom = FormWindow(l, i - 1, D + slack, shifted)
+            qwin = FormWindow(l, i + 1, Dq, weights) if i < 2 * l else None
             columns = list(dom) + (list(qwin) if qwin is not None else [])
             mat = operator_matrix(
                 lambda b: wedge(xi, b) if b.form_degree() == i - 1 else lowering(sp, b), columns
             )
-            built[Dq] = (mat, qwin)
-        return built[Dq]
+            built[Dq, weights] = (mat, dom, qwin)
+        return built[Dq, weights]
 
     def attempt(phi):
+        weights = None if step is None else frozenset(weight(l, key) for key in phi.keys())
         for Dq in windows:
-            mat, qwin = block_matrix(Dq)
+            mat, dom, qwin = block_matrix(Dq, weights)
             rhs = form_to_coords(phi, mat.row_index)
             x = None if rhs is None else solve(mat, rhs)
             if x is None:

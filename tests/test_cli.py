@@ -456,3 +456,70 @@ def test_curvature_report_renders_each_distinct_leaf_once(tmp_path, monkeypatch)
     assert cli.main(["gen-curvature", "--l", "2", "--seed", "7", "--out", str(out)]) == 0
     assert 0 < len(calls) < 256
     assert len(json.loads(out.read_text())["entries"]) == 4
+
+
+# cli.main builds its parser on the first call and keeps it for the process
+
+
+def _help_text(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["symbol-check", "--help"], ["curvature", "--help"]])
+def test_kept_parser_prints_the_help_of_a_fresh_one(capsys, monkeypatch, argv):
+    from symtwist import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    fresh = _help_text(cli.build_parser().parse_args, argv, capsys)
+    assert fresh.startswith("usage: symtwist")
+    assert _help_text(cli.main, argv, capsys) == fresh
+    # a report in between does not change what the kept parser prints
+    assert cli.main(["relations", "--l", "1", "--degree", "0"]) == 0
+    capsys.readouterr()
+    assert _help_text(cli.main, argv, capsys) == fresh
+
+
+def test_back_to_back_calls_give_the_bytes_of_fresh_processes(tmp_path):
+    from symtwist.cli import main
+
+    calls = [
+        ("symbol-check", "--l", "1", "--degree", "1", "--slack", "0", "--xi", "1,2"),
+        ("relations", "--l", "1", "--degree", "1"),
+        ("gen-curvature", "--l", "1", "--seed", "2"),
+        ("symbol-check", "--l", "1", "--degree", "1"),
+        ("decompose", "--l", "1", "--degree", "1", "--format", "text"),
+        ("symbol-check", "--l", "1", "--degree", "1"),
+    ]
+    outputs = []
+    for k, args in enumerate(calls):
+        out = tmp_path / f"{k}.out"
+        code = main([*args, "--out", str(out)])
+        fresh = run_cli(*args)
+        assert (code, out.read_text()) == (fresh.returncode, fresh.stdout), args
+        outputs.append(out.read_text())
+    # flags of one call do not leak into the next: the default slack is back
+    assert json.loads(outputs[0])["exactness"]["slack"] == 0
+    assert json.loads(outputs[3])["exactness"]["slack"] == 4
+    assert outputs[3] == outputs[5]
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    from symtwist import cli
+
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    assert cli.main(["relations", "--l", "1", "--degree", "0", "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["gen-curvature", "--l", "1", "--out", str(tmp_path / "b")]) == 0
+    assert cli.main(["symbol-check", "--l", "1", "--degree", "0"]) in (0, 1)
+    assert cli.main(["relations", "--l", "0"]) == 2
+    assert len(built) == 1
