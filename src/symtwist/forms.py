@@ -329,7 +329,7 @@ class FormWindow:
     weight-restricted window keeps the relative order of its keys.
     """
 
-    __slots__ = ("l", "r", "D", "weights", "basis")
+    __slots__ = ("l", "r", "D", "basis")
 
     def __init__(self, l, r, D, weights=None):
         if not (0 <= r <= 2 * l):
@@ -339,22 +339,12 @@ class FormWindow:
         self.l = l
         self.r = r
         self.D = D
-        self.weights = None if weights is None else frozenset(weights)
         monos = monomials_upto(l, D)
-        combos = combinations(range(2 * l), r)
-        if weights is None:
-            self.basis = tuple((idx, e) for idx in combos for e in monos)
-            assert len(self.basis) == comb(2 * l, r) * comb(l + D, l)
-        else:
-            # weight(l, (idx, e)) = sum(e) + shift with the form part shift
-            degrees = [sum(e) for e in monos]
-            self.basis = tuple(
-                (idx, e)
-                for idx in combos
-                for shift in (r - 2 * bisect_left(idx, l),)
-                for e, n in zip(monos, degrees)
-                if n + shift in self.weights
-            )
+        basis = tuple((idx, e) for idx in combinations(range(2 * l), r) for e in monos)
+        assert len(basis) == comb(2 * l, r) * comb(l + D, l)
+        if weights is not None:
+            basis = tuple(key for key in basis if weight(l, key) in weights)
+        self.basis = basis
 
     @property
     def dim(self):
@@ -370,9 +360,7 @@ class FormWindow:
         return len(self.basis)
 
     def __repr__(self):
-        if self.weights is None:
-            return f"FormWindow(l={self.l}, r={self.r}, D={self.D})"
-        return f"FormWindow(l={self.l}, r={self.r}, D={self.D}, weights={sorted(self.weights)})"
+        return f"FormWindow(l={self.l}, r={self.r}, D={self.D})"
 
 
 def form_to_coords(psi: SpinorForm, rows: dict) -> dict | None:
@@ -423,10 +411,6 @@ def _combine(l, vectors, coeffs) -> SpinorForm:
     return SpinorForm._trusted(l, out, d)
 
 
-def _flat_key(key):
-    return key[0] + key[1]
-
-
 def operator_matrix(fn, domain) -> OperatorMatrix:
     """Matrix of a linear map, built column by column from the images of an
     explicit domain basis.
@@ -441,11 +425,9 @@ def operator_matrix(fn, domain) -> OperatorMatrix:
     """
     by_key: dict = {}
     dens = []
-    degrees = set()
     for col, b in enumerate(domain):
         img = fn(b)
         dens.append(img._d)
-        degrees.add(img.form_degree())
         for key, pair in img._c.items():
             row = by_key.get(key)
             if row is None:
@@ -454,9 +436,7 @@ def operator_matrix(fn, domain) -> OperatorMatrix:
                 row[col] = pair
     # rows in sorted key order: the elimination takes the first unused row
     # as pivot, and in order of appearance its fill-in made one symbol
-    # check 2.3 times slower.  When the index tuples share one length, the
-    # flat tuple idx + e orders the keys as (idx, e) does and sorts faster.
-    degrees.discard(None)
-    keys = sorted(by_key, key=_flat_key) if len(degrees) < 2 else sorted(by_key)
+    # check 2.3 times slower
+    keys = sorted(by_key)
     row_index = {key: k for k, key in enumerate(keys)}
     return OperatorMatrix._trusted(len(keys), len(dens), [by_key[k] for k in keys], dens, row_index)

@@ -1,8 +1,4 @@
-from itertools import combinations
-
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from conftest import matvec, window_index, window_matrix
 from symtwist.forms import (
@@ -189,36 +185,6 @@ def test_operator_matrix_rows_are_the_sorted_image_keys():
         # the window-rowed matrix holds the same entries on its own rows
         ref = window_matrix(fn, domain, cod)
         assert by_key == {(cod.basis[r], c): v for (r, c), v in ref.entries.items()}
-
-
-@st.composite
-def _domains(draw):
-    """(l, domain): basis forms of l <= 3, degree <= 2, each of one form
-    degree, the degrees of the domain mixed or not."""
-    l = draw(st.integers(1, 3))
-    monos = st.lists(st.integers(0, 2), min_size=l, max_size=l).map(tuple)
-    degrees = st.sampled_from([draw(st.integers(0, 2 * l))]) | st.integers(0, 2 * l)
-    forms = []
-    for _ in range(draw(st.integers(1, 6))):
-        r = draw(degrees)
-        idxs = st.sampled_from(list(combinations(range(2 * l), r)))
-        keys = draw(st.lists(st.tuples(idxs, monos), min_size=1, max_size=5, unique=True))
-        forms.append(SpinorForm(l, {key: ONE for key in keys}))
-    return l, forms
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(_domains())
-@example((1, [basis_form(1, (0,), (1,)), basis_form(1, (), (2,)), basis_form(1, (0, 1), (0,))]))
-@example((2, [basis_form(2, (1,), (0, 2)), basis_form(2, (0, 3), (0, 0)), basis_form(2, (0,), (1, 1))]))
-def test_operator_matrix_rows_in_sorted_nested_key_order(case):
-    # mixed form degrees fall back to the nested sort: (0,) < (0, 1) < (1,)
-    # as index tuples, which the flat tuples idx + e do not keep
-    _l, domain = case
-    mat = operator_matrix(lambda b: b, domain)
-    keys = sorted({key for b in domain for key in b.keys()})
-    assert list(mat.row_index) == keys
-    assert mat.row_index == {key: k for k, key in enumerate(keys)}
 
 
 def _solve_on_rows(mat, phi):
