@@ -306,8 +306,9 @@ def weight(l, key) -> int:
     return sum(e) + len(idx) - 2 * bisect_left(idx, l)
 
 
-def monomials_upto(l, D):
-    """All exponent tuples of total degree <= D, in basis order."""
+def monomials_by_degree(l, D):
+    """The exponent tuples of each total degree d <= D, one sorted list
+    per d."""
     out = []
     for d in range(D + 1):
         batch = set()
@@ -316,7 +317,7 @@ def monomials_upto(l, D):
             for p in picks:
                 e[p] += 1
             batch.add(tuple(e))
-        out.extend(sorted(batch))
+        out.append(sorted(batch))
     return out
 
 
@@ -339,11 +340,21 @@ class FormWindow:
         self.l = l
         self.r = r
         self.D = D
-        monos = monomials_upto(l, D)
-        basis = tuple((idx, e) for idx in combinations(range(2 * l), r) for e in monos)
-        assert len(basis) == comb(2 * l, r) * comb(l + D, l)
-        if weights is not None:
-            basis = tuple(key for key in basis if weight(l, key) in weights)
+        by_degree = monomials_by_degree(l, D)
+        tuples = combinations(range(2 * l), r)
+        if weights is None:
+            monos = [e for batch in by_degree for e in batch]
+            basis = tuple((idx, e) for idx in tuples for e in monos)
+            assert len(basis) == comb(2 * l, r) * comb(l + D, l)
+        else:
+            # (idx, e) has the weight w exactly when |e| = w - r + 2f, f the
+            # number of indices of idx below l; kept[f] lists those monomials
+            # for every w asked, in window order
+            kept = []
+            for f in range(r + 1):
+                degrees = sorted(d for d in {w - r + 2 * f for w in weights} if 0 <= d <= D)
+                kept.append([e for d in degrees for e in by_degree[d]])
+            basis = tuple((idx, e) for idx in tuples for e in kept[bisect_left(idx, l)])
         self.basis = basis
 
     @property

@@ -8,6 +8,8 @@ assert on them directly.
 
 from __future__ import annotations
 
+import json
+import os
 from fractions import Fraction
 
 from .forms import (
@@ -60,97 +62,205 @@ def _finish(report, checks):
 # ---------------------------------------------------------------------------
 # relations: the commutation framework
 
+# the relations checked on every basis form, in report order
+_RELATIONS = (
+    "quadratic_commutator_is_twice_grading",
+    "trace_raising_commutator",
+    "grading_scalar",
+    "omega_wedge_closed_form",
+    "omega_trace_closed_form",
+    "raising_contraction_anticommutator",
+    "lowering_clifford_commutator",
+    "wedge_square_zero",
+    "contraction_anticommutation",
+    "contraction_clifford_commute",
+    "parity_reversal",
+)
+_TWO = Scalar(2)
+_FOUR = Scalar(4)
+_MINUS_ONE = Scalar(-1)
+_MINUS_FOUR = Scalar(-4)
+_HALF_I = I * Scalar(Fraction(1, 2))
+
+
+def _form_defects(sp, psi, key, half_rl, vectors, covectors, bad) -> None:
+    """Add 1 to ``bad[name]`` for each relation that fails on the basis
+    form psi, whose key is ``key`` and whose H eigenvalue is ``half_rl``
+    ((r - l)/2); contraction_anticommutation counts each failing ordered
+    pair (a, b)."""
+    # every operator value is computed once per psi and read by each check
+    # that needs it; the operators are pure, so each check compares the
+    # same two values as a fresh evaluation
+    fplus = raising(sp, psi)
+    fminus = lowering(sp, psi)
+    eplus = omega_wedge(sp, psi)
+    eminus = omega_trace(sp, psi)
+    h = (raising(sp, fminus) + lowering(sp, fplus)).scale(_TWO)
+    iota = [contract(sp, v, psi) for v in vectors]
+    cliff = [clifford_apply(sp, v, psi) for v in vectors]
+    # iota2[a][b] = iota_{e_a} iota_{e_b} psi
+    iota2 = [[contract(sp, v, iw) for iw in iota] for v in vectors]
+    lhs = omega_wedge(sp, eminus) - omega_trace(sp, eplus)
+    if lhs != h.scale(_TWO):
+        bad["quadratic_commutator_is_twice_grading"] += 1
+    lhs = omega_trace(sp, fplus) - raising(sp, eminus)
+    if lhs != fminus.scale(_MINUS_ONE):
+        bad["trace_raising_commutator"] += 1
+    if h != psi.scale(half_rl):
+        bad["grading_scalar"] += 1
+    if eplus != raising(sp, fplus).scale(_FOUR):
+        bad["omega_wedge_closed_form"] += 1
+    if eminus != lowering(sp, fminus).scale(_MINUS_FOUR):
+        bad["omega_trace_closed_form"] += 1
+    par = sum(key[1]) % 2
+    for img in (fplus, fminus):
+        if any((sum(e2) - par) % 2 == 0 for (_i2, e2) in img.keys()):
+            bad["parity_reversal"] += 1
+            break
+    for a, v in enumerate(vectors):
+        lhs = raising(sp, iota[a]) + contract(sp, v, fplus)
+        if lhs != cliff[a].scale(_HALF_I):
+            bad["raising_contraction_anticommutator"] += 1
+        lhs = lowering(sp, cliff[a]) - clifford_apply(sp, v, fminus)
+        if lhs != iota[a].scale(_HALF_I):
+            bad["lowering_clifford_commutator"] += 1
+        # the ordered pairs (a, b) and (b, a) share one sum, and (a, a)
+        # fails exactly when iota_a iota_a psi is nonzero
+        if not iota2[a][a].is_zero():
+            bad["contraction_anticommutation"] += 1
+        for b in range(a + 1, len(vectors)):
+            if not (iota2[a][b] + iota2[b][a]).is_zero():
+                bad["contraction_anticommutation"] += 2
+        for b, w in enumerate(vectors):
+            if contract(sp, v, cliff[b]) != clifford_apply(sp, w, iota[a]):
+                bad["contraction_clifford_commute"] += 1
+    for xi in covectors:
+        if not wedge(xi, wedge(xi, psi)).is_zero():
+            bad["wedge_square_zero"] += 1
+
 
 def run_relations(sp: SymplecticSpace, D: int) -> dict:
+    """The commutation identities on every basis form of the degree-D
+    windows.  The checks are split into interleaved shares, one per CPU
+    this process may use (``_share_count``), run by ``_in_shares``; the
+    counts are sums, so the report does not depend on the split."""
     l = sp.l
-    checks = []
-
-    defects = 0
-    pairs = 0
-    win = FormWindow(l, 0, D)
-    for a in range(2 * l):
-        va = basis_vector(sp, a)
-        for b in range(2 * l):
-            vb = basis_vector(sp, b)
-            pairs += 1
-            for s in win:
-                if not commutator_defect(sp, va, vb, s).is_zero():
-                    defects += 1
-    checks.append(
-        _check("clifford_commutation", defects == 0, basis_pairs=pairs, defects=defects)
-    )
-
-    bad = {
-        "quadratic_commutator_is_twice_grading": 0,
-        "trace_raising_commutator": 0,
-        "grading_scalar": 0,
-        "omega_wedge_closed_form": 0,
-        "omega_trace_closed_form": 0,
-        "raising_contraction_anticommutator": 0,
-        "lowering_clifford_commutator": 0,
-        "wedge_square_zero": 0,
-        "contraction_anticommutation": 0,
-        "contraction_clifford_commute": 0,
-        "parity_reversal": 0,
-    }
-    half_i = I * Scalar(Fraction(1, 2))
     vectors = [basis_vector(sp, k) for k in range(2 * l)]
     covectors = [basis_covector(sp, k) for k in range(2 * l)]
-    total = 0
-    for r in range(2 * l + 1):
-        fwin = FormWindow(l, r, D)
-        half_rl = Scalar(Fraction(r - l, 2))
-        for k in range(fwin.dim):
-            psi = fwin.element(k)
-            total += 1
-            # every operator value is computed once per psi and read by
-            # each check that needs it; the operators are pure, so each
-            # check compares the same two values as a fresh evaluation
-            fplus = raising(sp, psi)
-            fminus = lowering(sp, psi)
-            eplus = omega_wedge(sp, psi)
-            eminus = omega_trace(sp, psi)
-            h = (raising(sp, fminus) + lowering(sp, fplus)).scale(Scalar(2))
-            iota = [contract(sp, v, psi) for v in vectors]
-            cliff = [clifford_apply(sp, v, psi) for v in vectors]
-            # iota2[a][b] = iota_{e_a} iota_{e_b} psi
-            iota2 = [[contract(sp, v, iw) for iw in iota] for v in vectors]
-            lhs = omega_wedge(sp, eminus) - omega_trace(sp, eplus)
-            if lhs != h.scale(Scalar(2)):
-                bad["quadratic_commutator_is_twice_grading"] += 1
-            lhs = omega_trace(sp, fplus) - raising(sp, eminus)
-            if lhs != fminus.scale(Scalar(-1)):
-                bad["trace_raising_commutator"] += 1
-            if h != psi.scale(half_rl):
-                bad["grading_scalar"] += 1
-            if eplus != raising(sp, fplus).scale(Scalar(4)):
-                bad["omega_wedge_closed_form"] += 1
-            if eminus != lowering(sp, fminus).scale(Scalar(-4)):
-                bad["omega_trace_closed_form"] += 1
-            (idx, e) = fwin.basis[k]
-            par = sum(e) % 2
-            for img in (fplus, fminus):
-                if any((sum(e2) - par) % 2 == 0 for (_i2, e2) in img.keys()):
-                    bad["parity_reversal"] += 1
-                    break
-            for a, v in enumerate(vectors):
-                lhs = raising(sp, iota[a]) + contract(sp, v, fplus)
-                if lhs != cliff[a].scale(half_i):
-                    bad["raising_contraction_anticommutator"] += 1
-                lhs = lowering(sp, cliff[a]) - clifford_apply(sp, v, fminus)
-                if lhs != iota[a].scale(half_i):
-                    bad["lowering_clifford_commutator"] += 1
-                for b, w in enumerate(vectors):
-                    if not (iota2[a][b] + iota2[b][a]).is_zero():
-                        bad["contraction_anticommutation"] += 1
-                    if contract(sp, v, cliff[b]) != clifford_apply(sp, w, iota[a]):
-                        bad["contraction_clifford_commute"] += 1
-            for xi in covectors:
-                if not wedge(xi, wedge(xi, psi)).is_zero():
-                    bad["wedge_square_zero"] += 1
-    for name, count in bad.items():
+    pairs = [(v, w) for v in vectors for w in vectors]
+    spinors = FormWindow(l, 0, D)
+    # the windows of form degree 0..2l hold 4^l times as many basis forms
+    # as the spinor window
+    shares = _share_count(spinors.dim << (2 * l))
+
+    def work(share):
+        clifford = 0
+        for v, w in pairs[share::shares]:
+            for s in spinors:
+                if not commutator_defect(sp, v, w, s).is_zero():
+                    clifford += 1
+        bad = dict.fromkeys(_RELATIONS, 0)
+        before = 0  # the basis forms of the windows before this one
+        checked = 0
+        for r in range(2 * l + 1):
+            win = FormWindow(l, r, D)
+            half_rl = Scalar(Fraction(r - l, 2))
+            # this share takes every shares-th form of the windows in turn
+            for k in range((share - before) % shares, win.dim, shares):
+                _form_defects(sp, win.element(k), win.basis[k], half_rl, vectors, covectors, bad)
+                checked += 1
+            before += win.dim
+        return {"clifford_commutation": clifford, "relations": bad, "vectors_checked": checked}
+
+    results = _in_shares(work, shares)
+    clifford = sum(res["clifford_commutation"] for res in results)
+    total = sum(res["vectors_checked"] for res in results)
+    checks = [
+        _check(
+            "clifford_commutation", clifford == 0, basis_pairs=len(pairs), defects=clifford
+        )
+    ]
+    for name in _RELATIONS:
+        count = sum(res["relations"][name] for res in results)
         checks.append(_check(name, count == 0, defects=count, vectors_checked=total))
     return _finish({"suite": "relations", "l": l, "D": D}, checks)
+
+
+# the most shares one call splits into, however many CPUs the host has:
+# each child costs a fork and a copy of the pages its share writes
+_MAX_SHARES = 8
+# SIGKILL, the same number on every POSIX system; the CLI does not load the
+# signal module
+_SIGKILL = 9
+
+
+def _share_count(n: int) -> int:
+    """Into how many shares to split n independent checks: one per CPU
+    this process may use, at most n and _MAX_SHARES, and 1 without
+    ``os.fork``."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n, _MAX_SHARES))
+
+
+def _in_shares(work, n: int) -> list:
+    """[work(0), ..., work(n - 1)], for a ``work(share)`` that returns JSON
+    data.  Share 0 runs in this process and every other share in a forked
+    child, which sends its result back over a pipe.  A child that raises
+    or exits nonzero makes this raise RuntimeError naming its share; if
+    share 0 raises, the children are killed first.  No child outlives the
+    call.  The package starts no thread, so a child inherits no lock that
+    another thread holds."""
+    pids = {}  # share -> pid, until reaped
+    fds = {}  # share -> read end of its pipe, until closed
+    try:
+        for share in range(1, n):
+            fds[share], w = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _reply(work, share, w)
+            finally:
+                os.close(w)
+            pids[share] = pid
+        results = [work(0)]
+        for share in range(1, n):
+            with open(fds.pop(share), "rb") as fh:
+                data = fh.read()
+            status = os.waitpid(pids.pop(share), 0)[1]
+            if status:
+                why = data.decode(errors="replace") or f"wait status {status}"
+                raise RuntimeError(f"relations share {share} of {n} failed: {why}")
+            results.append(json.loads(data))
+        return results
+    finally:
+        for r in fds.values():
+            os.close(r)
+        for pid in pids.values():
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _reply(work, share: int, fd: int) -> None:
+    """In a forked child: write work(share) as JSON to fd, or the exception
+    it raised, and leave through ``os._exit``, so that no exit handler or
+    pending cleanup of the parent's stack runs twice."""
+    status = 1
+    try:
+        try:
+            data, ok = json.dumps(work(share)), True
+        except Exception as exc:
+            data, ok = f"{type(exc).__name__}: {exc}", False
+        data = data.encode()
+        while data:
+            data = data[os.write(fd, data) :]
+        status = 0 if ok else 1
+    finally:
+        os._exit(status)
 
 
 # ---------------------------------------------------------------------------

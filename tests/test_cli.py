@@ -305,11 +305,10 @@ def test_closed_stdout_rejected():
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
-    # both modules cost import time on every run and no CLI path needs them
-    code = (
-        "import symtwist.cli, sys; "
-        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
-    )
+    # these modules cost import time on every run and no CLI path needs
+    # them: relations forks its shares with os and json alone
+    absent = ("dataclasses", "inspect", "multiprocessing", "concurrent.futures", "subprocess")
+    code = f"import symtwist.cli, sys; print(sorted(m for m in {absent!r} if m in sys.modules))"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n"

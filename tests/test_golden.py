@@ -34,7 +34,10 @@ part: the tensors of ``gen-curvature --l 1 --seed 0`` and ``--l 3 --seed
 11``, the l=2 tensor that is a Ricci-type tensor plus a trace-free
 direction (not of Ricci type), an l=3 commutator tensor [G_X, G_Y] (not of
 Ricci type at the benchmark's l, so W is nonzero there) and an l=1 tensor
-with an asymmetric Ricci contraction (exit 1 with a diagnosis).
+with an asymmetric Ricci contraction (exit 1 with a diagnosis).  The
+``relations`` goldens at l=2, D=2 and l=3, D=2 run again with their checks
+split into 1 and into 3 shares (one in the process, the others in forked
+children), which must give the same bytes.
 A mismatch means the report changed; the recorded values are not to be
 rewritten to make a change pass.
 """
@@ -49,6 +52,7 @@ from conftest import (
     ricci_type_plus_weyl_l2,
 )
 
+from symtwist import suites
 from symtwist.cli import main
 from symtwist.curvature import curvature_to_json
 
@@ -182,6 +186,14 @@ def _run(tmp_path, name, args):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_report_bytes_match_golden(tmp_path, name):
+    args, code, digest = GOLDEN[name]
+    assert _run(tmp_path, name, args)[:2] == (code, digest)
+
+
+@pytest.mark.parametrize("shares", [1, 3])
+@pytest.mark.parametrize("name", ["relations-l2d2", "relations-l3d2"])
+def test_relations_bytes_do_not_depend_on_the_share_count(monkeypatch, tmp_path, name, shares):
+    monkeypatch.setattr(suites, "_share_count", lambda n: shares)
     args, code, digest = GOLDEN[name]
     assert _run(tmp_path, name, args)[:2] == (code, digest)
 

@@ -2,18 +2,22 @@
 
 Each case replaces one operator by a wrong one, in every ``symtwist``
 module that binds it, runs ``run_relations`` at l=2, D=1 and compares the
-failing checks and their defect counts with values recorded once.  A
-rewrite of the suite that reuses operator values must fail exactly the
-same checks, with the same counts: a check that stops seeing a fault has
-become vacuous.  The recorded values are not to be rewritten to make a
-change pass.
+failing checks and their defect counts with values recorded once, with
+the checks run in one share and in two.  A rewrite of the suite that
+reuses operator values must fail exactly the same checks, with the same
+counts: a check that stops seeing a fault has become vacuous.  The
+recorded values are not to be rewritten to make a change pass.
+
+The last tests fail an operator in a forked share or in the calling
+process and check that the failure is reported and no child is left.
 """
 
+import os
 import sys
 
 import pytest
 
-from symtwist import forms, osp, spinors
+from symtwist import forms, osp, spinors, suites
 from symtwist.forms import SpinorForm, basis_form
 from symtwist.scalars import I, Scalar
 from symtwist.suites import run_relations
@@ -117,10 +121,71 @@ def _failing(report):
     return {c["name"]: c["defects"] for c in report["checks"] if c["status"] == "fail"}
 
 
-@pytest.mark.parametrize("fault", sorted(FAULTS))
-def test_injected_fault_fails_the_recorded_checks(monkeypatch, fault):
+@pytest.mark.parametrize(
+    "fault, shares",
+    [
+        pytest.param(fault, shares, id=fault if shares == 1 else f"{fault}-{shares}-shares")
+        for shares in (1, 2)
+        for fault in sorted(FAULTS)
+    ],
+)
+def test_injected_fault_fails_the_recorded_checks(monkeypatch, fault, shares):
+    # with two shares, the forms of share 1 are checked in a forked child:
+    # a fault seen only there must still reach the report
+    monkeypatch.setattr(suites, "_share_count", lambda n: shares)
     original, make = FAULTS[fault]
     assert _patch_everywhere(monkeypatch, original, make(original)) >= 2
     report = run_relations(standard_space(2), 1)
     assert report["status"] == "fail"
     assert _failing(report) == EXPECTED[fault]
+
+
+class _ParentFault(Exception):
+    pass
+
+
+def _fail_in_child(raising, how):
+    parent = os.getpid()
+
+    def faulty(sp, psi):
+        if os.getpid() != parent:
+            if how == "exit":
+                os._exit(3)
+            raise ValueError("raising failed in a child")
+        return raising(sp, psi)
+
+    return faulty
+
+
+def _fail_in_parent(sp, psi):
+    raise _ParentFault
+
+
+def _assert_no_child_left():
+    # waitpid(-1) raises only when this process has no child at all, not
+    # even an unreaped one
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("how", ["raise", "exit"])
+def test_a_failing_child_share_raises_runtime_error(monkeypatch, how):
+    monkeypatch.setattr(suites, "_share_count", lambda n: 2)
+    _patch_everywhere(monkeypatch, osp.raising, _fail_in_child(osp.raising, how))
+    with pytest.raises(RuntimeError, match="relations share 1 of 2 failed"):
+        run_relations(standard_space(2), 1)
+    _assert_no_child_left()
+
+
+def test_a_failing_parent_share_raises_its_own_error(monkeypatch):
+    monkeypatch.setattr(suites, "_share_count", lambda n: 3)
+    _patch_everywhere(monkeypatch, osp.raising, _fail_in_parent)
+    with pytest.raises(_ParentFault):
+        run_relations(standard_space(2), 1)
+    _assert_no_child_left()
+
+
+def test_a_passing_run_leaves_no_child(monkeypatch):
+    monkeypatch.setattr(suites, "_share_count", lambda n: 2)
+    assert run_relations(standard_space(2), 1)["status"] == "pass"
+    _assert_no_child_left()

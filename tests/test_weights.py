@@ -87,7 +87,17 @@ def test_symbol_mixes_weights_off_the_halves():
 def test_weight_restricted_window_keeps_the_order():
     for l, r, D in [(2, 1, 2), (3, 3, 2), (3, 0, 1), (3, 6, 1)]:
         whole = FormWindow(l, r, D)
-        for ws in ({0}, {-1, 2}, {D + r}, set(), set(range(-r, D + r + 1))):
+        # the last four sets are empty or reach weights outside the window
+        for ws in (
+            {0},
+            {-1, 2},
+            {D + r},
+            set(range(-r, D + r + 1)),
+            set(),
+            {-r - 1},
+            {D + r + 1, 10**6},
+            {-r - 2, 0, D + r + 2},
+        ):
             part = FormWindow(l, r, D, ws)
             assert part.basis == tuple(k for k in whole.basis if weight(l, k) in ws)
 
