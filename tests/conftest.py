@@ -210,6 +210,23 @@ def commutator_curvature_l3():
     return commutator_curvature(3, {(0, 0, 1): Scalar(1), (0, 3, 4): Scalar(2, 1)})
 
 
+def commutator_curvature_l3_mixed():
+    """An l=3 commutator tensor whose entries mix the denominators 4, 3, 5
+    and their products, Gaussian ones included: its input, sigma-tilde and
+    W are held over denominators other than 1 and 2(l+1)."""
+    from fractions import Fraction
+
+    from symtwist.scalars import Scalar
+
+    return commutator_curvature(
+        3,
+        {
+            (0, 0, 1): Scalar(Fraction(1, 2)),
+            (0, 3, 4): Scalar(Fraction(2, 3), Fraction(1, 5)),
+        },
+    )
+
+
 def dense_sigma_tilde(l, sigma):
     """Reference Ricci-type tensor: all five omega-sigma products of
 

@@ -29,11 +29,13 @@ Lagrangian, so every symbol map lowers the weight by one) and on
 (0, 0, 0, 1, -2, 1/2) (three components in the second half, so the
 symbol raises the weight by one), and
 ``curvature --input`` on the tensor from ``gen-curvature --l 2 --seed 7``.
-Five more ``curvature --input`` cases cover the split beyond a zero Weyl
+Six more ``curvature --input`` cases cover the split beyond a zero Weyl
 part: the tensors of ``gen-curvature --l 1 --seed 0`` and ``--l 3 --seed
 11``, the l=2 tensor that is a Ricci-type tensor plus a trace-free
 direction (not of Ricci type), an l=3 commutator tensor [G_X, G_Y] (not of
-Ricci type at the benchmark's l, so W is nonzero there) and an l=1 tensor
+Ricci type at the benchmark's l, so W is nonzero there), a second one
+whose entries have mixed non-unit and Gaussian denominators (15, 30 and
+225: the common-denominator rendering of every part) and an l=1 tensor
 with an asymmetric Ricci contraction (exit 1 with a diagnosis).  The
 ``relations`` goldens at l=2, D=2 and l=3, D=2 run again with their checks
 split into 1 and into 3 shares (one in the process, the others in forked
@@ -49,6 +51,7 @@ import pytest
 from conftest import (
     asymmetric_contraction_l1,
     commutator_curvature_l3,
+    commutator_curvature_l3_mixed,
     ricci_type_plus_weyl_l2,
 )
 
@@ -244,6 +247,11 @@ CURVATURE_INPUTS = {
         0,
         "5cddbb2009b4b7aec1301df7fb21f19bb57318988e1c892c50d27efaf4eba3c0",
     ),
+    "commutator-l3-mixed": (
+        _built(commutator_curvature_l3_mixed),
+        0,
+        "287956ec5b3225cdbc9a345049fd1c68f681334f0bdba6f9cb2ed3d9cdb82589",
+    ),
     "asymmetric-contraction-l1": (
         _built(asymmetric_contraction_l1),
         1,
@@ -258,7 +266,7 @@ def test_curvature_input_report_bytes_match_golden(tmp_path, name):
     tensor = write(tmp_path)
     got = _run(tmp_path, "curvature", ("curvature", "--input", str(tensor)))
     assert got[:2] == (code, digest)
-    if name in ("ricci-type-plus-weyl-l2", "commutator-l3"):
+    if name in ("ricci-type-plus-weyl-l2", "commutator-l3", "commutator-l3-mixed"):
         assert json.loads(got[2].read_text())["is_ricci_type"] is False
     if name == "asymmetric-contraction-l1":
         assert "diagnosis" in json.loads(got[2].read_text())
