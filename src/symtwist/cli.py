@@ -81,7 +81,8 @@ def _write(report, fmt, fh) -> None:
 # written one child at a time.
 #
 # A container that occurs more than once (a curvature report shares one
-# leaf dict per distinct value) is rendered once per indent in one write:
+# leaf dict per distinct value, and one list per distinct row, block and
+# plane) is rendered once per indent in one write:
 # ``memo`` maps each indent to {id(node): (node, text)} for the containers
 # rendered at it.  Holding the node keeps its id from being reused, and the
 # memo lives for one _write call only, so a node edited between two writes
@@ -303,7 +304,7 @@ def _cmd_curvature(args):
     return EXIT_OK
 
 
-# gen-curvature holds (2l)^4 Scalars per tensor: this allows l <= 8
+# gen-curvature holds (2l)^4 Gaussian-integer pairs per tensor: this allows l <= 8
 MAX_CURVATURE_ENTRIES = 16**4
 
 

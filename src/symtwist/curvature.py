@@ -1,53 +1,112 @@
 """Symplectic curvature decomposition.
 
-Rank-4 curvature tensors are stored fully lowered.  Construction enforces
-exactly two invariants: antisymmetry in the last index pair (the two
-vector-field slots) and the first Bianchi identity over the last three
-slots.  Further symmetries a connection-derived tensor would satisfy are
-checked empirically by the callers, never assumed.
-
-The trace convention is pinned here once: the Ricci contraction raises the
-FIRST lowered slot,
+A curvature tensor is stored fully lowered, as Gaussian-integer lists
+``re``, ``im`` over one denominator ``d``: R_{ijkm} = (re[p] + im[p] i) / d
+at p = ((i n + j) n + k) n + m, n = 2l.  Its arithmetic runs on these
+ints; Scalars are only its boundary (constructor, ``entries``, JSON).
+Ricci tensors hold Scalars.  Construction enforces exactly antisymmetry in
+the last index pair and the first Bianchi identity over the last three
+slots.  The Ricci contraction raises the FIRST slot (conventions vary),
 
     sigma_{ij} = omega^{km} R_{m i k j},
 
-matching the index-raising convention of the symplectic base module
-(conventions vary in the literature, so this is stated prominently).  The
-Ricci-type part is rebuilt from sigma by
+and the Ricci-type part is rebuilt from sigma by
 
     2(l+1) st_{ijkl} = om_{il} s_{jk} - om_{ik} s_{jl} + om_{jl} s_{ik}
-                       - om_{jk} s_{il} + 2 s_{ij} om_{kl}
+                       - om_{jk} s_{il} + 2 s_{ij} om_{kl},
 
-and the Weyl part is the difference.  Contracting the rebuilt tensor
-returns sigma with normalization factor exactly 1; the factor is pinned by
-a brute-force oracle in the test suite rather than trusted.
+W being the difference; a test oracle pins the reconstruction factor 1.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import chain
+from math import gcd, lcm
+from operator import add, sub
 
-from .scalars import Scalar, scalar_from_json, scalar_to_json
+from .scalars import Scalar, _parts, _ratio_str, from_pair, scalar_from_json, scalar_to_json
 from .symplectic import SymplecticSpace, omega_entry
 
 
 class InvalidCurvatureError(ValueError):
-    """Input fails a curvature invariant or is not a symplectic curvature
-    tensor (asymmetric Ricci contraction)."""
+    """A failed curvature invariant or an asymmetric Ricci contraction."""
 
 
 _CURVATURE_SHAPE = "curvature entries must nest four lists of length 2l = {}"
 _RICCI_SHAPE = "Ricci entries must nest two lists of length 2l = {}"
+_flat = chain.from_iterable
 
 
 def _nested(x, n, depth, shape):
-    """x as ``depth`` levels of nested tuples, copying whole rows; every
-    level must have exactly n items, else InvalidCurvatureError with the
-    ``shape`` message: nothing is cut off."""
+    """x as ``depth`` levels of tuples of exactly n items, else
+    InvalidCurvatureError(shape): nothing is cut off."""
     t = tuple(x) if depth == 1 else tuple(_nested(y, n, depth - 1, shape) for y in x)
     if len(t) != n:
         raise InvalidCurvatureError(shape.format(n))
     return t
+
+
+def _triple(z):
+    """(a, b, d) of a Scalar, int or Fraction."""
+    t = (z._a, z._b, z._d) if type(z) is Scalar else _parts(z)
+    if t is None:
+        raise TypeError(f"not a Scalar, int or Fraction: {z!r}")
+    return t
+
+
+def _pairs(entries):
+    """(re, im, d) of the entries, converting each distinct object once."""
+    flat = list(entries)
+    keys = list(map(id, flat))
+    t = {k: _triple(z) for k, z in dict(zip(keys, flat)).items()}
+    d = lcm(*{e for _, _, e in t.values()})
+    t = {k: (a * (d // e), b * (d // e)) for k, (a, b, e) in t.items()}
+    re, im = map(list, zip(*map(t.__getitem__, keys)))
+    return re, im, d
+
+
+def _scaled(x, f):
+    return x if f == 1 else list(map(f.__mul__, x))
+
+
+def _orbit_sum(x, n, size, count):
+    """x plus count - 1 successive transposes of its ``size`` blocks as
+    (size/n) x n matrices: n^2 swaps k and m, n^3 gives R_{ikmj}."""
+    total = y = x
+    for _ in range(count - 1):
+        rows = zip(*[iter(y)] * n)  # one zip per size/n rows
+        y = list(_flat(_flat(map(zip, *[rows] * (size // n)))))
+        total = list(map(add, total, y))
+    return total
+
+
+def _validate(n, re, im):
+    # A failure recurs at its swapped (permuted) positions, never where j, k,
+    # m repeat: the first nonzero sum is the full loop's first failure.  An
+    # all-zero part passes.
+    for size, count, what in (
+        (n * n, 2, "curvature must be antisymmetric in the last index pair, fails at"),
+        (n**3, 3, "first Bianchi identity fails at"),
+    ):
+        sums = [_orbit_sum(x, n, size, count) for x in (re, im) if any(x)]
+        bad = [list(map(bool, x)).index(True) for x in sums if any(x)]
+        if bad:
+            p = min(bad)
+            i, j, k, m = p // n**3, p // n**2 % n, p // n % n, p % n
+            raise InvalidCurvatureError(f"{what} ({i + 1},{j + 1},{k + 1},{m + 1})")
+
+
+def _view(R, make, kind):
+    """R's entries as four levels of ``kind``: make(a, b, d) once per
+    distinct pair, one object per distinct row, block and plane."""
+    keys, n = list(zip(R.re, R.im)), 2 * R.l
+    made = {t: make(*t, R.d) for t in set(keys)}
+    for _ in range(4):
+        flat = list(map(made.__getitem__, keys))
+        keys = list(zip(*[iter(map(id, flat))] * n))  # chunks of n ids
+        made = {k: kind(c) for k, c in dict(zip(keys, zip(*[iter(flat)] * n))).items()}
+    return made[keys[0]]
 
 
 class RicciTensor:
@@ -56,7 +115,8 @@ class RicciTensor:
     def __init__(self, l, entries):
         n = 2 * l
         self.l = l
-        self.entries = _nested(entries, n, 2, _RICCI_SHAPE)
+        rows = _nested(entries, n, 2, _RICCI_SHAPE)
+        self.entries = tuple(tuple(from_pair(*_triple(z)) for z in row) for row in rows)
         for i in range(n):
             for j in range(i + 1, n):
                 if self.entries[i][j] != self.entries[j][i]:
@@ -68,148 +128,95 @@ class RicciTensor:
         return not any(any(row) for row in self.entries)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, RicciTensor)
-            and self.l == other.l
-            and self.entries == other.entries
-        )
+        return isinstance(other, RicciTensor) and (self.l, self.entries) == (other.l, other.entries)
 
 
 class CurvatureTensor:
-    __slots__ = ("l", "entries")
+    __slots__ = ("l", "re", "im", "d", "_entries")
 
-    def __init__(self, l, entries):
+    def __init__(self, l, entries, flat=None):
+        """From nested ``entries`` or this module's flat (re, im, d);
+        validated either way."""
         n = 2 * l
         self.l = l
-        self.entries = _nested(entries, n, 4, _CURVATURE_SHAPE)
-        e = self.entries
-        for i in range(n):
-            for j in range(n):
-                eij = e[i][j]
-                for k in range(n):
-                    eijk = eij[k]
-                    for m in range(k, n):
-                        x, y = eijk[m], eij[m][k]
-                        if type(x) is Scalar and type(y) is Scalar:
-                            # x != -y on canonical triples, with no -y built
-                            bad = x._d != y._d or x._a != -y._a or x._b != -y._b
-                        else:
-                            bad = x != -y
-                        if bad:
-                            raise InvalidCurvatureError(
-                                "curvature must be antisymmetric in the last "
-                                f"index pair, fails at ({i + 1},{j + 1},{k + 1},{m + 1})"
-                            )
-        # With the last pair antisymmetric, the cyclic sum over (j, k, m) is
-        # totally antisymmetric in them and vanishes when two coincide, so
-        # j < k < m covers every case.  The first failure in full-loop order
-        # is the sorted triple of some failing cyclic sum, so this loop names
-        # the same (i, j, k, m).
-        for i in range(n):
-            ei = e[i]
-            for j in range(n):
-                for k in range(j + 1, n):
-                    for m in range(k + 1, n):
-                        if ei[j][k][m] + ei[k][m][j] + ei[m][j][k]:
-                            raise InvalidCurvatureError(
-                                "first Bianchi identity fails at "
-                                f"({i + 1},{j + 1},{k + 1},{m + 1})"
-                            )
+        self._entries = None
+        if flat is None:
+            flat = _pairs(_flat(_flat(_flat(_nested(entries, n, 4, _CURVATURE_SHAPE)))))
+        self.re, self.im, self.d = flat
+        _validate(n, self.re, self.im)
+
+    @property
+    def entries(self):
+        """Nested tuples of Scalars, one Scalar per distinct value."""
+        if self._entries is None:
+            self._entries = _view(self, from_pair, tuple)
+        return self._entries
 
     def is_zero(self):
-        return not any(
-            any(any(any(row3) for row3 in row2) for row2 in row1)
-            for row1 in self.entries
-        )
+        return not (any(self.re) or any(self.im))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, CurvatureTensor)
-            and self.l == other.l
-            and self.entries == other.entries
+        if not isinstance(other, CurvatureTensor) or self.l != other.l:
+            return False
+        g = gcd(self.d, other.d)  # cross-multiplied
+        u, v = other.d // g, self.d // g
+        return _scaled(self.re, u) == _scaled(other.re, v) and (
+            _scaled(self.im, u) == _scaled(other.im, v)
         )
 
     def __sub__(self, other):
         """The elementwise difference, validated like any other tensor."""
-        return CurvatureTensor(
-            self.l,
-            [
-                [
-                    [[x - y for x, y in zip(r3, o3)] for r3, o3 in zip(r2, o2)]
-                    for r2, o2 in zip(r1, o1)
-                ]
-                for r1, o1 in zip(self.entries, other.entries)
-            ],
-        )
+        d = lcm(self.d, other.d)
+        u, v = d // self.d, d // other.d
+        re = list(map(sub, _scaled(self.re, u), _scaled(other.re, v)))
+        im = list(map(sub, _scaled(self.im, u), _scaled(other.im, v)))
+        return CurvatureTensor(self.l, None, (re, im, d))
 
 
 def ricci_contract(sp: SymplecticSpace, R: CurvatureTensor) -> RicciTensor:
-    """sigma_{ij} = omega^{km} R_{m i k j} = sum_k R_{k+l,i,k,j} - R_{k,i,k+l,j};
-    asymmetric results are rejected as not coming from a symplectic
-    curvature tensor."""
-    n, l = sp.dim, sp.l
-    e = R.entries
-    sigma = [[Scalar(0)] * n for _ in range(n)]
+    """sigma_{ij} = sum_k R_{k+l,i,k,j} - R_{k,i,k+l,j}, rejected when
+    asymmetric: R is then no symplectic curvature tensor."""
+    n, l, re, im = sp.dim, sp.l, R.re, R.im
+    us, vs = [], []
     for i in range(n):
-        for j in range(n):
-            acc = Scalar(0)
-            for k in range(l):
-                acc = acc + e[k + l][i][k][j] - e[k][i][k + l][j]
-            sigma[i][j] = acc
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sigma[i][j] != sigma[j][i]:
-                raise InvalidCurvatureError(
-                    "Ricci contraction is asymmetric: input is not a "
-                    "symplectic curvature tensor"
-                )
-    return RicciTensor(sp.l, sigma)
+        u, v = [0] * n, [0] * n
+        for k in range(l):
+            p, q = (((k + l) * n + i) * n + k) * n, ((k * n + i) * n + k + l) * n
+            u = list(map(add, u, map(sub, re[p : p + n], re[q : q + n])))
+            v = list(map(add, v, map(sub, im[p : p + n], im[q : q + n])))
+        us.append(u)
+        vs.append(v)
+    if us != list(map(list, zip(*us))) or vs != list(map(list, zip(*vs))):
+        raise InvalidCurvatureError(
+            "Ricci contraction is asymmetric: input is not a symplectic curvature tensor"
+        )
+    return RicciTensor(l, [list(map(from_pair, u, v, [R.d] * n)) for u, v in zip(us, vs)])
 
 
 def sigma_tilde(sp: SymplecticSpace, sigma: RicciTensor) -> CurvatureTensor:
-    """The Ricci-type curvature tensor built linearly from sigma.
-
-    Each of the five terms has one omega factor om_{ab}, nonzero only for
-    b = a +- l.  So each nonzero s_{xy} meets 2l omega entries once per
-    term: at most 5 n^3 products are scattered into their entries, and only
-    the nonzero sums are divided by 2(l+1).
-    """
+    """The Ricci-type tensor of sigma, over 2(l+1) times sigma's
+    denominator.  Each term has one omega factor om_{ab}, nonzero only for
+    b = a +- l: a nonzero s_{xy} meets at most 5n entries."""
     n, l = sp.dim, sp.l
-    s = sigma.entries
-    zero = Scalar(0)
-    out = [[[[zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    sre, sim, ds = _pairs(_flat(sigma.entries))  # s_{xy} at x n + y
+    re, im = [0] * n**4, [0] * n**4
     for a in range(n):
         b = (a + l) % n
-        positive = omega_entry(l, a, b) > 0
-        out_a = out[a]
-        for x in range(n):
-            out_x = out[x]
-            for y, v in enumerate(s[x]):
-                if not v:
-                    continue
-                p = v if positive else -v
-                out_a[x][y][b] += p  # om_{im} s_{jk}
-                out_a[x][b][y] -= p  # -om_{ik} s_{jm}
-                out_x[a][y][b] += p  # om_{jm} s_{ik}
-                out_x[a][b][y] -= p  # -om_{jk} s_{im}
-                out_x[y][a][b] += p * 2  # 2 s_{ij} om_{km}
-    denom = Scalar(2 * (l + 1))
-    for r1 in out:
-        for r2 in r1:
-            for r3 in r2:
-                for m, z in enumerate(r3):
-                    if z:
-                        r3[m] = z / denom
-    return CurvatureTensor(sp.l, out)
+        f, ab = omega_entry(l, a, b), a * n + b
+        signs = f, -f, f, -f, 2 * f
+        for xy, (u, v) in enumerate(zip(sre, sim)):
+            if u or v:
+                x, y = divmod(xy, n)
+                ax, xa, yb, by = (a * n + x) * n * n, (x * n + a) * n * n, y * n + b, b * n + y
+                # om_{im} s_{jk}, -om_{ik} s_{jm}, om_{jm} s_{ik}, -om_{jk} s_{im}, 2 s_{ij} om_{km}
+                for p, c in zip((ax + yb, ax + by, xa + yb, xa + by, xy * n * n + ab), signs):
+                    re[p] += c * u
+                    im[p] += c * v
+    return CurvatureTensor(l, None, (re, im, 2 * (l + 1) * ds))
 
 
 def weyl_part(sp: SymplecticSpace, R: CurvatureTensor) -> CurvatureTensor:
-    """R minus the Ricci-type part rebuilt from its contraction.
-
-    The reconstruction factor of ricci_contract(sigma_tilde(.)) is exactly
-    1 (pinned by the brute-force oracle in the tests), so no rescaling
-    happens here.
-    """
+    """R minus the Ricci-type part rebuilt from its contraction."""
     return R - sigma_tilde(sp, ricci_contract(sp, R))
 
 
@@ -218,49 +225,29 @@ def is_ricci_type(sp: SymplecticSpace, R: CurvatureTensor) -> bool:
 
 
 def random_symmetric_ricci(sp: SymplecticSpace, seed: int) -> RicciTensor:
-    """Deterministic pseudorandom symmetric tensor with small integer
-    entries; same seed, same tensor, on every platform."""
-    rng = random.Random(seed)
-    n = sp.dim
+    """Seeded symmetric tensor with small integer entries, the same on
+    every platform."""
+    rng, n = random.Random(seed), sp.dim
     s = [[Scalar(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            v = Scalar(rng.randint(-3, 3))
-            s[i][j] = v
-            s[j][i] = v
+            s[i][j] = s[j][i] = Scalar(rng.randint(-3, 3))
     return RicciTensor(sp.l, s)
 
 
 def random_ricci_type(sp: SymplecticSpace, seed: int) -> CurvatureTensor:
-    """sigma_tilde of a seeded random symmetric tensor: a deterministic
-    generator of nontrivial Ricci-type curvature tensors."""
+    """sigma_tilde of random_symmetric_ricci: a seeded Ricci-type tensor."""
     return sigma_tilde(sp, random_symmetric_ricci(sp, seed))
 
 
 def curvature_to_json(R: CurvatureTensor) -> dict:
-    n = 2 * R.l
-    # a tensor has (2l)^4 entries but few distinct values: each is rendered
-    # once, and equal entries share one leaf dict (so the report writer
-    # renders it once too).  Edit a copy of the result, not the result: one
-    # edited leaf would change every equal entry.
-    rendered = {}
+    # equal entries, rows, blocks and planes share one object, which the
+    # report writer renders once: edit a copy, not one shared leaf
+    return {"l": R.l, "entries": _view(R, _leaf, list)}
 
-    def leaf(z):
-        # keyed by the canonical triple: hashing a real Scalar builds a
-        # Fraction, which costs more than rendering it
-        key = (z._a, z._b, z._d)
-        obj = rendered.get(key)
-        if obj is None:
-            obj = rendered[key] = scalar_to_json(z)
-        return obj
 
-    return {
-        "l": R.l,
-        "entries": [
-            [[[leaf(z) for z in row] for row in block] for block in plane]
-            for plane in R.entries
-        ],
-    }
+def _leaf(a, b, d):
+    return {"re": _ratio_str(a, d), "im": _ratio_str(b, d)}
 
 
 def curvature_from_json(obj: dict) -> CurvatureTensor:
@@ -289,18 +276,12 @@ def curvature_from_json(obj: dict) -> CurvatureTensor:
 
     def level(x, depth):
         # every level is a list of exactly 2l items: nothing is cut off
-        if depth == 4:
-            return leaf(x)
         if type(x) is not list or len(x) != n:
             raise ValueError(_CURVATURE_SHAPE.format(n))
-        return [level(y, depth + 1) for y in x]
+        return [leaf(y) for y in x] if depth == 3 else [level(y, depth + 1) for y in x]
 
     return CurvatureTensor(l, level(obj["entries"], 0))
 
 
 def ricci_to_json(s: RicciTensor) -> dict:
-    n = 2 * s.l
-    return {
-        "l": s.l,
-        "entries": [[scalar_to_json(s.entries[i][j]) for j in range(n)] for i in range(n)],
-    }
+    return {"l": s.l, "entries": [list(map(scalar_to_json, row)) for row in s.entries]}

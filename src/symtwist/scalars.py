@@ -1,14 +1,15 @@
 """Exact Gaussian-rational arithmetic.
 
 The number type of the package's interfaces: a + b*i with rational a, b.
-Curvature tensors, symbols and reports compute with it.  The operator
-layer (``forms``, ``osp``, ``spinors``) and linear algebra (``linalg``) do
-not: a form holds Gaussian-integer pairs over one denominator, an operator
-matrix holds Gaussian-integer rows over one denominator per column, and
-Scalars enter and leave both only at their boundaries (see the forms and
-linalg modules).  A ``Scalar`` stores three Python ints ``(a, b, d)`` and
-means ``(a + b*i) / d``.  The triple is kept canonical after every
-operation:
+Ricci tensors, symbols and reports compute with it.  The operator layer
+(``forms``, ``osp``, ``spinors``), linear algebra (``linalg``) and
+curvature tensors do not: a form holds Gaussian-integer pairs over one
+denominator, an operator matrix holds Gaussian-integer rows over one
+denominator per column, a curvature tensor holds Gaussian-integer lists
+over one denominator, and Scalars enter and leave them only at their
+boundaries (see the forms, linalg and curvature modules).  A ``Scalar``
+stores three Python ints ``(a, b, d)`` and means ``(a + b*i) / d``.  The
+triple is kept canonical after every operation:
 
 * ``d > 0``;
 * ``gcd(a, b, d) == 1``;

@@ -164,15 +164,15 @@ def asymmetric_contraction_l1():
     return CurvatureTensor(1, ent)
 
 
-def commutator_curvature(l, gamma):
+def commutator_entries(l, gamma):
     """R_{ijkm} = omega^{ab} (G_{ika} G_{bmj} - G_{ima} G_{bkj}) for a fully
-    symmetric 3-tensor G (a {sorted index triple: Scalar} dict): the
-    curvature [G_X, G_Y] of the connection d + G on V.  It is symmetric in
-    (i, j), so its contraction is symmetric, and it satisfies both stored
-    invariants; for l >= 2 it is in general not of Ricci type."""
+    symmetric 3-tensor G (a {sorted index triple: Scalar} dict), as nested
+    lists of Scalars computed in Scalar arithmetic: the curvature
+    [G_X, G_Y] of the connection d + G on V.  It is symmetric in (i, j), so
+    its contraction is symmetric, and it satisfies both stored invariants;
+    for l >= 2 it is in general not of Ricci type."""
     from itertools import permutations
 
-    from symtwist.curvature import CurvatureTensor
     from symtwist.scalars import Scalar
 
     om = omega_matrix(l)
@@ -190,16 +190,17 @@ def commutator_curvature(l, gamma):
                     acc = acc + u * v * om[a][b]
         return acc
 
-    return CurvatureTensor(
-        l,
-        [
-            [
-                [[p(i, k, m, j) - p(i, m, k, j) for m in range(n)] for k in range(n)]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ],
-    )
+    return [
+        [[[p(i, k, m, j) - p(i, m, k, j) for m in range(n)] for k in range(n)] for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def commutator_curvature(l, gamma):
+    """The ``CurvatureTensor`` of ``commutator_entries(l, gamma)``."""
+    from symtwist.curvature import CurvatureTensor
+
+    return CurvatureTensor(l, commutator_entries(l, gamma))
 
 
 def commutator_curvature_l3():
@@ -227,16 +228,16 @@ def commutator_curvature_l3_mixed():
     )
 
 
-def dense_sigma_tilde(l, sigma):
-    """Reference Ricci-type tensor: all five omega-sigma products of
+def dense_sigma_tilde_entries(l, sigma):
+    """Reference Ricci-type tensor, as nested lists of Scalars: all five
+    omega-sigma products of
 
         2(l+1) st_{ijkm} = om_{im} s_{jk} - om_{ik} s_{jm} + om_{jm} s_{ik}
                            - om_{jk} s_{im} + 2 s_{ij} om_{km}
 
-    for each of the n^4 entries, with the dense omega matrix.  The package
-    scatters only the products with a nonzero omega factor; the tests
-    compare the two."""
-    from symtwist.curvature import CurvatureTensor
+    for each of the n^4 entries, in Scalar arithmetic with the dense omega
+    matrix.  The package scatters only the products with a nonzero omega
+    factor, in integers over one denominator; the tests compare the two."""
     from symtwist.scalars import Scalar
 
     n = 2 * l
@@ -256,7 +257,55 @@ def dense_sigma_tilde(l, sigma):
                         + s[i][j] * (2 * om[k][m])
                     )
                     out[i][j][k][m] = acc / denom
-    return CurvatureTensor(l, out)
+    return out
+
+
+def dense_sigma_tilde(l, sigma):
+    """The ``CurvatureTensor`` of ``dense_sigma_tilde_entries(l, sigma)``."""
+    from symtwist.curvature import CurvatureTensor
+
+    return CurvatureTensor(l, dense_sigma_tilde_entries(l, sigma))
+
+
+# ---------------------------------------------------------------------------
+# The Scalar curvature path: the reference for the Gaussian-integer lists of
+# ``symtwist.curvature``.  Each function reads nested Scalar entries (a
+# tensor's ``entries``, or the nested lists it was built from) and computes
+# entry by entry in Scalar arithmetic.
+
+
+def brute_ricci(l, e):
+    """sigma_{ij} = sum over all (k, m) of omega^{km} R_{m i k j}, with the
+    dense omega matrix, as nested lists."""
+    from symtwist.scalars import Scalar
+
+    om = omega_matrix(l)
+    n = 2 * l
+    return [
+        [
+            sum((e[m][i][k][j] * om[k][m] for k in range(n) for m in range(n)), Scalar(0))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def ref_difference(e, f):
+    """The elementwise difference x - y of two nested entry lists."""
+    return [
+        [[[x - y for x, y in zip(r3, o3)] for r3, o3 in zip(r2, o2)] for r2, o2 in zip(r1, o1)]
+        for r1, o1 in zip(e, f)
+    ]
+
+
+def ref_curvature_json(l, e):
+    """The JSON object of a tensor, one ``scalar_to_json`` leaf per entry."""
+    from symtwist.scalars import scalar_to_json
+
+    return {
+        "l": l,
+        "entries": [[[[scalar_to_json(z) for z in r3] for r3 in r2] for r2 in r1] for r1 in e],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,14 @@ from itertools import product
 import pytest
 from conftest import (
     asymmetric_contraction_l1,
+    brute_ricci,
     commutator_curvature,
+    commutator_entries,
     dense_sigma_tilde,
+    dense_sigma_tilde_entries,
     omega_matrix,
+    ref_curvature_json,
+    ref_difference,
     ricci_type_plus_weyl_l2,
 )
 from hypothesis import given, settings
@@ -23,6 +28,7 @@ from symtwist.curvature import (
     random_ricci_type,
     random_symmetric_ricci,
     ricci_contract,
+    ricci_to_json,
     sigma_tilde,
     weyl_part,
 )
@@ -52,20 +58,6 @@ def _unit_sigma(l, a, b):
     s[a][b] = Scalar(1)
     s[b][a] = Scalar(1)
     return RicciTensor(l, s)
-
-
-def _brute_ricci(l, R):
-    """sigma_{ij} = sum over all (k, m) of omega^{km} R_{m i k j}."""
-    om = omega_matrix(l)
-    n = 2 * l
-    e = R.entries
-    return [
-        [
-            sum((e[m][i][k][j] * om[k][m] for k in range(n) for m in range(n)), Scalar(0))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
 
 
 def test_ricci_symmetry_enforced():
@@ -141,7 +133,7 @@ def test_reconstruction_factor_is_one_brute_force(sp2):
             sig = _unit_sigma(2, a, b)
             rebuilt = sigma_tilde(sp2, sig)
             assert ricci_contract(sp2, rebuilt) == sig
-            assert tuple(map(tuple, _brute_ricci(2, rebuilt))) == sig.entries
+            assert tuple(map(tuple, brute_ricci(2, rebuilt.entries))) == sig.entries
 
 
 def test_linearity(sp2):
@@ -186,7 +178,7 @@ def test_ricci_type_false_for_weyl_direction(sp2):
     assert not is_ricci_type(sp2, mixed)
     assert weyl_part(sp2, mixed) == B
     for R in (mixed, B):
-        assert ricci_contract(sp2, R).entries == tuple(map(tuple, _brute_ricci(2, R)))
+        assert ricci_contract(sp2, R).entries == tuple(map(tuple, brute_ricci(2, R.entries)))
 
 
 def test_asymmetric_contraction_diagnosed():
@@ -306,7 +298,8 @@ def _symplectic_curvatures(draw):
 @given(_symplectic_curvatures())
 def test_ricci_contract_is_the_dense_contraction(case):
     l, R = case
-    assert ricci_contract(standard_space(l), R).entries == tuple(map(tuple, _brute_ricci(l, R)))
+    sigma = ricci_contract(standard_space(l), R)
+    assert sigma.entries == tuple(map(tuple, brute_ricci(l, R.entries)))
 
 
 @st.composite
@@ -343,7 +336,7 @@ def _bianchi_tensors(draw):
 @given(_bianchi_tensors())
 def test_ricci_contract_rejects_exactly_the_asymmetric_contractions(case):
     l, R = case
-    sigma = _brute_ricci(l, R)
+    sigma = brute_ricci(l, R.entries)
     n = 2 * l
     if all(sigma[i][j] == sigma[j][i] for i in range(n) for j in range(i + 1, n)):
         assert ricci_contract(standard_space(l), R).entries == tuple(map(tuple, sigma))
@@ -506,3 +499,121 @@ def test_sigma_tilde_is_the_dense_five_term_formula(kind):
 def _check_sigma_tilde(kind, data):
     l, sigma = data.draw(_symmetric_sigmas(_SIGMA_ENTRIES[kind]))
     assert sigma_tilde(standard_space(l), sigma) == dense_sigma_tilde(l, sigma)
+
+
+# The Gaussian-integer lists against the Scalar reference path of conftest.
+
+
+def _tuples(e):
+    return tuple(tuple(tuple(tuple(r3) for r3 in r2) for r2 in r1) for r1 in e)
+
+
+def _flat(e):
+    return [z for r1 in e for r2 in r1 for r3 in r2 for z in r3]
+
+
+@st.composite
+def _commutator_entry_pairs(draw):
+    """(l, E, F): the Scalar entries of two commutator tensors on one l,
+    with ``_scalars`` coefficients; half the time F is E again."""
+    l = draw(st.integers(1, 4))
+    index = st.integers(0, 2 * l - 1)
+
+    def gamma():
+        return {
+            tuple(sorted(draw(st.tuples(index, index, index)))): draw(_scalars)
+            for _ in range(draw(st.integers(1, 5)))
+        }
+
+    ga = gamma()
+    gb = ga if draw(st.booleans()) else gamma()
+    return l, commutator_entries(l, ga), commutator_entries(l, gb)
+
+
+@_property
+@given(_commutator_entry_pairs(), st.integers(2, 6))
+def test_flat_tensors_match_the_scalar_reference(case, k):
+    l, E, F = case
+    sp = standard_space(l)
+    A, B = CurvatureTensor(l, E), CurvatureTensor(l, F)
+    assert A.entries == _tuples(E)
+    assert (A - B).entries == _tuples(ref_difference(E, F))
+    assert (A == B) is (E == F)
+    assert A.is_zero() is not any(_flat(E))
+    sigma = ricci_contract(sp, A)
+    assert sigma.entries == tuple(map(tuple, brute_ricci(l, E)))
+    S = dense_sigma_tilde_entries(l, sigma)
+    st_ = sigma_tilde(sp, sigma)
+    assert st_.entries == _tuples(S)
+    assert weyl_part(sp, A).entries == _tuples(ref_difference(E, S))
+    for R, e in ((A, E), (A - B, ref_difference(E, F)), (st_, S)):
+        assert curvature_to_json(R) == ref_curvature_json(l, e)
+    # equal values held over different denominators: k times A's, and the
+    # canonical one of sigma-tilde's entries against 2(l+1) times sigma's
+    A2 = CurvatureTensor(l, None, ([a * k for a in A.re], [b * k for b in A.im], A.d * k))
+    st2 = CurvatureTensor(l, st_.entries)
+    for X, Y in ((A, A2), (st_, st2)):
+        assert X == Y and Y == X
+        assert X.entries == Y.entries
+        assert (X - Y).is_zero() and (Y - X).is_zero()
+        assert X.is_zero() is Y.is_zero()
+        assert json.dumps(curvature_to_json(X)) == json.dumps(curvature_to_json(Y))
+    assert A.d != A2.d
+    assert (A2 == B) is (A == B)
+
+
+def _plain(z):
+    """A real Scalar as an int or a Fraction."""
+    assert z.im == 0
+    return z.re.numerator if z.re.denominator == 1 else z.re
+
+
+def test_int_and_fraction_entries_render_like_scalars(sp2):
+    # both constructors accept int and Fraction entries; their JSON is that
+    # of the same tensor built from Scalars
+    R = random_ricci_type(sp2, 3)
+    plain = [[[[_plain(z) for z in r3] for r3 in r2] for r2 in r1] for r1 in R.entries]
+    assert {type(z) for z in _flat(plain)} == {int, Fraction}
+    assert curvature_to_json(CurvatureTensor(2, plain)) == curvature_to_json(R)
+    values = [[Fraction(i + j, 3) if (i + j) % 2 else i * j for j in range(4)] for i in range(4)]
+    scalars = RicciTensor(2, [[Scalar(v) for v in row] for row in values])
+    assert ricci_to_json(RicciTensor(2, values)) == ricci_to_json(scalars)
+    assert RicciTensor(2, values) == scalars
+
+
+_SCALAR_OPS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__neg__",
+)
+
+
+def test_curvature_commands_do_no_scalar_arithmetic(tmp_path, monkeypatch):
+    # Scalars appear only at the boundary: reading, generating, splitting
+    # and writing a tensor make no Scalar sum, product, quotient or negation
+    from symtwist import cli
+
+    inputs = {
+        "weyl": ricci_type_plus_weyl_l2()[0],
+        "gaussian": commutator_curvature(
+            2,
+            {(0, 0, 1): Scalar(Fraction(1, 2)), (0, 2, 3): Scalar(Fraction(2, 3), Fraction(1, 5))},
+        ),
+    }
+    for name, R in inputs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(curvature_to_json(R)))
+    ops = []
+    for name in _SCALAR_OPS:
+
+        def counted(*args, _name=name, _op=getattr(Scalar, name)):
+            ops.append(_name)
+            return _op(*args)
+
+        monkeypatch.setattr(Scalar, name, counted)
+    out = str(tmp_path / "out.json")
+    gen = str(tmp_path / "gen.json")
+    assert cli.main(["gen-curvature", "--l", "2", "--seed", "5", "--out", gen]) == 0
+    for path in (gen, *(str(tmp_path / f"{name}.json") for name in inputs)):
+        assert cli.main(["curvature", "--input", path, "--out", out]) == 0
+        assert json.loads(open(out).read())["status"] == "pass"
+    assert ops == []
+    assert Scalar(1) + Scalar(2) == 3 and ops == ["__add__"]
