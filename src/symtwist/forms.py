@@ -22,11 +22,13 @@ and of osp and spinors run on the pairs with ``int`` arithmetic only:
   their product otherwise, so no operation needs a gcd.
 
 ``Scalar``s enter and leave only at the boundary.  The public constructor
-``SpinorForm(l, {key: Scalar})`` and ``basis_form`` take them, as do
-``scale``, ``coords_to_form`` and ``_combine``, whose coefficients are
-linalg's vectors.  The read-only ``.terms`` view and ``form_to_coords``
-give canonical ones.  ``operator_matrix`` hands the pairs of each image
-to linalg as they are, over the image's denominator.
+``SpinorForm(l, {key: Scalar})`` and ``basis_form`` take them, as does
+``scale``.  ``_combine`` is the one way in from linalg's kernel and solve
+vectors: ``_combine(l, win, vec.items())`` is the form with the
+coordinates ``vec`` on the window ``win``.  The read-only ``.terms`` view
+and ``form_to_coords`` give canonical Scalars.  ``operator_matrix`` hands
+the pairs of each image to linalg as they are, over the image's
+denominator.
 
 Every SpinorForm holds no zero pair and one form degree.  The constructor
 checks both on whatever it is given.  The operators build their results
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import combinations, combinations_with_replacement
-from math import comb, lcm
+from math import lcm
 
 from .linalg import OperatorMatrix
 from .scalars import ONE, Scalar, from_pair
@@ -341,21 +343,18 @@ class FormWindow:
         self.r = r
         self.D = D
         by_degree = monomials_by_degree(l, D)
-        tuples = combinations(range(2 * l), r)
-        if weights is None:
-            monos = [e for batch in by_degree for e in batch]
-            basis = tuple((idx, e) for idx in tuples for e in monos)
-            assert len(basis) == comb(2 * l, r) * comb(l + D, l)
-        else:
-            # (idx, e) has the weight w exactly when |e| = w - r + 2f, f the
-            # number of indices of idx below l; kept[f] lists those monomials
-            # for every w asked, in window order
-            kept = []
-            for f in range(r + 1):
+        # (idx, e) has the weight w exactly when |e| = w - r + 2f, f the
+        # number of indices of idx below l; kept[f] lists those monomials
+        # for every w asked (every degree without weights), in window order
+        kept = []
+        for f in range(r + 1):
+            if weights is None:
+                degrees = range(D + 1)
+            else:
                 degrees = sorted(d for d in {w - r + 2 * f for w in weights} if 0 <= d <= D)
-                kept.append([e for d in degrees for e in by_degree[d]])
-            basis = tuple((idx, e) for idx in tuples for e in kept[bisect_left(idx, l)])
-        self.basis = basis
+            kept.append([e for d in degrees for e in by_degree[d]])
+        tuples = combinations(range(2 * l), r)
+        self.basis = tuple((idx, e) for idx in tuples for e in kept[bisect_left(idx, l)])
 
     @property
     def dim(self):
@@ -392,11 +391,6 @@ def fits_window(psi: SpinorForm, r: int, D: int) -> bool:
     """Whether psi lies in FormWindow(psi.l, r, D), read from its terms
     without enumerating the window."""
     return all(len(idx) == r and sum(e) <= D for (idx, e) in psi._c)
-
-
-def coords_to_form(coords: dict, win: FormWindow) -> SpinorForm:
-    terms = {win.basis[k]: c for k, c in coords.items()}
-    return SpinorForm(win.l, terms)
 
 
 def _combine(l, vectors, coeffs) -> SpinorForm:

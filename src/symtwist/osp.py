@@ -24,8 +24,10 @@ ker(F-) below the halfway degree and ker(F+) from it on; the eigen-kernel
 of F-F+ - c_{rj} serves every other component and checks the edge.  The
 chain model spans the F+-orbits of primitive vectors (the edges up to the
 halfway degree) and is the smallest window-sized subspace closed under
-the whole algebra.  The space keeps every basis it is asked for, so a
-window kernel is eliminated once per space.
+the whole algebra.  Every matrix comes from ``forms.operator_matrix``
+and every kernel vector becomes a form through ``forms._combine``, so no
+code here reads a matrix's rows.  The space keeps every basis it is asked
+for, so a window kernel is eliminated once per space.
 
 The spectral projectors are Sylvester's Frobenius covariants of A = F-F+:
 the projector onto (r, j) is the Lagrange polynomial prod_{j' != j}
@@ -49,11 +51,10 @@ from .forms import (
     _combine,
     _moves,
     contract,
-    coords_to_form,
     operator_matrix,
     wedge,
 )
-from .linalg import OperatorMatrix, kernel_basis
+from .linalg import kernel_basis
 from .scalars import I, ONE, Scalar, from_pair
 from .spinors import clifford_apply
 from .symplectic import SymplecticSpace, basis_covector, basis_vector, sharp
@@ -253,10 +254,10 @@ def _edge_kernel(sp: SymplecticSpace, r: int, D: int, weights):
     l = sp.l
     win = FormWindow(l, r, D, weights)
     if r == 0 or r == 2 * l:
-        return [win.element(k) for k in range(win.dim)]
+        return list(win)
     op = lowering if r < l else raising
     mat = operator_matrix(lambda p: op(sp, p), win)
-    return [coords_to_form(v, win) for v in kernel_basis(mat)]
+    return [_combine(l, win, v.items()) for v in kernel_basis(mat)]
 
 
 def component_basis(sp: SymplecticSpace, r: int, j: int, D: int):
@@ -274,33 +275,17 @@ def component_basis(sp: SymplecticSpace, r: int, j: int, D: int):
 def _column_bases(sp: SymplecticSpace, r: int, D: int):
     """The component bases of every label of column r on the (r, D) window.
 
-    The m_r + 1 label matrices differ only on the diagonal, so the F-F+
-    images are built once.  Their rows are the sorted image keys and the
-    window's own keys, the diagonal of every label's matrix.  A window key
-    that is no image key and meets c_{rj} = 0 gives an empty row, which is
-    never a pivot, so the kernels are those of the matrix with image rows."""
+    The F-F+ image of each window element is built once for the column;
+    the matrix of label j has the columns images[k] - c_{rj} e_k, built by
+    operator_matrix like every other operator matrix."""
     l = sp.l
     win = FormWindow(l, r, D)
-    mat = operator_matrix(lambda p: ff_plus(sp, p), win)
-    keys = sorted(set(mat.row_index).union(win.basis))
-    rows = {k: n for n, k in enumerate(keys)}
-    images = [{} for _ in keys]
-    for key, row in mat.row_index.items():
-        images[rows[key]] = mat._rows[row]
-    diagonal = [rows[key] for key in win.basis]
+    images = [ff_plus(sp, b) for b in win]
     bases = []
     for j in range(m_index(l, r) + 1):
-        # subtract c = (ca + cb i) / cd on the diagonal, every column over
-        # its denominator d times cd
         c = component_scalar(l, r, j)
-        cd = c._d
-        pairs = [{col: (a * cd, b * cd) for col, (a, b) in row.items()} for row in images]
-        if c:
-            for col, d in enumerate(mat._dens):
-                _add(pairs[diagonal[col]], col, -c._a * d, -c._b * d)
-        dens = [d * cd for d in mat._dens]
-        shifted = OperatorMatrix._trusted(len(rows), win.dim, pairs, dens, rows)
-        bases.append([coords_to_form(v, win) for v in kernel_basis(shifted)])
+        mat = operator_matrix(lambda k: images[k] - win[k].scale(c), range(win.dim))
+        bases.append([_combine(l, win, v.items()) for v in kernel_basis(mat)])
     return bases
 
 

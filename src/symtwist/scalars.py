@@ -249,4 +249,8 @@ def scalar_to_json(z: Scalar) -> dict:
 
 
 def scalar_from_json(obj: dict) -> Scalar:
+    """The Scalar of a ``{"re": "p/q", "im": "p/q"}`` object; ValueError on
+    anything else."""
+    if type(obj) is not dict or "re" not in obj or "im" not in obj:
+        raise ValueError(f'a scalar must be an object {{"re": "p/q", "im": "p/q"}}, got {obj!r}')
     return Scalar(fraction_from_str(obj["re"]), fraction_from_str(obj["im"]))

@@ -45,7 +45,6 @@ from .forms import (
     SpinorForm,
     _combine,
     contract,
-    coords_to_form,
     form_to_coords,
     operator_matrix,
     wedge,
@@ -340,10 +339,10 @@ def _untruncated_solver(sp, i, D, xi, slack):
             x = None if rhs is None else solve(mat, rhs)
             if x is None:
                 continue
-            p = coords_to_form({c: v for c, v in x.items() if c < dom.dim}, dom)
+            p = _combine(l, dom, ((c, v) for c, v in x.items() if c < dom.dim))
             image = wedge(xi, p)
             if qwin is not None:
-                q = coords_to_form({c - dom.dim: v for c, v in x.items() if c >= dom.dim}, qwin)
+                q = _combine(l, qwin, ((c - dom.dim, v) for c, v in x.items() if c >= dom.dim))
                 image = image + lowering(sp, q)
             if (image - phi).is_zero():
                 return True

@@ -1,12 +1,14 @@
+from math import comb
+
 import pytest
 
 from conftest import matvec, window_index, window_matrix
 from symtwist.forms import (
     FormWindow,
     SpinorForm,
+    _combine,
     basis_form,
     contract,
-    coords_to_form,
     form_to_coords,
     operator_matrix,
     wedge,
@@ -134,11 +136,28 @@ def test_window_enumeration_and_dims():
         FormWindow(1, 3, 0)
 
 
+def test_window_is_every_key_in_the_documented_order():
+    for l in range(1, 4):
+        for r in range(2 * l + 1):
+            for D in range(4):
+                basis = FormWindow(l, r, D).basis
+                assert len(basis) == comb(2 * l, r) * comb(l + D, l)
+                assert len(set(basis)) == len(basis)
+                assert all(
+                    len(idx) == r and list(idx) == sorted(set(idx)) and sum(e) <= D
+                    for idx, e in basis
+                )
+                # form tuples lexicographically, then (total degree, exponents)
+                assert list(basis) == sorted(basis, key=lambda k: (k[0], sum(k[1]), k[1]))
+                every = range(-2 * l, D + 2 * l + 1)
+                assert FormWindow(l, r, D, every).basis == basis
+
+
 def test_coords_round_trip(sp2):
     win = FormWindow(2, 1, 1)
     psi = win.element(3) + win.element(5).scale(I)
     coords = form_to_coords(psi, window_index(win))
-    assert coords_to_form(coords, win) == psi
+    assert _combine(win.l, win, coords.items()) == psi
     assert form_to_coords(psi, window_index(FormWindow(2, 1, 0))) is None
 
 
