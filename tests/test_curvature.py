@@ -32,7 +32,7 @@ from symtwist.curvature import (
     sigma_tilde,
     weyl_part,
 )
-from symtwist.scalars import Scalar
+from symtwist.scalars import Scalar, scalar_to_json
 from symtwist.symplectic import standard_space
 
 
@@ -63,6 +63,28 @@ def _unit_sigma(l, a, b):
 def test_ricci_symmetry_enforced():
     with pytest.raises(InvalidCurvatureError):
         RicciTensor(1, [[Scalar(0), Scalar(1)], [Scalar(0), Scalar(0)]])
+
+
+def _zero_rows(n):
+    return [[Scalar(0)] * n for _ in range(n)]
+
+
+def test_ricci_symmetry_error_text_pinned():
+    message = "Ricci tensor must be symmetric, differs at ({},{})"
+    # several pairs differ: the first pair (i, j), i < j, in row-major order
+    s = _zero_rows(4)
+    s[2][1], s[1][3], s[3][0] = Scalar(1), Scalar(2), Scalar(5)
+    with pytest.raises(InvalidCurvatureError) as exc:
+        RicciTensor(2, s)
+    assert str(exc.value) == message.format(1, 4)
+    # a pair that differs in its imaginary part only
+    s = _zero_rows(2)
+    s[0][1], s[1][0] = Scalar(3, 1), Scalar(3)
+    with pytest.raises(InvalidCurvatureError) as exc:
+        RicciTensor(1, s)
+    assert str(exc.value) == message.format(1, 2)
+    # equal values given as different types over different denominators
+    RicciTensor(1, [[1, Fraction(2, 4)], [Scalar(Fraction(1, 2)), Scalar(0, 1)]])
 
 
 def test_curvature_invariants_enforced(sp1):
@@ -617,3 +639,54 @@ def test_curvature_commands_do_no_scalar_arithmetic(tmp_path, monkeypatch):
         assert json.loads(open(out).read())["status"] == "pass"
     assert ops == []
     assert Scalar(1) + Scalar(2) == 3 and ops == ["__add__"]
+
+
+# Ricci tensors against their Scalar values, with the per-entry writer
+# ``scalar_to_json`` as the reference for ``ricci_to_json``
+
+
+def _spellings(z):
+    """z as a Scalar and, when real, as a Fraction and possibly an int."""
+    if z.im:
+        return [z]
+    q = z.re
+    return [z, q] + ([q.numerator] if q.denominator == 1 else [])
+
+
+@st.composite
+def _mixed_ricci_values(draw):
+    """(l, values, entries): a symmetric matrix of Scalar values and the
+    same matrix with each entry spelled as a Scalar, an int or a Fraction."""
+    l = draw(st.integers(1, 4))
+    n = 2 * l
+    value = st.one_of(st.builds(Scalar, st.integers(-4, 4)), st.builds(Scalar, _rationals), _scalars)
+    values = _zero_rows(n)
+    for _ in range(draw(st.integers(0, 2 * n))):
+        a, b = sorted(draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+        values[a][b] = values[b][a] = draw(value)
+    entries = [[draw(st.sampled_from(_spellings(z))) for z in row] for row in values]
+    return l, values, entries
+
+
+@_property
+@given(_mixed_ricci_values(), _mixed_ricci_values())
+def test_ricci_tensors_match_their_scalar_values(case, other):
+    l, values, entries = case
+    S = RicciTensor(l, entries)
+    assert S.entries == tuple(map(tuple, values))
+    assert all(type(z) is Scalar for row in S.entries for z in row)
+    assert S.is_zero() is not any(map(any, values))
+    assert S == RicciTensor(l, values) and RicciTensor(l, values) == S
+    l2, values2, entries2 = other
+    assert (S == RicciTensor(l2, entries2)) is (l == l2 and values == values2)
+    reference = {"l": l, "entries": [[scalar_to_json(z) for z in row] for row in values]}
+    assert ricci_to_json(S) == reference
+    # the contraction of sigma-tilde: S again, over 2(l+1) times its denominator
+    sp = standard_space(l)
+    T = ricci_contract(sp, sigma_tilde(sp, S))
+    assert T == S and S == T
+    assert T.entries == S.entries and T.is_zero() is S.is_zero()
+    assert ricci_to_json(T) == reference
+    n = 2 * l
+    R = CurvatureTensor(l, [[_zero_rows(n) for _ in range(n)] for _ in range(n)])
+    assert S != R and R != S
