@@ -60,7 +60,9 @@ def _emit(report, args) -> None:
         except OSError as exc:
             # stdout is closed (a reader such as `head` has gone): point it
             # at the null device, so the flush at exit has nowhere to fail
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
             raise ValueError(f"cannot write report to stdout: {exc}") from None
 
 

@@ -2,11 +2,13 @@
 
 A curvature tensor is stored fully lowered, as Gaussian-integer lists
 ``re``, ``im`` over one denominator ``d``: R_{ijkm} = (re[p] + im[p] i) / d
-at p = ((i n + j) n + k) n + m, n = 2l.  Its arithmetic runs on these
-ints; Scalars are only its boundary (constructor, ``entries``, JSON).
-Ricci tensors hold Scalars.  Construction enforces exactly antisymmetry in
+at p = ((i n + j) n + k) n + m, n = 2l; a Ricci tensor the same way, with
+sigma_{ij} at p = i n + j.  Their arithmetic runs on these ints; Scalars
+are only their boundary (constructor, ``entries``, JSON).  Construction
+enforces exactly the symmetry of a Ricci tensor, and the antisymmetry in
 the last index pair and the first Bianchi identity over the last three
-slots.  The Ricci contraction raises the FIRST slot (conventions vary),
+slots of a curvature tensor.  The Ricci contraction raises the FIRST slot
+(conventions vary),
 
     sigma_{ij} = omega^{km} R_{m i k j},
 
@@ -25,7 +27,7 @@ from itertools import chain
 from math import gcd, lcm
 from operator import add, sub
 
-from .scalars import Scalar, _parts, _ratio_str, from_pair, scalar_from_json, scalar_to_json
+from .scalars import Scalar, _parts, _ratio_str, from_pair, scalar_from_json
 from .symplectic import SymplecticSpace, omega_entry
 
 
@@ -39,27 +41,23 @@ _flat = chain.from_iterable
 
 
 def _nested(x, n, depth, shape):
-    """x as ``depth`` levels of tuples of exactly n items, else
-    InvalidCurvatureError(shape): nothing is cut off."""
-    t = tuple(x) if depth == 1 else tuple(_nested(y, n, depth - 1, shape) for y in x)
+    """The leaves of x in row-major order, x nesting ``depth`` levels of
+    exactly n items, else InvalidCurvatureError(shape): nothing is cut off."""
+    t = list(x) if depth == 1 else [_nested(y, n, depth - 1, shape) for y in x]
     if len(t) != n:
         raise InvalidCurvatureError(shape.format(n))
-    return t
+    return t if depth == 1 else list(_flat(t))
 
 
-def _triple(z):
-    """(a, b, d) of a Scalar, int or Fraction."""
-    t = (z._a, z._b, z._d) if type(z) is Scalar else _parts(z)
-    if t is None:
-        raise TypeError(f"not a Scalar, int or Fraction: {z!r}")
-    return t
-
-
-def _pairs(entries):
-    """(re, im, d) of the entries, converting each distinct object once."""
-    flat = list(entries)
+def _pairs(flat):
+    """(re, im, d) of a list of Scalar, int or Fraction entries, converting
+    each distinct object once."""
     keys = list(map(id, flat))
-    t = {k: _triple(z) for k, z in dict(zip(keys, flat)).items()}
+    t = {}
+    for k, z in dict(zip(keys, flat)).items():
+        t[k] = (z._a, z._b, z._d) if type(z) is Scalar else _parts(z)
+        if t[k] is None:
+            raise TypeError(f"not a Scalar, int or Fraction: {z!r}")
     d = lcm(*{e for _, _, e in t.values()})
     t = {k: (a * (d // e), b * (d // e)) for k, (a, b, e) in t.items()}
     re, im = map(list, zip(*map(t.__getitem__, keys)))
@@ -98,52 +96,29 @@ def _validate(n, re, im):
 
 
 def _view(R, make, kind):
-    """R's entries as four levels of ``kind``: make(a, b, d) once per
-    distinct pair, one object per distinct row, block and plane."""
+    """R's entries as nested ``kind``s: make(a, b, d) once per distinct
+    pair, one object per distinct row, block and plane."""
     keys, n = list(zip(R.re, R.im)), 2 * R.l
     made = {t: make(*t, R.d) for t in set(keys)}
-    for _ in range(4):
+    while len(keys) > 1:
         flat = list(map(made.__getitem__, keys))
         keys = list(zip(*[iter(map(id, flat))] * n))  # chunks of n ids
         made = {k: kind(c) for k, c in dict(zip(keys, zip(*[iter(flat)] * n))).items()}
     return made[keys[0]]
 
 
-class RicciTensor:
-    __slots__ = ("l", "entries")
+class _Flat:
+    """The storage of both tensor kinds, from nested Scalar, int or Fraction
+    ``entries`` or this module's flat (re, im, d); validated either way."""
 
-    def __init__(self, l, entries):
-        n = 2 * l
-        self.l = l
-        rows = _nested(entries, n, 2, _RICCI_SHAPE)
-        self.entries = tuple(tuple(from_pair(*_triple(z)) for z in row) for row in rows)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise InvalidCurvatureError(
-                        f"Ricci tensor must be symmetric, differs at ({i + 1},{j + 1})"
-                    )
-
-    def is_zero(self):
-        return not any(any(row) for row in self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, RicciTensor) and (self.l, self.entries) == (other.l, other.entries)
-
-
-class CurvatureTensor:
     __slots__ = ("l", "re", "im", "d", "_entries")
 
-    def __init__(self, l, entries, flat=None):
-        """From nested ``entries`` or this module's flat (re, im, d);
-        validated either way."""
-        n = 2 * l
+    def _store(self, l, entries, flat, depth, shape):
         self.l = l
         self._entries = None
         if flat is None:
-            flat = _pairs(_flat(_flat(_flat(_nested(entries, n, 4, _CURVATURE_SHAPE)))))
+            flat = _pairs(_nested(entries, 2 * l, depth, shape))
         self.re, self.im, self.d = flat
-        _validate(n, self.re, self.im)
 
     @property
     def entries(self):
@@ -156,13 +131,36 @@ class CurvatureTensor:
         return not (any(self.re) or any(self.im))
 
     def __eq__(self, other):
-        if not isinstance(other, CurvatureTensor) or self.l != other.l:
+        if type(other) is not type(self) or self.l != other.l:
             return False
         g = gcd(self.d, other.d)  # cross-multiplied
         u, v = other.d // g, self.d // g
         return _scaled(self.re, u) == _scaled(other.re, v) and (
             _scaled(self.im, u) == _scaled(other.im, v)
         )
+
+
+class RicciTensor(_Flat):
+    __slots__ = ()
+
+    def __init__(self, l, entries, flat=None):
+        self._store(l, entries, flat, 2, _RICCI_SHAPE)
+        n, pairs = 2 * l, list(zip(self.re, self.im))
+        # the first mismatch of the transpose lies above the diagonal
+        for p, z in enumerate(_flat(zip(*zip(*[iter(pairs)] * n)))):
+            if z != pairs[p]:
+                i, j = divmod(p, n)
+                raise InvalidCurvatureError(
+                    f"Ricci tensor must be symmetric, differs at ({i + 1},{j + 1})"
+                )
+
+
+class CurvatureTensor(_Flat):
+    __slots__ = ()
+
+    def __init__(self, l, entries, flat=None):
+        self._store(l, entries, flat, 4, _CURVATURE_SHAPE)
+        _validate(2 * l, self.re, self.im)
 
     def __sub__(self, other):
         """The elementwise difference, validated like any other tensor."""
@@ -186,11 +184,12 @@ def ricci_contract(sp: SymplecticSpace, R: CurvatureTensor) -> RicciTensor:
             v = list(map(add, v, map(sub, im[p : p + n], im[q : q + n])))
         us.append(u)
         vs.append(v)
-    if us != list(map(list, zip(*us))) or vs != list(map(list, zip(*vs))):
+    try:
+        return RicciTensor(l, None, (list(_flat(us)), list(_flat(vs)), R.d))
+    except InvalidCurvatureError:
         raise InvalidCurvatureError(
             "Ricci contraction is asymmetric: input is not a symplectic curvature tensor"
-        )
-    return RicciTensor(l, [list(map(from_pair, u, v, [R.d] * n)) for u, v in zip(us, vs)])
+        ) from None
 
 
 def sigma_tilde(sp: SymplecticSpace, sigma: RicciTensor) -> CurvatureTensor:
@@ -198,7 +197,7 @@ def sigma_tilde(sp: SymplecticSpace, sigma: RicciTensor) -> CurvatureTensor:
     denominator.  Each term has one omega factor om_{ab}, nonzero only for
     b = a +- l: a nonzero s_{xy} meets at most 5n entries."""
     n, l = sp.dim, sp.l
-    sre, sim, ds = _pairs(_flat(sigma.entries))  # s_{xy} at x n + y
+    sre, sim, ds = sigma.re, sigma.im, sigma.d  # s_{xy} at x n + y
     re, im = [0] * n**4, [0] * n**4
     for a in range(n):
         b = (a + l) % n
@@ -228,11 +227,11 @@ def random_symmetric_ricci(sp: SymplecticSpace, seed: int) -> RicciTensor:
     """Seeded symmetric tensor with small integer entries, the same on
     every platform."""
     rng, n = random.Random(seed), sp.dim
-    s = [[Scalar(0)] * n for _ in range(n)]
+    s = [0] * (n * n)
     for i in range(n):
         for j in range(i, n):
-            s[i][j] = s[j][i] = Scalar(rng.randint(-3, 3))
-    return RicciTensor(sp.l, s)
+            s[i * n + j] = s[j * n + i] = rng.randint(-3, 3)
+    return RicciTensor(sp.l, None, (s, [0] * (n * n), 1))
 
 
 def random_ricci_type(sp: SymplecticSpace, seed: int) -> CurvatureTensor:
@@ -262,7 +261,7 @@ def curvature_from_json(obj: dict) -> CurvatureTensor:
     if l < 1:
         raise ValueError(f"half-dimension l must be >= 1, got {l}")
     n = 2 * l
-    parsed = {}
+    parsed, flat = {}, []
 
     def leaf(x):
         # one parse per distinct (re, im) string pair; anything else goes to
@@ -278,10 +277,15 @@ def curvature_from_json(obj: dict) -> CurvatureTensor:
         # every level is a list of exactly 2l items: nothing is cut off
         if type(x) is not list or len(x) != n:
             raise ValueError(_CURVATURE_SHAPE.format(n))
-        return [leaf(y) for y in x] if depth == 3 else [level(y, depth + 1) for y in x]
+        if depth == 3:
+            flat.extend(map(leaf, x))
+        else:
+            for y in x:
+                level(y, depth + 1)
 
-    return CurvatureTensor(l, level(obj["entries"], 0))
+    level(obj["entries"], 0)
+    return CurvatureTensor(l, None, _pairs(flat))
 
 
 def ricci_to_json(s: RicciTensor) -> dict:
-    return {"l": s.l, "entries": [list(map(scalar_to_json, row)) for row in s.entries]}
+    return {"l": s.l, "entries": _view(s, _leaf, list)}

@@ -303,6 +303,33 @@ def test_closed_pipe_on_stdout_rejected():
     assert res.stderr.count("\n") == 1, res.stderr
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_failed_stdout_write_leaves_no_descriptor_open(tmp_path, capsys, monkeypatch):
+    # the descriptor opened on the null device is closed once stdout's
+    # descriptor points at it
+    from symtwist import cli
+
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class BrokenStdout:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())
+    try:
+        before = os.listdir("/proc/self/fd")
+        code = cli.main(["gen-curvature", "--l", "1"])
+        after = os.listdir("/proc/self/fd")
+    finally:
+        os.close(fd)
+    assert code == 2
+    assert capsys.readouterr().err == "error: cannot write report to stdout: [Errno 32] Broken pipe\n"
+    assert sorted(after) == sorted(before)
+
+
 def test_closed_stdout_rejected():
     res = _run_with_stdout(None, preexec_fn=lambda: os.close(1))
     assert res.returncode == 2

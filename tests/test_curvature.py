@@ -239,20 +239,31 @@ def test_json_round_trips(sp2):
 
 
 def _leaves(node):
-    if isinstance(node, list):
+    if isinstance(node, (list, tuple)):
         for x in node:
             yield from _leaves(x)
     else:
         yield node
 
 
-def test_equal_entries_share_one_json_leaf(sp2):
-    R = random_ricci_type(sp2, 7)
+def _contraction(sp, seed):
+    # held over 2(l+1) times the denominator of the generated sigma
+    return ricci_contract(sp, random_ricci_type(sp, seed))
+
+
+@pytest.mark.parametrize(
+    "make, to_json, depth",
+    [(random_ricci_type, curvature_to_json, 4), (_contraction, ricci_to_json, 2)],
+    ids=["curvature", "ricci"],
+)
+def test_equal_entries_share_one_json_leaf(sp2, make, to_json, depth):
+    T = make(sp2, 7)
     leaves = {}
-    entries = (z for plane in R.entries for block in plane for row in block for z in row)
-    for z, x in zip(entries, _leaves(curvature_to_json(R)["entries"])):
+    pairs = list(zip(_leaves(T.entries), _leaves(to_json(T)["entries"])))
+    assert len(pairs) == 4**depth
+    for z, x in pairs:
         assert leaves.setdefault((z._a, z._b, z._d), x) is x
-    assert 1 < len(leaves) < 4**4
+    assert 1 < len(leaves) < 4**depth
 
 
 def test_repeated_strings_parse_to_equal_scalars(sp2):
@@ -601,6 +612,30 @@ def test_int_and_fraction_entries_render_like_scalars(sp2):
     scalars = RicciTensor(2, [[Scalar(v) for v in row] for row in values])
     assert ricci_to_json(RicciTensor(2, values)) == ricci_to_json(scalars)
     assert RicciTensor(2, values) == scalars
+
+
+def test_curvature_commands_make_no_scalars(tmp_path, monkeypatch):
+    # generating, reading, splitting and writing a tensor keep its Gaussian
+    # integers from the input file to the report, with the same bytes
+    import hashlib
+
+    from symtwist import cli, curvature
+
+    calls = []
+
+    def counted(*args, _from_pair=curvature.from_pair):
+        calls.append(args)
+        return _from_pair(*args)
+
+    monkeypatch.setattr(curvature, "from_pair", counted)
+    gen, out = tmp_path / "gen.json", tmp_path / "out.json"
+    assert cli.main(["gen-curvature", "--l", "2", "--seed", "5", "--out", str(gen)]) == 0
+    assert cli.main(["curvature", "--input", str(gen), "--out", str(out)]) == 0
+    assert calls == []
+    assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (gen, out)] == [
+        "a5f84b11cc5c65d5350aa5e5cccaf937abbcf8d6890f21031930dc178cd5888a",
+        "82bbd16340d14b6fa156af157a2135af3f7457e711b5688d7d257c6a32e9573d",
+    ]
 
 
 _SCALAR_OPS = (
