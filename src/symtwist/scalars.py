@@ -1,7 +1,7 @@
 """Exact Gaussian-rational arithmetic.
 
 The number type of the package's interfaces: a + b*i with rational a, b.
-Symbols and reports compute with it.  The operator layer (``forms``,
+Symbols and reports use it.  The operator layer (``forms``,
 ``osp``, ``spinors``), linear algebra (``linalg``) and curvature and Ricci
 tensors do not: a form holds Gaussian-integer pairs over one denominator,
 an operator matrix holds Gaussian-integer rows over one denominator per
