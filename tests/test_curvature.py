@@ -724,4 +724,4 @@ def test_ricci_tensors_match_their_scalar_values(case, other):
     assert ricci_to_json(T) == reference
     n = 2 * l
     R = CurvatureTensor(l, [[_zero_rows(n) for _ in range(n)] for _ in range(n)])
-    assert S != R and R != S
+    assert S != R and R != S and S != object()
