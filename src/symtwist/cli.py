@@ -60,9 +60,8 @@ def _emit(report, args) -> None:
         except OSError as exc:
             # stdout is closed (a reader such as `head` has gone): point it
             # at the null device, so the flush at exit has nowhere to fail
-            null = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(null, sys.stdout.fileno())
-            os.close(null)
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
             raise ValueError(f"cannot write report to stdout: {exc}") from None
 
 
