@@ -591,3 +591,71 @@ def ref_solve(m, b):
         for c, v in ref_back_substitute(rows, pivots, {}, rhs).items():
             x[csel[c]] = v
     return x
+
+
+# ---------------------------------------------------------------------------
+# The relations suite one basis form at a time: the reference for
+# ``suites.run_relations``, which checks each relation once per window.
+
+
+def ref_form_defects(sp, psi, key, half_rl, vectors, covectors, bad) -> None:
+    """Add 1 to ``bad[name]`` for each relation that fails on the basis
+    form psi, whose key is ``key`` and whose H eigenvalue is ``half_rl``
+    ((r - l)/2); contraction_anticommutation counts each failing ordered
+    pair (a, b).  The operators are read from their modules on each call,
+    so a fault patched into them reaches every check."""
+    from fractions import Fraction
+
+    from symtwist import forms, osp, spinors
+    from symtwist.scalars import I, Scalar
+
+    raising, lowering = osp.raising, osp.lowering
+    omega_wedge, omega_trace = osp.omega_wedge, osp.omega_trace
+    contract, clifford_apply, wedge = forms.contract, spinors.clifford_apply, forms.wedge
+    half_i = I * Scalar(Fraction(1, 2))
+    fplus = raising(sp, psi)
+    fminus = lowering(sp, psi)
+    eplus = omega_wedge(sp, psi)
+    eminus = omega_trace(sp, psi)
+    h = (raising(sp, fminus) + lowering(sp, fplus)).scale(Scalar(2))
+    iota = [contract(sp, v, psi) for v in vectors]
+    cliff = [clifford_apply(sp, v, psi) for v in vectors]
+    # iota2[a][b] = iota_{e_a} iota_{e_b} psi
+    iota2 = [[contract(sp, v, iw) for iw in iota] for v in vectors]
+    lhs = omega_wedge(sp, eminus) - omega_trace(sp, eplus)
+    if lhs != h.scale(Scalar(2)):
+        bad["quadratic_commutator_is_twice_grading"] += 1
+    lhs = omega_trace(sp, fplus) - raising(sp, eminus)
+    if lhs != fminus.scale(Scalar(-1)):
+        bad["trace_raising_commutator"] += 1
+    if h != psi.scale(half_rl):
+        bad["grading_scalar"] += 1
+    if eplus != raising(sp, fplus).scale(Scalar(4)):
+        bad["omega_wedge_closed_form"] += 1
+    if eminus != lowering(sp, fminus).scale(Scalar(-4)):
+        bad["omega_trace_closed_form"] += 1
+    par = sum(key[1]) % 2
+    for img in (fplus, fminus):
+        if any((sum(e2) - par) % 2 == 0 for (_i2, e2) in img.keys()):
+            bad["parity_reversal"] += 1
+            break
+    for a, v in enumerate(vectors):
+        lhs = raising(sp, iota[a]) + contract(sp, v, fplus)
+        if lhs != cliff[a].scale(half_i):
+            bad["raising_contraction_anticommutator"] += 1
+        lhs = lowering(sp, cliff[a]) - clifford_apply(sp, v, fminus)
+        if lhs != iota[a].scale(half_i):
+            bad["lowering_clifford_commutator"] += 1
+        # the ordered pairs (a, b) and (b, a) share one sum, and (a, a)
+        # fails exactly when iota_a iota_a psi is nonzero
+        if not iota2[a][a].is_zero():
+            bad["contraction_anticommutation"] += 1
+        for b in range(a + 1, len(vectors)):
+            if not (iota2[a][b] + iota2[b][a]).is_zero():
+                bad["contraction_anticommutation"] += 2
+        for b, w in enumerate(vectors):
+            if contract(sp, v, cliff[b]) != clifford_apply(sp, w, iota[a]):
+                bad["contraction_clifford_commute"] += 1
+    for xi in covectors:
+        if not wedge(xi, wedge(xi, psi)).is_zero():
+            bad["wedge_square_zero"] += 1
