@@ -3,7 +3,9 @@
 ``run_relations`` checks each relation on whole windows of basis forms.
 The first test compares its defect counts with ``ref_form_defects``
 summed over every basis form, with and without the faults of
-``test_relations_faults``, at one share and at two.
+``test_relations_faults``, at one share and at two.  The second checks
+what the batching rests on: every operator the suite applies reads and
+changes only the first l exponent entries of a key and carries the rest.
 """
 
 from fractions import Fraction
@@ -13,10 +15,12 @@ from conftest import ref_form_defects
 from test_relations_faults import FAULTS, _patch_everywhere
 
 from symtwist import spinors, suites
-from symtwist.forms import FormWindow
+from symtwist.forms import FormWindow, SpinorForm, contract, wedge
+from symtwist.osp import lowering, omega_trace, omega_wedge, raising
 from symtwist.scalars import Scalar
+from symtwist.spinors import clifford_apply, commutator_defect
 from symtwist.suites import run_relations
-from symtwist.symplectic import basis_covector, basis_vector, standard_space
+from symtwist.symplectic import Covector, basis_covector, basis_vector, standard_space
 
 
 def _reference_counts(sp, D):
@@ -54,3 +58,45 @@ def test_window_counts_match_the_per_form_reference(monkeypatch, l, D, fault):
         assert {c["name"]: c["defects"] for c in checks} == want, shares
         assert checks[0]["basis_pairs"] == (2 * l) ** 2
         assert {c["vectors_checked"] for c in checks[1:]} == {forms_checked}
+
+
+def _operators(sp):
+    """(name, psi -> form) for every operator the suite applies, on the
+    basis vectors and covectors and on one vector with a component in
+    each Lagrangian half, one of them Gaussian."""
+    l = sp.l
+    odd = [Scalar(0)] * (2 * l)
+    odd[0], odd[-1] = Scalar(2), Scalar(Fraction(1, 2), Fraction(-1, 3))
+    vectors = [basis_vector(sp, k) for k in range(2 * l)] + [tuple(odd)]
+    covectors = [basis_covector(sp, k) for k in range(2 * l)] + [Covector(tuple(odd))]
+    ops = [(f.__name__, lambda psi, f=f: f(sp, psi)) for f in (raising, lowering, omega_wedge, omega_trace)]
+    for a, v in enumerate(vectors):
+        ops.append((f"contract[{a}]", lambda psi, v=v: contract(sp, v, psi)))
+        ops.append((f"clifford_apply[{a}]", lambda psi, v=v: clifford_apply(sp, v, psi)))
+        ops.extend(
+            (f"commutator_defect[{a},{b}]", lambda psi, v=v, w=w: commutator_defect(sp, v, w, psi))
+            for b, w in enumerate(vectors)
+        )
+    for a, xi in enumerate(covectors):
+        ops.append((f"wedge[{a}]", lambda psi, xi=xi: wedge(xi, psi)))
+    return ops
+
+
+@pytest.mark.parametrize("l, D", [(l, D) for l in (1, 2, 3) for D in (0, 1, 2)])
+def test_operators_carry_a_passive_label(l, D):
+    # the basis form c of a window, held under its key with c appended to
+    # the exponents, is psi_c y^c in a variable y no operator reads: each
+    # operator on the sum of the labelled forms is the labelled sum of its
+    # images of the single forms
+    sp = standard_space(l)
+    ops = _operators(sp)
+    for r in range(2 * l + 1):
+        win = FormWindow(l, r, D)
+        labelled = SpinorForm(l, {(idx, e + (c,)): 1 for c, (idx, e) in enumerate(win.basis)})
+        for name, op in ops:
+            if name.startswith("commutator_defect") and r:
+                continue
+            want = {}
+            for c in range(win.dim):
+                want.update(((idx, e + (c,)), z) for (idx, e), z in op(win.element(c)).terms.items())
+            assert op(labelled) == SpinorForm(l, want), (r, name)
