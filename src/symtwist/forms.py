@@ -3,10 +3,11 @@
 Terms are keyed by (form index tuple, monomial exponent tuple) with the
 form tuple kept strictly increasing; wedge and contraction compute the
 permutation sign on insertion/removal, so every key has one canonical
-form.  A single SpinorForm is homogeneous in form degree; non-homogeneous
-data is handled as sequences of homogeneous pieces.  A spinor is a 0-form,
+form.  A SpinorForm is homogeneous in form degree.  A spinor is a 0-form,
 its terms keyed ((), exponent tuple); the Clifford action on the spinor
-factor lives in the spinors module.
+factor lives in the spinors module.  Every operator here and in osp and
+spinors reads and changes only exponent entries 0..l-1 and carries later
+ones, which the relations suite uses as passive labels.
 
 A SpinorForm holds its coefficients as Gaussian-integer pairs over one
 denominator: a dict ``{(idx, e): (a, b)}`` and a positive int ``d``, the
@@ -30,13 +31,12 @@ and ``form_to_coords`` give canonical Scalars.  ``operator_matrix`` hands
 the pairs of each image to linalg as they are, over the image's
 denominator.
 
-Every SpinorForm holds no zero pair and one form degree.  The constructor
-checks both on whatever it is given.  The operators build their results
-with ``SpinorForm._trusted``, which checks nothing: each result dict is
-either built by ``_add``, which drops every zero sum, from the terms of
-valid inputs with every index tuple changed in length by the same amount,
-or is a term-wise product with a nonzero Gaussian integer, which has no
-zero term.
+Every SpinorForm holds no zero pair and one form degree; the constructor
+checks both.  The operators build their results with the unchecked
+``SpinorForm._trusted``: each result dict is either built by ``_add``,
+which drops every zero sum, from the terms of valid inputs with every
+index tuple changed in length by the same amount, or is a term-wise
+product with a nonzero Gaussian integer, which has no zero term.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .forms import (
     FormWindow,
+    SpinorForm,
     contract,
     fits_window,
     operator_matrix,
@@ -76,110 +77,106 @@ _RELATIONS = (
     "contraction_clifford_commute",
     "parity_reversal",
 )
-_TWO = Scalar(2)
-_FOUR = Scalar(4)
-_MINUS_ONE = Scalar(-1)
-_MINUS_FOUR = Scalar(-4)
 _HALF_I = I * Scalar(Fraction(1, 2))
 
 
-def _form_defects(sp, psi, key, half_rl, vectors, covectors, bad) -> None:
-    """Add 1 to ``bad[name]`` for each relation that fails on the basis
-    form psi, whose key is ``key`` and whose H eigenvalue is ``half_rl``
-    ((r - l)/2); contraction_anticommutation counts each failing ordered
-    pair (a, b)."""
-    # every operator value is computed once per psi and read by each check
-    # that needs it; the operators are pure, so each check compares the
-    # same two values as a fresh evaluation
+def _labelled(win, cols) -> SpinorForm:
+    """The sum over c in cols of the window's basis form c, held under its
+    key with c appended to the exponents: psi_c y^c, y a passive variable."""
+    return SpinorForm._trusted(win.l, {(i, e + (c,)): (1, 0) for c in cols for i, e in [win.basis[c]]}, 1)
+
+
+def _columns(x) -> set:
+    """The columns of the labelled form x that hold a term."""
+    return {e[x.l] for (_idx, e) in x.keys()}
+
+
+def _differ(x, y) -> int:
+    """On how many columns the labelled forms x and y differ, compared per
+    key and cross-multiplied, as ``SpinorForm.__eq__`` does."""
+    mine, theirs, d, f, l = x._c, y._c, x._d, y._d, x.l
+    out = {e[l] for (_idx, e) in mine.keys() ^ theirs.keys()}
+    for key, (a, b) in mine.items():
+        t = theirs.get(key)
+        if t is not None and (a * f != t[0] * d or b * f != t[1] * d):
+            out.add(key[1][l])
+    return len(out)
+
+
+def _window_defects(sp, win, cols, vectors, covectors, bad) -> None:
+    """Add to ``bad[name]`` on how many of the window's columns in cols each
+    relation fails, checked once on their ``_labelled`` sum (the y^c part of
+    a side is that side on psi_c); each failing ordered pair (a, b) counts."""
+    l = sp.l
+    psi = _labelled(win, cols)
     fplus = raising(sp, psi)
     fminus = lowering(sp, psi)
     eplus = omega_wedge(sp, psi)
     eminus = omega_trace(sp, psi)
-    h = (raising(sp, fminus) + lowering(sp, fplus)).scale(_TWO)
+    h = (raising(sp, fminus) + lowering(sp, fplus)).scale(2)
     iota = [contract(sp, v, psi) for v in vectors]
     cliff = [clifford_apply(sp, v, psi) for v in vectors]
-    # iota2[a][b] = iota_{e_a} iota_{e_b} psi
-    iota2 = [[contract(sp, v, iw) for iw in iota] for v in vectors]
     lhs = omega_wedge(sp, eminus) - omega_trace(sp, eplus)
-    if lhs != h.scale(_TWO):
-        bad["quadratic_commutator_is_twice_grading"] += 1
-    lhs = omega_trace(sp, fplus) - raising(sp, eminus)
-    if lhs != fminus.scale(_MINUS_ONE):
-        bad["trace_raising_commutator"] += 1
-    if h != psi.scale(half_rl):
-        bad["grading_scalar"] += 1
-    if eplus != raising(sp, fplus).scale(_FOUR):
-        bad["omega_wedge_closed_form"] += 1
-    if eminus != lowering(sp, fminus).scale(_MINUS_FOUR):
-        bad["omega_trace_closed_form"] += 1
-    par = sum(key[1]) % 2
-    for img in (fplus, fminus):
-        if any((sum(e2) - par) % 2 == 0 for (_i2, e2) in img.keys()):
-            bad["parity_reversal"] += 1
-            break
+    bad["quadratic_commutator_is_twice_grading"] += _differ(lhs, h.scale(2))
+    bad["trace_raising_commutator"] += _differ(omega_trace(sp, fplus) - raising(sp, eminus), -fminus)
+    bad["grading_scalar"] += _differ(h, psi.scale(Fraction(win.r - l, 2)))
+    bad["omega_wedge_closed_form"] += _differ(eplus, raising(sp, fplus).scale(4))
+    bad["omega_trace_closed_form"] += _differ(eminus, lowering(sp, fminus).scale(-4))
+    # a column fails when F+ or F- gives it a term of its own parity
+    bad["parity_reversal"] += len({
+        e[l] for img in (fplus, fminus) for (_i, e) in img.keys()
+        if (sum(e[:l]) - sum(win.basis[e[l]][1])) % 2 == 0
+    })
     for a, v in enumerate(vectors):
         lhs = raising(sp, iota[a]) + contract(sp, v, fplus)
-        if lhs != cliff[a].scale(_HALF_I):
-            bad["raising_contraction_anticommutator"] += 1
+        bad["raising_contraction_anticommutator"] += _differ(lhs, cliff[a].scale(_HALF_I))
         lhs = lowering(sp, cliff[a]) - clifford_apply(sp, v, fminus)
-        if lhs != iota[a].scale(_HALF_I):
-            bad["lowering_clifford_commutator"] += 1
-        # the ordered pairs (a, b) and (b, a) share one sum, and (a, a)
-        # fails exactly when iota_a iota_a psi is nonzero
-        if not iota2[a][a].is_zero():
-            bad["contraction_anticommutation"] += 1
+        bad["lowering_clifford_commutator"] += _differ(lhs, iota[a].scale(_HALF_I))
+        # iota_a iota_a psi, then the sums of (a, b) and (b, a), pair by pair
+        bad["contraction_anticommutation"] += len(_columns(contract(sp, v, iota[a])))
         for b in range(a + 1, len(vectors)):
-            if not (iota2[a][b] + iota2[b][a]).is_zero():
-                bad["contraction_anticommutation"] += 2
+            both = contract(sp, v, iota[b]) + contract(sp, vectors[b], iota[a])
+            bad["contraction_anticommutation"] += 2 * len(_columns(both))
         for b, w in enumerate(vectors):
-            if contract(sp, v, cliff[b]) != clifford_apply(sp, w, iota[a]):
-                bad["contraction_clifford_commute"] += 1
+            lhs = contract(sp, v, cliff[b])
+            bad["contraction_clifford_commute"] += _differ(lhs, clifford_apply(sp, w, iota[a]))
     for xi in covectors:
-        if not wedge(xi, wedge(xi, psi)).is_zero():
-            bad["wedge_square_zero"] += 1
+        bad["wedge_square_zero"] += len(_columns(wedge(xi, wedge(xi, psi))))
 
 
 def run_relations(sp: SymplecticSpace, D: int) -> dict:
     """The commutation identities on every basis form of the degree-D
-    windows.  The checks are split into interleaved shares, one per CPU
-    this process may use (``_share_count``), run by ``_in_shares``; the
-    counts are sums, so the report does not depend on the split."""
+    windows, each checked once per window on the labelled sum of the basis
+    forms of a share (``_share_count``, ``_in_shares``); the counts are
+    sums, so the report does not depend on the split.  No labelled form
+    leaves: weight, fits_window and spinor_degree would misread one."""
     l = sp.l
     vectors = [basis_vector(sp, k) for k in range(2 * l)]
     covectors = [basis_covector(sp, k) for k in range(2 * l)]
     pairs = [(v, w) for v in vectors for w in vectors]
     spinors = FormWindow(l, 0, D)
-    # the windows of form degree 0..2l hold 4^l times as many basis forms
-    # as the spinor window
+    # the windows of form degree 0..2l hold 4^l times the spinor window's forms
     shares = _share_count(spinors.dim << (2 * l))
 
     def work(share):
-        clifford = 0
-        for v, w in pairs[share::shares]:
-            for s in spinors:
-                if not commutator_defect(sp, v, w, s).is_zero():
-                    clifford += 1
+        spin = _labelled(spinors, range(spinors.dim))
+        clifford = sum(len(_columns(commutator_defect(sp, v, w, spin))) for v, w in pairs[share::shares])
         bad = dict.fromkeys(_RELATIONS, 0)
-        before = 0  # the basis forms of the windows before this one
-        checked = 0
+        before = checked = 0  # the forms of the earlier windows; the forms this share checks
         for r in range(2 * l + 1):
             win = FormWindow(l, r, D)
-            half_rl = Scalar(Fraction(r - l, 2))
             # this share takes every shares-th form of the windows in turn
-            for k in range((share - before) % shares, win.dim, shares):
-                _form_defects(sp, win.element(k), win.basis[k], half_rl, vectors, covectors, bad)
-                checked += 1
+            cols = range((share - before) % shares, win.dim, shares)
             before += win.dim
+            checked += len(cols)
+            if cols:
+                _window_defects(sp, win, cols, vectors, covectors, bad)
         return {"clifford_commutation": clifford, "relations": bad, "vectors_checked": checked}
 
     results = _in_shares(work, shares)
     clifford = sum(res["clifford_commutation"] for res in results)
     total = sum(res["vectors_checked"] for res in results)
-    checks = [
-        _check(
-            "clifford_commutation", clifford == 0, basis_pairs=len(pairs), defects=clifford
-        )
-    ]
+    checks = [_check("clifford_commutation", clifford == 0, basis_pairs=len(pairs), defects=clifford)]
     for name in _RELATIONS:
         count = sum(res["relations"][name] for res in results)
         checks.append(_check(name, count == 0, defects=count, vectors_checked=total))
@@ -453,9 +450,7 @@ def run_project(sp: SymplecticSpace, D: int) -> dict:
     checks.append(
         _check("second_order_normal_form_below_halfway", normal_bad == 0, defects=normal_bad)
     )
-    checks.append(
-        _check("plain_wedge_from_halfway_up", plain_bad == 0, defects=plain_bad)
-    )
+    checks.append(_check("plain_wedge_from_halfway_up", plain_bad == 0, defects=plain_bad))
     coeff_flags = all(
         c["beta_equals_minus_half_alpha1"] and c["gamma_equals_minus_i_alpha2_over_16"]
         for c in coeffs.values()

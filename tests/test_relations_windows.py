@@ -6,6 +6,7 @@ summed over every basis form, with and without the faults of
 ``test_relations_faults``, at one share and at two.  The second checks
 what the batching rests on: every operator the suite applies reads and
 changes only the first l exponent entries of a key and carries the rest.
+The last pins how many operator calls one run makes.
 """
 
 from fractions import Fraction
@@ -100,3 +101,26 @@ def test_operators_carry_a_passive_label(l, D):
             for c in range(win.dim):
                 want.update(((idx, e + (c,)), z) for (idx, e), z in op(win.element(c)).terms.items())
             assert op(labelled) == SpinorForm(l, want), (r, name)
+
+
+def test_operator_calls_per_window(monkeypatch):
+    # each relation is evaluated once per window and the Clifford relation
+    # once per vector pair: one share at l=3, D=2 makes 102 contractions,
+    # 48 Clifford actions and 10 raisings per window (seven windows), and
+    # 4 Clifford actions per pair (36 pairs); one evaluation per basis form
+    # made 65,280 contractions
+    monkeypatch.setattr(suites, "_share_count", lambda n: 1)
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        calls[name] = 0
+        return wrapper
+
+    for fn in (contract, clifford_apply, raising):
+        assert _patch_everywhere(monkeypatch, fn, counted(fn.__name__, fn)) >= 2
+    assert run_relations(standard_space(3), 2)["status"] == "pass"
+    assert calls == {"contract": 714, "clifford_apply": 480, "raising": 70}
