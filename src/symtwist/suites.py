@@ -205,27 +205,31 @@ def _share_count(n: int) -> int:
 
 
 def _in_shares(work, n: int) -> list:
-    """[work(0), ..., work(n - 1)], for a ``work(share)`` that returns JSON
-    data.  Share 0 runs in this process and every other share in a forked
-    child, which sends its result back over a pipe.  A child that raises
-    or exits nonzero makes this raise RuntimeError naming its share; if
-    share 0 raises, the children are killed first.  No child outlives the
-    call.  The package starts no thread, so a child inherits no lock that
-    another thread holds."""
+    """[work(0), ..., work(n - 1)] in some order, for a ``work(share)`` that
+    returns JSON data.  Share 0 runs in this process and every other share
+    in a forked child, which sends its result back over a pipe, up to the
+    first share whose pipe or fork fails: it and the later ones run here.
+    A child that raises or exits nonzero makes this raise RuntimeError
+    naming its share; if a share here raises, the children are killed
+    first.  No child outlives the call.  The package starts no thread, so
+    a child inherits no lock that another thread holds."""
     pids = {}  # share -> pid, until reaped
     fds = {}  # share -> read end of its pipe, until closed
     try:
         for share in range(1, n):
-            fds[share], w = os.pipe()
             try:
-                pid = os.fork()
-                if pid == 0:
-                    _reply(work, share, w)
-            finally:
-                os.close(w)
+                fds[share], w = os.pipe()
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _reply(work, share, w)
+                finally:
+                    os.close(w)
+            except OSError:
+                break  # this share and the later ones run here; its read end closes below
             pids[share] = pid
-        results = [work(0)]
-        for share in range(1, n):
+        results = [work(share) for share in (0, *range(len(pids) + 1, n))]
+        for share in sorted(pids):
             with open(fds.pop(share), "rb") as fh:
                 data = fh.read()
             status = os.waitpid(pids.pop(share), 0)[1]

@@ -9,9 +9,11 @@ counts: a check that stops seeing a fault has become vacuous.  The
 recorded values are not to be rewritten to make a change pass.
 
 The last tests fail an operator in a forked share or in the calling
-process and check that the failure is reported and no child is left.
+process and check that the failure is reported and no child is left, and
+fail a fork and check that its share runs in the calling process.
 """
 
+import errno
 import os
 import sys
 
@@ -188,4 +190,29 @@ def test_a_failing_parent_share_raises_its_own_error(monkeypatch):
 def test_a_passing_run_leaves_no_child(monkeypatch):
     monkeypatch.setattr(suites, "_share_count", lambda n: 2)
     assert run_relations(standard_space(2), 1)["status"] == "pass"
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_a_failed_fork_runs_the_share_in_the_process(monkeypatch, tmp_path, failing):
+    # fork number ``failing`` of a 3-share run fails as under a process
+    # limit; that share and every later one run in this process instead
+    from symtwist.cli import main
+
+    args = ["relations", "--l", "2", "--degree", "1", "--out"]
+    monkeypatch.setattr(suites, "_share_count", lambda n: 1)
+    assert main([*args, str(tmp_path / "one.json")]) == 0
+    fork, forks = os.fork, []
+
+    def flaky_fork():
+        forks.append(None)
+        if len(forks) == failing:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", flaky_fork)
+    monkeypatch.setattr(suites, "_share_count", lambda n: 3)
+    assert main([*args, str(tmp_path / "three.json")]) == 0
+    assert len(forks) == failing
+    assert (tmp_path / "three.json").read_bytes() == (tmp_path / "one.json").read_bytes()
     _assert_no_child_left()
