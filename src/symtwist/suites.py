@@ -88,18 +88,18 @@ def _labelled(win, cols) -> SpinorForm:
 
 def _columns(x) -> set:
     """The columns of the labelled form x that hold a term."""
-    return {e[x.l] for (_idx, e) in x.keys()}
+    return {e[-1] for (_idx, e) in x.keys()}
 
 
 def _differ(x, y) -> int:
     """On how many columns the labelled forms x and y differ, compared per
     key and cross-multiplied, as ``SpinorForm.__eq__`` does."""
-    mine, theirs, d, f, l = x._c, y._c, x._d, y._d, x.l
-    out = {e[l] for (_idx, e) in mine.keys() ^ theirs.keys()}
+    mine, theirs, d, f = x._c, y._c, x._d, y._d
+    out = {e[-1] for (_idx, e) in mine.keys() ^ theirs.keys()}
     for key, (a, b) in mine.items():
         t = theirs.get(key)
         if t is not None and (a * f != t[0] * d or b * f != t[1] * d):
-            out.add(key[1][l])
+            out.add(key[1][-1])
     return len(out)
 
 
@@ -107,7 +107,6 @@ def _window_defects(sp, win, cols, vectors, covectors, bad) -> None:
     """Add to ``bad[name]`` on how many of the window's columns in cols each
     relation fails, checked once on their ``_labelled`` sum (the y^c part of
     a side is that side on psi_c); each failing ordered pair (a, b) counts."""
-    l = sp.l
     psi = _labelled(win, cols)
     fplus = raising(sp, psi)
     fminus = lowering(sp, psi)
@@ -119,13 +118,13 @@ def _window_defects(sp, win, cols, vectors, covectors, bad) -> None:
     lhs = omega_wedge(sp, eminus) - omega_trace(sp, eplus)
     bad["quadratic_commutator_is_twice_grading"] += _differ(lhs, h.scale(2))
     bad["trace_raising_commutator"] += _differ(omega_trace(sp, fplus) - raising(sp, eminus), -fminus)
-    bad["grading_scalar"] += _differ(h, psi.scale(Fraction(win.r - l, 2)))
+    bad["grading_scalar"] += _differ(h, psi.scale(Fraction(win.r - win.l, 2)))
     bad["omega_wedge_closed_form"] += _differ(eplus, raising(sp, fplus).scale(4))
     bad["omega_trace_closed_form"] += _differ(eminus, lowering(sp, fminus).scale(-4))
     # a column fails when F+ or F- gives it a term of its own parity
     bad["parity_reversal"] += len({
-        e[l] for img in (fplus, fminus) for (_i, e) in img.keys()
-        if (sum(e[:l]) - sum(win.basis[e[l]][1])) % 2 == 0
+        e[-1] for img in (fplus, fminus) for (_i, e) in img.keys()
+        if (sum(e[:-1]) - sum(win.basis[e[-1]][1])) % 2 == 0
     })
     for a, v in enumerate(vectors):
         lhs = raising(sp, iota[a]) + contract(sp, v, fplus)
@@ -138,8 +137,8 @@ def _window_defects(sp, win, cols, vectors, covectors, bad) -> None:
             both = contract(sp, v, iota[b]) + contract(sp, vectors[b], iota[a])
             bad["contraction_anticommutation"] += 2 * len(_columns(both))
         for b, w in enumerate(vectors):
-            lhs = contract(sp, v, cliff[b])
-            bad["contraction_clifford_commute"] += _differ(lhs, clifford_apply(sp, w, iota[a]))
+            rhs = clifford_apply(sp, w, iota[a])
+            bad["contraction_clifford_commute"] += _differ(contract(sp, v, cliff[b]), rhs)
     for xi in covectors:
         bad["wedge_square_zero"] += len(_columns(wedge(xi, wedge(xi, psi))))
 
@@ -205,14 +204,14 @@ def _share_count(n: int) -> int:
 
 
 def _in_shares(work, n: int) -> list:
-    """[work(0), ..., work(n - 1)] in some order, for a ``work(share)`` that
-    returns JSON data.  Share 0 runs in this process and every other share
-    in a forked child, which sends its result back over a pipe, up to the
-    first share whose pipe or fork fails: it and the later ones run here.
-    A child that raises or exits nonzero makes this raise RuntimeError
-    naming its share; if a share here raises, the children are killed
-    first.  No child outlives the call.  The package starts no thread, so
-    a child inherits no lock that another thread holds."""
+    """[work(0), ..., work(n - 1)] in some order, for a ``work(share)``
+    that returns JSON data.  Share 0 runs here and every other share in a
+    forked child, which sends its result back over a pipe, up to the first
+    share whose pipe or fork fails: it and the later ones run here too.  A
+    child that raises or exits nonzero makes this raise RuntimeError naming
+    its share; if a share here raises, the children are killed first.  No
+    child outlives the call.  The package starts no thread, so a child
+    inherits no lock that another thread holds."""
     pids = {}  # share -> pid, until reaped
     fds = {}  # share -> read end of its pipe, until closed
     try:
@@ -454,7 +453,9 @@ def run_project(sp: SymplecticSpace, D: int) -> dict:
     checks.append(
         _check("second_order_normal_form_below_halfway", normal_bad == 0, defects=normal_bad)
     )
-    checks.append(_check("plain_wedge_from_halfway_up", plain_bad == 0, defects=plain_bad))
+    checks.append(
+        _check("plain_wedge_from_halfway_up", plain_bad == 0, defects=plain_bad)
+    )
     coeff_flags = all(
         c["beta_equals_minus_half_alpha1"] and c["gamma_equals_minus_i_alpha2_over_16"]
         for c in coeffs.values()

@@ -10,7 +10,8 @@ recorded values are not to be rewritten to make a change pass.
 
 The last tests fail an operator in a forked share or in the calling
 process and check that the failure is reported and no child is left, and
-fail a fork and check that its share runs in the calling process.
+fail a pipe or a fork and check that its share runs in the calling
+process.
 """
 
 import errno
@@ -193,26 +194,27 @@ def test_a_passing_run_leaves_no_child(monkeypatch):
     _assert_no_child_left()
 
 
-@pytest.mark.parametrize("failing", [1, 2])
-def test_a_failed_fork_runs_the_share_in_the_process(monkeypatch, tmp_path, failing):
-    # fork number ``failing`` of a 3-share run fails as under a process
-    # limit; that share and every later one run in this process instead
+@pytest.mark.parametrize("call, failing", [("fork", 1), ("fork", 2), ("pipe", 2)])
+def test_a_failed_pipe_or_fork_runs_the_share_in_the_process(monkeypatch, tmp_path, call, failing):
+    # call number ``failing`` of os.fork or os.pipe in a 3-share run fails
+    # as under a process or descriptor limit; that share and every later
+    # one run in this process instead
     from symtwist.cli import main
 
     args = ["relations", "--l", "2", "--degree", "1", "--out"]
     monkeypatch.setattr(suites, "_share_count", lambda n: 1)
     assert main([*args, str(tmp_path / "one.json")]) == 0
-    fork, forks = os.fork, []
+    real, calls = getattr(os, call), []
 
-    def flaky_fork():
-        forks.append(None)
-        if len(forks) == failing:
+    def flaky():
+        calls.append(None)
+        if len(calls) == failing:
             raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-        return fork()
+        return real()
 
-    monkeypatch.setattr(os, "fork", flaky_fork)
+    monkeypatch.setattr(os, call, flaky)
     monkeypatch.setattr(suites, "_share_count", lambda n: 3)
     assert main([*args, str(tmp_path / "three.json")]) == 0
-    assert len(forks) == failing
+    assert len(calls) == failing
     assert (tmp_path / "three.json").read_bytes() == (tmp_path / "one.json").read_bytes()
     _assert_no_child_left()
