@@ -4,10 +4,31 @@ checkout without an install (pyproject's ``pythonpath`` covers only the
 test process itself)."""
 
 import os
+import sys
 from pathlib import Path
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+
+
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Replace ``original`` by ``replacement`` in every ``symtwist`` module
+    that binds it; returns how many bindings were replaced."""
+    patched = 0
+    for name, mod in list(sys.modules.items()):
+        if name != "symtwist" and not name.startswith("symtwist."):
+            continue
+        for attr, val in list(vars(mod).items()):
+            if val is original:
+                monkeypatch.setattr(mod, attr, replacement)
+                patched += 1
+    return patched
+
+
+def _failing(report):
+    """check name -> defect count (None for a check that counts none) of
+    every failing check of a suite report."""
+    return {c["name"]: c.get("defects") for c in report["checks"] if c["status"] == "fail"}
 
 
 def omega_matrix(l):

@@ -9,10 +9,10 @@ rewrite that stops seeing one of these faults has made its check vacuous.
 The recorded values are not to be rewritten to make a change pass.
 """
 
-import sys
 from fractions import Fraction
 
 import pytest
+from conftest import _failing, _patch_everywhere
 
 from symtwist import forms, osp
 from symtwist.forms import SpinorForm, basis_form
@@ -80,22 +80,6 @@ EXPECTED = {
         "wedge_transfers_to_adjacent_components_only": 6,
     },
 }
-
-
-def _patch_everywhere(monkeypatch, original, replacement):
-    patched = 0
-    for name, mod in list(sys.modules.items()):
-        if name != "symtwist" and not name.startswith("symtwist."):
-            continue
-        for attr, val in list(vars(mod).items()):
-            if val is original:
-                monkeypatch.setattr(mod, attr, replacement)
-                patched += 1
-    return patched
-
-
-def _failing(report):
-    return {c["name"]: c.get("defects") for c in report["checks"] if c["status"] == "fail"}
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))

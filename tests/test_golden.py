@@ -29,6 +29,10 @@ Lagrangian, so every symbol map lowers the weight by one) and on
 (0, 0, 0, 1, -2, 1/2) (three components in the second half, so the
 symbol raises the weight by one), and
 ``curvature --input`` on the tensor from ``gen-curvature --l 2 --seed 7``.
+``SYMBOL_GRID`` adds ``symbol-check`` at slack 0, 1 and 2 on l=2, D=1 and
+2 at four covectors (one in each Lagrangian half, one meeting both and
+the canonical one) and on l=3, D=1: the slack decides which kernel
+vectors reach the untruncated diagnostic and at which degree bound.
 Six more ``curvature --input`` cases cover the split beyond a zero Weyl
 part: the tensors of ``gen-curvature --l 1 --seed 0`` and ``--l 3 --seed
 11``, the l=2 tensor that is a Ricci-type tensor plus a trace-free
@@ -176,6 +180,53 @@ GOLDEN = {
         "851a64ee2a4b7d2337dfcc98a4c23b03f67796643ebec263e307e05ba66bac2c",
     ),
 }
+
+# symbol-check on a grid of small windows, slack 0 to 2: (l, D, slack,
+# covector) -> (exit code, sha256).  The covectors are named as in the rows
+# above; "first-half" is (0, 1, 0, 0), whose sharp lies in the second
+# Lagrangian, "second-half" (0, 0, 1, -3), and the fractional and off-axis
+# ones meet both halves.  Slack 2 on the off-axis covector is
+# symbol-check-l3d1-xi-offaxis.
+GRID_COVECTORS = {
+    "first-half": "0,1,0,0",
+    "second-half": "0,0,1,-3",
+    "fractional": "1/2,0,-1/3,2",
+    "offaxis": "1,0,2,-1,1,3",
+}
+SYMBOL_GRID = {
+    (2, 1, 0, "canonical"): (1, "f436dc0545a1cc3c5a38024c6818f7c4d00eebd4312512901586d158977620eb"),
+    (2, 1, 0, "first-half"): (1, "3fae45fef9f183b3b24ef990e12c5cd3c2e3c0837664e807a2095d52849f90fb"),
+    (2, 1, 0, "second-half"): (1, "8a18e05570ccfc24cd4b6c6754efa29474e20fa91667f41db1ce017fdcbf43e5"),
+    (2, 1, 0, "fractional"): (1, "69ac610dc0834e26156384c86502035ea1bbf23b2e986b2542d46b549b1c551a"),
+    (2, 1, 1, "canonical"): (1, "87b6b00c0ce7fcfbf5057b0c86c8a763db4f640bc597e2a6c55ad6b77cf0089c"),
+    (2, 1, 1, "first-half"): (1, "2e52056e37a6ba9b5104778bd436802ca8cd40be707d3530ed926ddaa0121b07"),
+    (2, 1, 1, "second-half"): (1, "bc81e11fe03fb0061f60d6beb2381724591fc95d278df356ad9d810e5766265c"),
+    (2, 1, 1, "fractional"): (1, "f2f2a722f37512cb4ccc6dc44dcb6146f50914b8daaa1059b22ef9fcfae253c0"),
+    (2, 1, 2, "canonical"): (1, "34a36085376f4c7ab18d9d4b25476ed16c03f08aa035f4ff53a76628f874e913"),
+    (2, 1, 2, "first-half"): (0, "643fbb75aba733eb611fd0605e7bac69f7ddb3b8be99e59c297f3332f7904fa3"),
+    (2, 1, 2, "second-half"): (1, "4866048ea1570268c33f166f839f7d38c2c528bcf4898e89a41f7b234f88db16"),
+    (2, 1, 2, "fractional"): (1, "cf3cfdd4c3ed72d7d6a9f20fe359fbd9474c039922c7760b9dcea8fbf2d7a631"),
+    (2, 2, 0, "canonical"): (1, "83150339533a4af699acc9670d3d58008d259d7ba3be5632ad936831a17f277a"),
+    (2, 2, 0, "first-half"): (1, "b527473ba5298fed0d248e5ad8539d588136037e79efb94c61f008231a641cda"),
+    (2, 2, 0, "second-half"): (1, "9b4cc380ed8a01f771a8fbd22e70a461cda305dfeffa9258547c566f2b7d6d52"),
+    (2, 2, 0, "fractional"): (1, "b912c5ff732db9ed542e4f71cadbf13f4a267b190fee64d078e524a3e8cc7ced"),
+    (2, 2, 1, "canonical"): (1, "e9ab8e64e5709ec36f52cf090185c913944f93f4ac1d3d932f5bc537467328b9"),
+    (2, 2, 1, "first-half"): (1, "569021617b1968d46d084dcdb35bea27b244886caaa3d72ac1275fda0c0808a5"),
+    (2, 2, 1, "second-half"): (1, "8d875e12869fb20dbb8a49e6ba10a75fe1f91fe5605cd4f2000743c649801cd1"),
+    (2, 2, 1, "fractional"): (1, "4087d21fb6d52a8e4398a635d89caec8ab9678b39b9ab96f32ccc58aeeb1d98e"),
+    (2, 2, 2, "canonical"): (1, "f7691c2712af6cfadde7b26b1abf72d104095a72a275d44508a23ed7cd4f0b34"),
+    (2, 2, 2, "first-half"): (0, "e5f921e1bcda232ecff65f34f4ecc6293622035d1ffbb805b0e228f04c16b580"),
+    (2, 2, 2, "second-half"): (1, "9ee05fe0882ec8812a1d39976a565f650335e9ef53ed3a60f217bf3a3bb45c6f"),
+    (2, 2, 2, "fractional"): (1, "f511029b16dc37872bc4a047dd758224b5ebbd632341adf8245344092329b2b4"),
+    (3, 1, 0, "canonical"): (1, "4e306512ef7fd53ff7238b487e24cb56ff6e9638229da69d76a5fc8f215fa656"),
+    (3, 1, 0, "offaxis"): (1, "78a1da042279d25a600990b04570ff07ce53a7923bab2e4c162fc61f7b3346b7"),
+    (3, 1, 2, "canonical"): (1, "92ac54b786da33f957c3e87b7fe90d91af9d0989620e7ba36815c8175bc6328c"),
+}
+for (l, D, slack, xi), (code, digest) in SYMBOL_GRID.items():
+    args = ("symbol-check", "--l", str(l), "--degree", str(D), "--slack", str(slack))
+    if xi != "canonical":
+        args += ("--xi", GRID_COVECTORS[xi])
+    GOLDEN[f"symbol-check-l{l}d{D}-slack{slack}-xi-{xi}"] = (args, code, digest)
 
 GEN_L2_SEED7 = "625b29d14aa50fec149e0d5269336119a8e9c994073b2285886c4d94cfeaaaa6"
 CURVATURE_L2_SEED7 = (0, "8ebe374c29c7b4403ebe7e3ed9d239421350ffc0618cf043f4bd03bb20f66aeb")

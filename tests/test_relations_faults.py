@@ -16,9 +16,9 @@ process.
 
 import errno
 import os
-import sys
 
 import pytest
+from conftest import _failing, _patch_everywhere
 
 from symtwist import forms, osp, spinors, suites
 from symtwist.forms import SpinorForm, basis_form
@@ -106,22 +106,6 @@ EXPECTED = {
         "trace_raising_commutator": 40,
     },
 }
-
-
-def _patch_everywhere(monkeypatch, original, replacement):
-    patched = 0
-    for name, mod in list(sys.modules.items()):
-        if name != "symtwist" and not name.startswith("symtwist."):
-            continue
-        for attr, val in list(vars(mod).items()):
-            if val is original:
-                monkeypatch.setattr(mod, attr, replacement)
-                patched += 1
-    return patched
-
-
-def _failing(report):
-    return {c["name"]: c["defects"] for c in report["checks"] if c["status"] == "fail"}
 
 
 @pytest.mark.parametrize(

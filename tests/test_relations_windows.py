@@ -12,8 +12,8 @@ The last pins how many operator calls one run makes.
 from fractions import Fraction
 
 import pytest
-from conftest import ref_form_defects
-from test_relations_faults import FAULTS, _patch_everywhere
+from conftest import _patch_everywhere, ref_form_defects
+from test_relations_faults import FAULTS
 
 from symtwist import spinors, suites
 from symtwist.forms import FormWindow, SpinorForm, contract, wedge

@@ -11,7 +11,8 @@ its own.
 import ast
 from pathlib import Path
 
-from test_decompose_faults import EXPECTED, _failing, _patch_everywhere, _raising_doubled
+from conftest import _failing, _patch_everywhere
+from test_decompose_faults import EXPECTED, _raising_doubled
 
 from symtwist import osp
 from symtwist.forms import FormWindow

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from conftest import window_index, window_matrix
 from symtwist.forms import SpinorForm, basis_form, contract, wedge
-from symtwist.osp import component_basis, omega_trace
+from symtwist import symbols
+from symtwist.osp import component_basis, edge_basis, omega_trace
 from symtwist.scalars import I, Scalar
 from symtwist.symbols import (
+    _untruncated_solver,
     check_complex,
     check_exactness,
     symbol_apply,
@@ -147,6 +149,21 @@ def test_trace_of_wedge_on_edge_inputs():
 # answers occur), at target degrees up to D + slack + 2.
 
 
+def _covector(*components):
+    return Covector(tuple(Scalar(Fraction(c)) for c in components))
+
+
+def _untruncated_answers(sp, i, D, xi, slack, targets):
+    """Per target, whether the untruncated diagnostic finds a preimage."""
+    solver = _untruncated_solver(sp, i, D, xi, slack)
+    return [solver(phi) for phi in targets]
+
+
+def _untruncated_total(sp, i, D, xi, slack, targets):
+    """How many targets the untruncated diagnostic finds a preimage for."""
+    return sum(_untruncated_answers(sp, i, D, xi, slack, targets))
+
+
 def _projector_oracle(sp, i, D, xi, slack):
     from symtwist.forms import FormWindow, form_to_coords
     from symtwist.linalg import solve
@@ -164,27 +181,70 @@ def _projector_oracle(sp, i, D, xi, slack):
     return attempt
 
 
-@pytest.mark.parametrize(
-    "l, D, slack, target_degree",
-    [(2, 1, 0, 1), (2, 1, 0, 2), (2, 1, 0, 3), (2, 2, 0, 2), (2, 1, 1, 3), (3, 1, 0, 1)],
-)
-def test_untruncated_diagnostic_matches_projector_oracle(l, D, slack, target_degree):
-    from symtwist.osp import edge_basis
-    from symtwist.symbols import _untruncated_solver
+FRACTIONAL = ("1/2", 0, "-1/3", 2)
 
+
+@pytest.mark.parametrize(
+    "l, D, slack, target_degree, xi",
+    [
+        (2, 1, 0, 1, None),
+        (2, 1, 0, 2, None),
+        (2, 1, 0, 3, None),
+        (2, 2, 0, 2, None),
+        (2, 1, 1, 3, None),
+        (3, 1, 0, 1, None),
+        (2, 1, 0, 2, FRACTIONAL),
+        (2, 1, 1, 3, FRACTIONAL),
+    ],
+)
+def test_untruncated_diagnostic_matches_projector_oracle(l, D, slack, target_degree, xi):
+    # the only test that sees the F- block: zeroing lowering fails every
+    # row, while no count of the CLI configurations tried changes
     sp = standard_space(l)
-    xi = canonical_covector(sp)
+    xi = canonical_covector(sp) if xi is None else _covector(*xi)
     answers = []
     for i in range(l + 1, 2 * l + 1):
-        solver = _untruncated_solver(sp, i, D, xi, slack)
         oracle = _projector_oracle(sp, i, D, xi, slack)
-        for phi in edge_basis(sp, i, target_degree):
-            got = solver(phi)
-            assert got == oracle(phi), (i, phi)
-            answers.append(got)
+        targets = edge_basis(sp, i, target_degree)
+        got = _untruncated_answers(sp, i, D, xi, slack, targets)
+        assert got == [oracle(phi) for phi in targets], i
+        assert _untruncated_total(sp, i, D, xi, slack, targets) == sum(got), i
+        answers += got
     assert False in answers
     if target_degree <= D:
         assert True in answers
+
+
+@pytest.mark.parametrize(
+    "l, D, slack, xi, yes",
+    [
+        (2, 1, 0, (0, 0, 1, 0), 6),
+        (2, 2, 2, (0, 1, 0, 0), 47),
+        (2, 2, 2, (0, 0, 1, -3), 22),
+        (3, 1, 0, (0, 0, 0, 1, 0, 0), 17),
+        (3, 1, 2, (0, 1, 0, 0, 0, 0), 172),
+    ],
+)
+def test_untruncated_count_matches_the_whole_window(monkeypatch, l, D, slack, xi, yes):
+    # at a covector in one Lagrangian half the diagnostic eliminates only
+    # the columns of the targets' weights; the answers must be those of
+    # the whole windows, on every edge vector of degree <= D + 2 (both
+    # "no" answers and targets that need the exact degree bound occur)
+    sp = standard_space(l)
+    xi = _covector(*xi)
+    targets = {i: edge_basis(sp, i, D + 2) for i in range(l + 1, 2 * l + 1)}
+
+    def answers():
+        return {i: _untruncated_answers(sp, i, D, xi, slack, t) for i, t in targets.items()}
+
+    def totals():
+        return {i: _untruncated_total(sp, i, D, xi, slack, t) for i, t in targets.items()}
+
+    cut, cut_totals = answers(), totals()
+    monkeypatch.setattr(symbols, "_weight_step", lambda sp, xi: None)
+    assert answers() == cut
+    assert totals() == cut_totals == {i: sum(a) for i, a in cut.items()}
+    assert sum(cut_totals.values()) == yes
 
 
 def test_exactness_l1_vacuous_left_and_degenerate_top():
