@@ -10,19 +10,20 @@ the closed form of project_wedge.  Two truncated sequences are checked:
           surjectivity onto the top window at position 2l).
 
 Every check is an exact kernel or an exact linear solve on explicit
-windows; failures become report entries, never exceptions.  Preimages are
-searched inside the edge component of a window enlarged by a configurable
-slack, because a kernel vector of spinor degree <= D may only have
-preimages of a slightly higher degree; the report records how much slack a
-position actually used.
+windows; failures become report entries, never exceptions.  One builder,
+_position, makes the record of every position of both sides, and every
+solve goes through _solutions.  Preimages are searched inside the edge
+component of a window enlarged by a configurable slack, because a kernel
+vector of spinor degree <= D may only have preimages of a slightly higher
+degree; the report records how much slack a position actually used.
 
 A right-side kernel vector with no preimage in the edge component is also
 tried against all spinor-valued (i-1)-forms of that window (the junction
-diagnostic).  That is one solve on the first-order block matrix
+diagnostic, a count).  That is a solve on the first-order block matrix
 [xi ^ . | F-], with no spectral projector: from the halfway degree on,
 the non-edge part of the i-forms is the image of F-, and F+ and F- keep a
 weight that bounds the degree of the F- preimage needed, which makes the
-window exact (see _untruncated_solver).
+window exact (see _untruncated_count).
 
 The weight |e| - #first + #second of a term (forms.weight) grades both
 sequences: F+ and F- keep it, and at a covector in one Lagrangian half
@@ -117,7 +118,6 @@ def check_exactness(sp: SymplecticSpace, D: int, xi: Covector, slack: int = 4, x
     l = sp.l
     xs = sharp(sp, xi)
     positions = []
-
     if l == 1:
         positions.append(
             {
@@ -130,11 +130,8 @@ def check_exactness(sp: SymplecticSpace, D: int, xi: Covector, slack: int = 4, x
                 "note": "left truncated sequence has no checkable position",
             }
         )
-    for i in range(0, l - 1):
-        positions.append(_left_position(sp, i, D, xi, xs, slack))
-    for i in range(l + 1, 2 * l + 1):
-        positions.append(_right_position(sp, i, D, xi, slack))
-
+    for i in [*range(0, l - 1), *range(l + 1, 2 * l + 1)]:
+        positions.append(_position(sp, i, D, xi, xs, slack))
     ok = all(p["status"] in ("pass", "vacuous") for p in positions)
     return {
         "l": l,
@@ -171,6 +168,14 @@ def _weight_step(sp, xi):
     return None
 
 
+def _solutions(mat, targets):
+    """For each target form, a solution x of mat x = target, or None when
+    there is none (a term of the target on no row of mat included)."""
+    for phi in targets:
+        rhs = form_to_coords(phi, mat.row_index)
+        yield None if rhs is None else solve(mat, rhs)
+
+
 def _preimage_degrees(sp, i_prev, Dbig, xi, targets):
     """Solve sigma_{i_prev}(x) = phi over the edge window at degree Dbig for
     each phi in targets, all on one symbol matrix; returns the spinor degree
@@ -188,9 +193,7 @@ def _preimage_degrees(sp, i_prev, Dbig, xi, targets):
     basis = edge_basis(sp, i_prev, Dbig, weights)
     mat = operator_matrix(lambda b: symbol_apply(sp, i_prev, xi, b), basis)
     degrees = []
-    for phi in targets:
-        rhs = form_to_coords(phi, mat.row_index)
-        x = None if rhs is None else solve(mat, rhs)
+    for phi, x in zip(targets, _solutions(mat, targets)):
         witness = None if x is None else _combine(sp.l, basis, x.items())
         # belt and braces: re-apply the symbol to the witness
         ok = witness is not None and (symbol_apply(sp, i_prev, xi, witness) - phi).is_zero()
@@ -198,97 +201,62 @@ def _preimage_degrees(sp, i_prev, Dbig, xi, targets):
     return degrees
 
 
-def _record_preimages(rec, D, degrees):
-    """Write the preimage count, the largest witness degree, the slack it
-    used and the status into rec."""
-    found = [d for d in degrees if d is not None]
-    max_deg = max(found, default=None)
-    rec["preimages_found"] = len(found)
-    rec["max_preimage_degree"] = max_deg
-    rec["slack_used"] = None if max_deg is None else max(0, int(max_deg) - D)
-    rec["status"] = "pass" if len(found) == rec["dim_kernel"] else "fail"
-
-
-def _left_position(sp, i, D, xi, xs, slack):
-    basis, kernel = _kernel_forms(sp, i, D, xi)
-    rec = {
-        "i": i,
-        "side": "left",
-        "dim_domain": len(basis),
-        "dim_kernel": len(kernel),
-    }
-    contraction_violations = 0
-    clifford_sq_violations = 0
-    for phi in kernel:
-        if not contract(sp, xs, phi).is_zero():
-            contraction_violations += 1
-        if not clifford_apply(sp, xs, clifford_apply(sp, xs, phi)).is_zero():
-            clifford_sq_violations += 1
-    rec["kernel_contraction_violations"] = contraction_violations
-    rec["kernel_clifford_square_violations"] = clifford_sq_violations
+def _position(sp, i, D, xi, xs, slack):
+    """The record of position i, left or right: the kernel of the symbol map
+    at i, its preimages under the map before, and the left identity counts
+    or the right junction diagnostic."""
+    l = sp.l
+    rec = {"i": i, "side": "left" if i < l else "right"}
+    if i == 2 * l:
+        # surjectivity onto the top window: every top basis vector needs a
+        # preimage (the whole top space is one component)
+        kernel = list(FormWindow(l, 2 * l, D))
+        rec["dim_domain"] = len(kernel)
+        rec["note"] = "top position: upper symbol is zero, kernel is the whole window"
+    else:
+        basis, kernel = _kernel_forms(sp, i, D, xi)
+        rec["dim_domain"] = len(basis)
+    rec["dim_kernel"] = len(kernel)
+    if i < l:
+        # counts, not in the status: the contraction identity can fail on
+        # kernel vectors that nevertheless have preimages
+        contracted = [contract(sp, xs, v) for v in kernel]
+        squared = [clifford_apply(sp, xs, clifford_apply(sp, xs, v)) for v in kernel]
+        rec["kernel_contraction_violations"] = sum(not v.is_zero() for v in contracted)
+        rec["kernel_clifford_square_violations"] = sum(not v.is_zero() for v in squared)
     if i == 0:
         rec["preimages_found"] = 0
         rec["status"] = "pass" if not kernel else "fail"
         if kernel:
             rec["note"] = "kernel of the first symbol map should be trivial"
         return rec
-    # status reflects constructed preimages only; the contraction identity
-    # of the kernel vectors is reported as its own count (it can fail on
-    # kernel vectors that nevertheless have preimages)
-    _record_preimages(rec, D, _preimage_degrees(sp, i - 1, D + slack, xi, kernel))
+    degrees = _preimage_degrees(sp, i - 1, D + slack, xi, kernel)
+    found = [d for d in degrees if d is not None]
+    max_deg = max(found, default=None)
+    rec["preimages_found"] = len(found)
+    rec["max_preimage_degree"] = max_deg
+    rec["slack_used"] = None if max_deg is None else max(0, int(max_deg) - D)
+    rec["status"] = "pass" if len(found) == len(kernel) else "fail"
+    unreachable = [phi for phi, d in zip(kernel, degrees) if d is None]
+    if i > l and unreachable:
+        # the junction: kernel vectors typically have preimages among ALL
+        # (i-1)-forms, just not in the edge component
+        count = _untruncated_count(sp, i, D, xi, slack, unreachable)
+        rec["preimages_from_untruncated_domain"] = len(found) + count
     return rec
 
 
-def _right_position(sp, i, D, xi, slack):
-    l = sp.l
-    if i == 2 * l:
-        # surjectivity onto the top window: every top basis vector needs a
-        # preimage (the whole top space is one component)
-        top = FormWindow(l, 2 * l, D)
-        targets = [top.element(k) for k in range(top.dim)]
-        rec = {
-            "i": i,
-            "side": "right",
-            "dim_domain": top.dim,
-            "dim_kernel": top.dim,
-            "note": "top position: upper symbol is zero, kernel is the whole window",
-        }
-    else:
-        basis, targets = _kernel_forms(sp, i, D, xi)
-        rec = {
-            "i": i,
-            "side": "right",
-            "dim_domain": len(basis),
-            "dim_kernel": len(targets),
-        }
-    degrees = _preimage_degrees(sp, i - 1, D + slack, xi, targets)
-    _record_preimages(rec, D, degrees)
-    unreachable = [phi for phi, d in zip(targets, degrees) if d is None]
-    if unreachable:
-        # Diagnostic for the junction phenomenon: kernel vectors typically do
-        # have preimages under the projected wedge acting on ALL spinor-valued
-        # (i-1)-forms; what fails is reachability from the edge component the
-        # preceding twistor operator is actually defined on.  The projected
-        # wedge is never formed: phi = E(xi ^ p) is solved as
-        # xi ^ p + F-(q) = phi (see _untruncated_solver).  Its matrices
-        # serve this position only, so the space does not keep them.
-        solver = _untruncated_solver(sp, i, D, xi, slack)
-        rec["preimages_from_untruncated_domain"] = rec["preimages_found"] + sum(
-            1 for phi in unreachable if solver(phi)
-        )
-    return rec
-
-
-def _untruncated_solver(sp, i, D, xi, slack):
-    """Decide, for edge i-forms phi (l <= i <= 2l), whether phi = E(xi ^ p)
-    for some (i-1)-form p of degree <= D + slack, E the edge projector.
+def _untruncated_count(sp, i, D, xi, slack, targets):
+    """How many of the edge i-forms phi in targets (l < i <= 2l) are
+    E(xi ^ p) for some (i-1)-form p of degree <= D + slack, E the edge
+    projector.
 
     From the halfway degree on, the non-edge part of the i-forms is
     F-(Lambda^{i+1} (x) S): F- maps the (i+1, j) component into (i, j) and
     j <= m_{i+1} < m_i, so E F- = 0; and F-F+ acts on each non-edge (i, j)
     by the nonzero scalar c_{ij}, so x = F-(F+ x / c_{ij}) there.  Hence
     phi = E(xi ^ p) exactly when xi ^ p + F-(q) = phi for some (i+1)-form
-    q, one solve on the block matrix [xi ^ . | F-] with no projector.  At
+    q, a solve on the block matrix [xi ^ . | F-] with no projector.  At
     i = 2l the edge is everything and there is no F- block.
 
     Any solution is a certificate (apply E to both sides), at any degree
@@ -300,55 +268,42 @@ def _untruncated_solver(sp, i, D, xi, slack):
     i-form of degree <= D + slack, so weights <= D + slack + 2l - i.
     Weight by weight, x = F-(q) with q = sum_j F+(x_j) / c_{ij} of the same
     weights, and an (i+1)-form of weight w has degree <= w + 2l - i - 1.
-    So Dq = D + slack + 2(2l - i) - 1 makes the answer exact.  The solve runs
-    first at Dq = D + slack + 1, which is smaller and has so far answered
-    every kernel vector of the CLI; only a "no" there is retried on the
-    exact window.  Every witness (p, q) is re-checked by applying wedge and
-    lowering.
+    So Dq = D + slack + 2(2l - i) - 1 makes the answer exact.  All targets
+    are solved first at Dq = D + slack + 1: its matrix is smaller, and every
+    target with a solution found so far had one there, so the exact window
+    only confirms the "no" of the targets left.  A solution counts when its
+    column images sum to phi, which by linearity is the same as applying
+    wedge and lowering to its two halves.
 
     When xi lies in one half, xi ^ . moves the weight by its step (see
     _weight_step) and F- keeps it, so the block matrix is block-diagonal by
-    weight.  Then the columns for phi are the p of phi's weights minus the
-    step and the q of phi's weights, and phi has a solution there exactly
-    when it has one on the whole windows.  The matrices are kept per degree
-    bound and weight set, and kernel vectors of one weight share one.
+    weight; its columns are the p of the targets' weights minus the step
+    and the q of the targets' weights, with the answers of the whole
+    windows, which a covector meeting both halves takes.
     """
     l = sp.l
     step = _weight_step(sp, xi)
+    weights = shifted = None
+    if step is not None:
+        weights = {weight(l, key) for phi in targets for key in phi.keys()}
+        shifted = {w - step for w in weights}
+    wedges = [wedge(xi, p) for p in FormWindow(l, i - 1, D + slack, shifted)]
     first, exact = D + slack + 1, D + slack + 2 * (2 * l - i) - 1
-    windows = [first] if exact <= first else [first, exact]
-    built = {}
-
-    def block_matrix(Dq, weights):
-        if (Dq, weights) not in built:
-            shifted = None if weights is None else {w - step for w in weights}
-            dom = FormWindow(l, i - 1, D + slack, shifted)
-            qwin = FormWindow(l, i + 1, Dq, weights) if i < 2 * l else None
-            columns = list(dom) + (list(qwin) if qwin is not None else [])
-            mat = operator_matrix(
-                lambda b: wedge(xi, b) if b.form_degree() == i - 1 else lowering(sp, b), columns
-            )
-            built[Dq, weights] = (mat, dom, qwin)
-        return built[Dq, weights]
-
-    def attempt(phi):
-        weights = None if step is None else frozenset(weight(l, key) for key in phi.keys())
-        for Dq in windows:
-            mat, dom, qwin = block_matrix(Dq, weights)
-            rhs = form_to_coords(phi, mat.row_index)
-            x = None if rhs is None else solve(mat, rhs)
-            if x is None:
-                continue
-            p = _combine(l, dom, ((c, v) for c, v in x.items() if c < dom.dim))
-            image = wedge(xi, p)
-            if qwin is not None:
-                q = _combine(l, qwin, ((c - dom.dim, v) for c, v in x.items() if c >= dom.dim))
-                image = image + lowering(sp, q)
-            if (image - phi).is_zero():
-                return True
-        return False
-
-    return attempt
+    count = 0
+    for Dq in [first] if exact <= first else [first, exact]:
+        images = wedges
+        if i < 2 * l:
+            images = wedges + [lowering(sp, q) for q in FormWindow(l, i + 1, Dq, weights)]
+        mat = operator_matrix(lambda v: v, images)
+        solved = [
+            x is not None and _combine(l, images, x.items()) == phi
+            for phi, x in zip(targets, _solutions(mat, targets))
+        ]
+        count += sum(solved)
+        targets = [phi for phi, ok in zip(targets, solved) if not ok]
+        if not targets:
+            break
+    return count
 
 
 def describe_covector(xi: Covector) -> list:

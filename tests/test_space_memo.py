@@ -5,7 +5,8 @@ Lagrange table on the space it was built for, so a second request reads
 the kept table and builds no operator matrix.  A table never outlives its
 space: a faulty operator run on a fresh space meets none of the tables a
 clean run kept on another.  No function of the package takes a cache of
-its own.
+its own, and ``symbols`` keeps none in a closure either: its one solve
+site is ``_solutions``.
 """
 
 import ast
@@ -101,4 +102,31 @@ def test_only_linalg_and_forms_know_the_row_format():
             if isinstance(node, ast.ImportFrom):
                 if any(a.name == "OperatorMatrix" for a in node.names):
                     found.append(f"{path.name}:{node.lineno} imports OperatorMatrix")
+    assert found == []
+
+
+def _solves_and_closures(node, owner, found, name):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if owner is not None and name == "symbols.py":
+                found.append(f"{name}:{child.lineno} {child.name} defined in {owner}")
+            _solves_and_closures(child, child.name, found, name)
+            continue
+        if isinstance(child, ast.Call):
+            f = child.func
+            called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if called in ("solve", "form_to_coords") and (name, owner) != ("symbols.py", "_solutions"):
+                found.append(f"{name}:{child.lineno} {called} called in {owner}")
+        _solves_and_closures(child, owner, found, name)
+
+
+def test_forms_are_solved_in_one_place():
+    # symbols._solutions is the one place a form becomes a right-hand side
+    # and is solved, and symbols keeps no closure (its untruncated
+    # diagnostic once kept its matrices in one)
+    src = Path(__file__).resolve().parents[1] / "src" / "symtwist"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        _solves_and_closures(tree, None, found, path.name)
     assert found == []

@@ -12,7 +12,7 @@ from symtwist import symbols
 from symtwist.osp import component_basis, edge_basis, omega_trace
 from symtwist.scalars import I, Scalar
 from symtwist.symbols import (
-    _untruncated_solver,
+    _untruncated_count,
     check_complex,
     check_exactness,
     symbol_apply,
@@ -155,13 +155,7 @@ def _covector(*components):
 
 def _untruncated_answers(sp, i, D, xi, slack, targets):
     """Per target, whether the untruncated diagnostic finds a preimage."""
-    solver = _untruncated_solver(sp, i, D, xi, slack)
-    return [solver(phi) for phi in targets]
-
-
-def _untruncated_total(sp, i, D, xi, slack, targets):
-    """How many targets the untruncated diagnostic finds a preimage for."""
-    return sum(_untruncated_answers(sp, i, D, xi, slack, targets))
+    return [_untruncated_count(sp, i, D, xi, slack, [phi]) == 1 for phi in targets]
 
 
 def _projector_oracle(sp, i, D, xi, slack):
@@ -208,7 +202,7 @@ def test_untruncated_diagnostic_matches_projector_oracle(l, D, slack, target_deg
         targets = edge_basis(sp, i, target_degree)
         got = _untruncated_answers(sp, i, D, xi, slack, targets)
         assert got == [oracle(phi) for phi in targets], i
-        assert _untruncated_total(sp, i, D, xi, slack, targets) == sum(got), i
+        assert _untruncated_count(sp, i, D, xi, slack, targets) == sum(got), i
         answers += got
     assert False in answers
     if target_degree <= D:
@@ -228,8 +222,8 @@ def test_untruncated_diagnostic_matches_projector_oracle(l, D, slack, target_deg
 def test_untruncated_count_matches_the_whole_window(monkeypatch, l, D, slack, xi, yes):
     # at a covector in one Lagrangian half the diagnostic eliminates only
     # the columns of the targets' weights; the answers must be those of
-    # the whole windows, on every edge vector of degree <= D + 2 (both
-    # "no" answers and targets that need the exact degree bound occur)
+    # the whole windows, on every edge vector of degree <= D + 2.  "No"
+    # answers occur, and each is decided on the exact degree bound
     sp = standard_space(l)
     xi = _covector(*xi)
     targets = {i: edge_basis(sp, i, D + 2) for i in range(l + 1, 2 * l + 1)}
@@ -238,7 +232,7 @@ def test_untruncated_count_matches_the_whole_window(monkeypatch, l, D, slack, xi
         return {i: _untruncated_answers(sp, i, D, xi, slack, t) for i, t in targets.items()}
 
     def totals():
-        return {i: _untruncated_total(sp, i, D, xi, slack, t) for i, t in targets.items()}
+        return {i: _untruncated_count(sp, i, D, xi, slack, t) for i, t in targets.items()}
 
     cut, cut_totals = answers(), totals()
     monkeypatch.setattr(symbols, "_weight_step", lambda sp, xi: None)
