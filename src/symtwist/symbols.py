@@ -10,12 +10,12 @@ the closed form of project_wedge.  Two truncated sequences are checked:
           surjectivity onto the top window at position 2l).
 
 Every check is an exact kernel or an exact linear solve on explicit
-windows; failures become report entries, never exceptions.  One builder,
-_position, makes the record of every position of both sides, and every
-solve goes through _solutions.  Preimages are searched inside the edge
-component of a window enlarged by a configurable slack, because a kernel
-vector of spinor degree <= D may only have preimages of a slightly higher
-degree; the report records how much slack a position actually used.
+windows; failures become report entries, never exceptions.  _position
+makes the record of every position, and every solve is in _solutions.
+Preimages are searched inside the edge component of a window enlarged by
+a configurable slack, because a kernel vector of spinor degree <= D may
+only have preimages of a slightly higher degree; the report records how
+much slack a position actually used.
 
 A right-side kernel vector with no preimage in the edge component is also
 tried against all spinor-valued (i-1)-forms of that window (the junction
@@ -169,8 +169,7 @@ def _weight_step(sp, xi):
 
 
 def _solutions(mat, targets):
-    """For each target form, a solution x of mat x = target, or None when
-    there is none (a term of the target on no row of mat included)."""
+    """For each target form, a solution x of mat x = target, or None."""
     for phi in targets:
         rhs = form_to_coords(phi, mat.row_index)
         yield None if rhs is None else solve(mat, rhs)
@@ -208,8 +207,7 @@ def _position(sp, i, D, xi, xs, slack):
     l = sp.l
     rec = {"i": i, "side": "left" if i < l else "right"}
     if i == 2 * l:
-        # surjectivity onto the top window: every top basis vector needs a
-        # preimage (the whole top space is one component)
+        # the top window is one component: each basis vector needs a preimage
         kernel = list(FormWindow(l, 2 * l, D))
         rec["dim_domain"] = len(kernel)
         rec["note"] = "top position: upper symbol is zero, kernel is the whole window"
@@ -218,8 +216,7 @@ def _position(sp, i, D, xi, xs, slack):
         rec["dim_domain"] = len(basis)
     rec["dim_kernel"] = len(kernel)
     if i < l:
-        # counts, not in the status: the contraction identity can fail on
-        # kernel vectors that nevertheless have preimages
+        # counts, not in the status: they can fail on vectors with preimages
         contracted = [contract(sp, xs, v) for v in kernel]
         squared = [clifford_apply(sp, xs, clifford_apply(sp, xs, v)) for v in kernel]
         rec["kernel_contraction_violations"] = sum(not v.is_zero() for v in contracted)
@@ -239,8 +236,7 @@ def _position(sp, i, D, xi, xs, slack):
     rec["status"] = "pass" if len(found) == len(kernel) else "fail"
     unreachable = [phi for phi, d in zip(kernel, degrees) if d is None]
     if i > l and unreachable:
-        # the junction: kernel vectors typically have preimages among ALL
-        # (i-1)-forms, just not in the edge component
+        # the junction: preimages among ALL (i-1)-forms, not just the edge
         count = _untruncated_count(sp, i, D, xi, slack, unreachable)
         rec["preimages_from_untruncated_domain"] = len(found) + count
     return rec
@@ -271,39 +267,43 @@ def _untruncated_count(sp, i, D, xi, slack, targets):
     So Dq = D + slack + 2(2l - i) - 1 makes the answer exact.  All targets
     are solved first at Dq = D + slack + 1: its matrix is smaller, and every
     target with a solution found so far had one there, so the exact window
-    only confirms the "no" of the targets left.  A solution counts when its
-    column images sum to phi, which by linearity is the same as applying
-    wedge and lowering to its two halves.
+    only confirms the "no" of the targets left.  A solution counts when the
+    images of its columns sum to phi (by linearity, the wedge and lowering
+    of its halves); they are rebuilt from the column keys, since holding
+    the column forms beside the matrix raised the peak memory.
 
     When xi lies in one half, xi ^ . moves the weight by its step (see
     _weight_step) and F- keeps it, so the block matrix is block-diagonal by
-    weight; its columns are the p of the targets' weights minus the step
-    and the q of the targets' weights, with the answers of the whole
-    windows, which a covector meeting both halves takes.
+    weight: the p of the targets' weights minus the step and the q of their
+    weights give the answers of the whole windows, which other xi take.
     """
     l = sp.l
     step = _weight_step(sp, xi)
-    weights = shifted = None
-    if step is not None:
-        weights = {weight(l, key) for phi in targets for key in phi.keys()}
-        shifted = {w - step for w in weights}
-    wedges = [wedge(xi, p) for p in FormWindow(l, i - 1, D + slack, shifted)]
     first, exact = D + slack + 1, D + slack + 2 * (2 * l - i) - 1
-    count = 0
+    left = targets
     for Dq in [first] if exact <= first else [first, exact]:
-        images = wedges
+        weights = shifted = None
+        if step is not None:
+            weights = {weight(l, key) for phi in left for key in phi.keys()}
+            shifted = {w - step for w in weights}
+        keys = FormWindow(l, i - 1, D + slack, shifted).basis
         if i < 2 * l:
-            images = wedges + [lowering(sp, q) for q in FormWindow(l, i + 1, Dq, weights)]
-        mat = operator_matrix(lambda v: v, images)
-        solved = [
-            x is not None and _combine(l, images, x.items()) == phi
-            for phi, x in zip(targets, _solutions(mat, targets))
-        ]
-        count += sum(solved)
-        targets = [phi for phi, ok in zip(targets, solved) if not ok]
-        if not targets:
+            keys += FormWindow(l, i + 1, Dq, weights).basis
+        mat = operator_matrix(lambda key: _block_column(sp, i, xi, key), keys)
+        solved = []
+        for phi, x in zip(left, _solutions(mat, left)):
+            images = {c: _block_column(sp, i, xi, keys[c]) for c in x or ()}
+            solved.append(x is not None and _combine(l, images, x.items()) == phi)
+        left = [phi for phi, ok in zip(left, solved) if not ok]
+        if not left:
             break
-    return count
+    return len(targets) - len(left)
+
+
+def _block_column(sp, i, xi, key):
+    """The column of [xi ^ . | F-] at the key of an (i-1)- or (i+1)-form."""
+    b = SpinorForm._trusted(sp.l, {key: (1, 0)}, 1)
+    return wedge(xi, b) if len(key[0]) == i - 1 else lowering(sp, b)
 
 
 def describe_covector(xi: Covector) -> list:
