@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import window_index, window_matrix
-from symtwist.forms import SpinorForm, basis_form, contract, wedge
 from symtwist import symbols
+from symtwist.forms import SpinorForm, basis_form, contract, wedge
 from symtwist.osp import component_basis, edge_basis, omega_trace
 from symtwist.scalars import I, Scalar
 from symtwist.symbols import (
@@ -192,8 +192,8 @@ FRACTIONAL = ("1/2", 0, "-1/3", 2)
     ],
 )
 def test_untruncated_diagnostic_matches_projector_oracle(l, D, slack, target_degree, xi):
-    # the only test that sees the F- block: zeroing lowering fails every
-    # row, while no count of the CLI configurations tried changes
+    # the only test that sees the F- block: zeroing lowering fails the six
+    # rows at the canonical covector, and no symbol-check report tried
     sp = standard_space(l)
     xi = canonical_covector(sp) if xi is None else _covector(*xi)
     answers = []
