@@ -181,14 +181,12 @@ FRACTIONAL = ("1/2", 0, "-1/3", 2)
 @pytest.mark.parametrize(
     "l, D, slack, target_degree, xi",
     [
-        (2, 1, 0, 1, None),
-        (2, 1, 0, 2, None),
-        (2, 1, 0, 3, None),
-        (2, 2, 0, 2, None),
-        (2, 1, 1, 3, None),
-        (3, 1, 0, 1, None),
-        (2, 1, 0, 2, FRACTIONAL),
-        (2, 1, 1, 3, FRACTIONAL),
+        *(
+            pytest.param(*row, None, id="-".join(map(str, row)))
+            for row in [(2, 1, 0, 1), (2, 1, 0, 2), (2, 1, 0, 3), (2, 2, 0, 2), (2, 1, 1, 3), (3, 1, 0, 1)]
+        ),
+        pytest.param(2, 1, 0, 2, FRACTIONAL, id="2-1-0-2-fractional"),
+        pytest.param(2, 1, 1, 3, FRACTIONAL, id="2-1-1-3-fractional"),
     ],
 )
 def test_untruncated_diagnostic_matches_projector_oracle(l, D, slack, target_degree, xi):
