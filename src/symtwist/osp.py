@@ -39,7 +39,7 @@ row alone).  The space keeps the coefficient table of each column,
 expanded on the column's first projection.  The product of (A - c_{r k}) over
 a set of labels is a factor of every projector outside the set, so when
 it kills psi, every projection of psi outside the set is zero
-(``passes_component_screen``).
+(``component_screen``).
 """
 
 from __future__ import annotations
@@ -47,9 +47,12 @@ from __future__ import annotations
 from .forms import (
     FormWindow,
     SpinorForm,
-    _add,
     _combine,
+    _gather,
+    _labelled,
     _moves,
+    _nonempty,
+    _split,
     contract,
     operator_matrix,
     wedge,
@@ -69,19 +72,22 @@ def raising(sp: SymplecticSpace, psi: SpinorForm) -> SpinorForm:
     l = sp.l
     out: dict = {}
     table = _moves(2 * l)
-    for (idx, e), (a, b) in psi._c.items():
+    for idx, g in psi._c.items():
         for k, (nidx, s) in table[idx][0].items():
             if k < l:
                 # (i/2) i x^k: the pair -(a, b), over 2d
-                _add(out, (nidx, e[:k] + (e[k] + 1,) + e[k + 1 :]), -s * a, -s * b)
+                new = {e[:k] + (e[k] + 1,) + e[k + 1 :]: (-s * a, -s * b) for e, (a, b) in g.items()}
             else:
+                # (i/2) d/dx^k: the pair i (a, b) n = (-b n, a n), over 2d
                 k -= l
-                n = e[k]
-                if n:
-                    # (i/2) d/dx^k: the pair i (a, b) n = (-b n, a n), over 2d
-                    n *= s
-                    _add(out, (nidx, e[:k] + (e[k] - 1,) + e[k + 1 :]), -b * n, a * n)
-    return SpinorForm._trusted(psi.l, out, 2 * psi._d)
+                new = {
+                    e[:k] + (n - 1,) + e[k + 1 :]: (-b * n * s, a * n * s)
+                    for e, (a, b) in g.items()
+                    if (n := e[k])
+                }
+            if new:
+                _gather(out, nidx, new)
+    return SpinorForm._trusted(psi.l, _nonempty(out), 2 * psi._d)
 
 
 def lowering(sp: SymplecticSpace, psi: SpinorForm) -> SpinorForm:
@@ -89,19 +95,22 @@ def lowering(sp: SymplecticSpace, psi: SpinorForm) -> SpinorForm:
     l = sp.l
     out: dict = {}
     table = _moves(2 * l)
-    for (idx, e), (a, b) in psi._c.items():
+    for idx, g in psi._c.items():
         for k, (nidx, s) in table[idx][1].items():
             if k < l:
-                n = e[k]
-                if n:
-                    # (1/2) d/dx^k: the pair (a, b) n, over 2d
-                    n *= s
-                    _add(out, (nidx, e[:k] + (e[k] - 1,) + e[k + 1 :]), a * n, b * n)
+                # (1/2) d/dx^k: the pair (a, b) n, over 2d
+                new = {
+                    e[:k] + (n - 1,) + e[k + 1 :]: (a * n * s, b * n * s)
+                    for e, (a, b) in g.items()
+                    if (n := e[k])
+                }
             else:
-                k -= l
                 # -(i/2) x^k: the pair -i (a, b) = (b, -a), over 2d
-                _add(out, (nidx, e[:k] + (e[k] + 1,) + e[k + 1 :]), s * b, -s * a)
-    return SpinorForm._trusted(psi.l, out, 2 * psi._d)
+                k -= l
+                new = {e[:k] + (e[k] + 1,) + e[k + 1 :]: (s * b, -s * a) for e, (a, b) in g.items()}
+            if new:
+                _gather(out, nidx, new)
+    return SpinorForm._trusted(psi.l, _nonempty(out), 2 * psi._d)
 
 
 def omega_wedge(sp: SymplecticSpace, psi: SpinorForm) -> SpinorForm:
@@ -199,10 +208,10 @@ def column_projections(sp: SymplecticSpace, r: int, psi: SpinorForm) -> list:
     return [_combine(sp.l, seq, enumerate(row)) for row in table]
 
 
-def passes_component_screen(sp: SymplecticSpace, r: int, js, psi: SpinorForm) -> bool:
-    """Whether prod_{k in js} (F-F+ - c_{r k}) kills the r-form psi.
+def component_screen(sp: SymplecticSpace, r: int, js, psi: SpinorForm) -> SpinorForm:
+    """prod_{k in js} (F-F+ - c_{r k}) applied to the r-form psi.
 
-    When it does, the projection of psi onto every (r, k) with k not in js
+    When it kills psi, the projection of psi onto every (r, k) with k not in js
     is zero: each such projector has the product as a factor, and the
     factors are polynomials in one linear operator, so they commute.  That
     holds for any linear F-F+, a faulty one included.  The converse needs
@@ -211,7 +220,7 @@ def passes_component_screen(sp: SymplecticSpace, r: int, js, psi: SpinorForm) ->
     cur = psi
     for k in js:
         cur = ff_plus(sp, cur) - cur.scale(component_scalar(sp.l, r, k))
-    return cur.is_zero()
+    return cur
 
 
 def edge_projector(sp: SymplecticSpace, r: int, psi: SpinorForm) -> SpinorForm:
@@ -275,16 +284,17 @@ def component_basis(sp: SymplecticSpace, r: int, j: int, D: int):
 def _column_bases(sp: SymplecticSpace, r: int, D: int):
     """The component bases of every label of column r on the (r, D) window.
 
-    The F-F+ image of each window element is built once for the column;
-    the matrix of label j has the columns images[k] - c_{rj} e_k, built by
-    operator_matrix like every other operator matrix."""
+    F-F+ is applied once for the column, to the labelled window (see
+    ``forms.operator_matrix``, which hands its map that same labelled
+    sum): the matrix of label j is built from that image minus c_{rj}
+    times the labelled window."""
     l = sp.l
     win = FormWindow(l, r, D)
-    images = [ff_plus(sp, b) for b in win]
+    images = ff_plus(sp, _labelled(l, win))
     bases = []
     for j in range(m_index(l, r) + 1):
         c = component_scalar(l, r, j)
-        mat = operator_matrix(lambda k: images[k] - win[k].scale(c), range(win.dim))
+        mat = operator_matrix(lambda psi: images - psi.scale(c), win)
         bases.append([_combine(l, win, v.items()) for v in kernel_basis(mat)])
     return bases
 
@@ -313,6 +323,8 @@ class ChainModel:
 
 
 def chain_model(sp: SymplecticSpace, D: int) -> ChainModel:
+    """The chains over the primitive bases; each level of a chain is
+    raised and checked once, as one labelled sum of its vectors."""
     l = sp.l
     chains: dict = {}
     primitive_dims = {}
@@ -322,25 +334,22 @@ def chain_model(sp: SymplecticSpace, D: int) -> ChainModel:
     for j in range(l + 1):
         prim = edge_basis(sp, j, D)
         primitive_dims[j] = len(prim)
-        for v in prim:
-            if not lowering(sp, v).is_zero():
-                primitives_primitive = False
+        psi = _labelled(l, prim)
+        if not lowering(sp, psi).is_zero():
+            primitives_primitive = False
         vectors = prim
         for k in range(2 * l - 2 * j + 1):
             chains.setdefault((j + k, j), []).extend(vectors)
-            nxt = [raising(sp, w) for w in vectors]
+            nxt = raising(sp, psi)
             if k < 2 * l - 2 * j:
                 # interior chain step: F- must step back with the component
                 # scalar of the level it came from
                 c = component_scalar(l, j + k, j)
-                for w, wn in zip(vectors, nxt):
-                    if not (lowering(sp, wn) - w.scale(c)).is_zero():
-                        lower_in_span = False
-                vectors = nxt
-            else:
-                for wn in nxt:
-                    if not wn.is_zero():
-                        tops_vanish = False
+                if not (lowering(sp, nxt) - psi.scale(c)).is_zero():
+                    lower_in_span = False
+                psi, vectors = nxt, _split(nxt, len(prim))
+            elif not nxt.is_zero():
+                tops_vanish = False
     cert = {
         "primitives_in_lowering_kernel": primitives_primitive,
         "lowering_steps_back_along_chain": lower_in_span,

@@ -19,34 +19,43 @@ with a nonzero component in the first Lagrangian.
 
 from __future__ import annotations
 
-from .forms import SpinorForm, _add, _vector_pairs
+from .forms import SpinorForm, _gather, _nonempty, _vector_pairs
 from .scalars import I
 from .symplectic import omega_value
 
 
 def clifford_apply(sp, v, psi: SpinorForm) -> SpinorForm:
     """Action of the vector v (2l Scalar components) on the spinor factor
-    of psi; the form part is fixed."""
+    of psi; the form part is fixed.  One component maps each group by one
+    comprehension, since its exponent map is one-to-one; several merge
+    their images of a group."""
     l = sp.l
     out: dict = {}
     if not psi._c:
         return SpinorForm._trusted(psi.l, out, 1)
     # the nonzero components of v as pairs (p, q) over the denominator f
     comps, f = _vector_pairs(v)
-    for (idx, e), (a, b) in psi._c.items():
+    for idx, g in psi._c.items():
         for k, p, q in comps:
-            # the pair (a, b) (p, q) = (x, y)
-            x = a * p - b * q
-            y = a * q + b * p
             if k < l:
-                # e_k . s = i x^k s: the pair i (x, y) = (-y, x)
-                _add(out, (idx, e[:k] + (e[k] + 1,) + e[k + 1 :]), -y, x)
+                # e_k . s = i x^k s: the pair i (a, b) (p, q) = (-y, x) for
+                # (x, y) = (a p - b q, a q + b p)
+                new = {
+                    e[:k] + (e[k] + 1,) + e[k + 1 :]: (-a * q - b * p, a * p - b * q)
+                    for e, (a, b) in g.items()
+                }
             else:
-                # e_{k+l} . s = ds/dx^k
+                # e_{k+l} . s = ds/dx^k: the pair (a, b) (p, q) n
                 k -= l
-                n = e[k]
-                if n:
-                    _add(out, (idx, e[:k] + (n - 1,) + e[k + 1 :]), x * n, y * n)
+                new = {
+                    e[:k] + (n - 1,) + e[k + 1 :]: ((a * p - b * q) * n, (a * q + b * p) * n)
+                    for e, (a, b) in g.items()
+                    if (n := e[k])
+                }
+            if new:
+                _gather(out, idx, new)
+    if len(comps) > 1:
+        out = _nonempty(out)
     return SpinorForm._trusted(psi.l, out, psi._d * f)
 
 

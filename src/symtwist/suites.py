@@ -15,8 +15,10 @@ from fractions import Fraction
 from .forms import (
     FormWindow,
     SpinorForm,
+    _differing,
+    _labelled,
+    _labels,
     contract,
-    fits_window,
     operator_matrix,
     wedge,
 )
@@ -26,6 +28,7 @@ from .osp import (
     column_projections,
     component_basis,
     component_scalar,
+    component_screen,
     edge_basis,
     edge_projector,
     ff_plus,
@@ -33,7 +36,6 @@ from .osp import (
     m_index,
     omega_trace,
     omega_wedge,
-    passes_component_screen,
     project_wedge,
     raising,
     triangle_labels,
@@ -80,34 +82,31 @@ _RELATIONS = (
 _HALF_I = I * Scalar(Fraction(1, 2))
 
 
-def _labelled(win, cols) -> SpinorForm:
-    """The sum over c in cols of the window's basis form c, held under its
-    key with c appended to the exponents: psi_c y^c, y a passive variable."""
-    return SpinorForm._trusted(win.l, {(i, e + (c,)): (1, 0) for c in cols for i, e in [win.basis[c]]}, 1)
+def _share_windows(l, D, share, shares):
+    """Each window of form degree 0..2l with the labelled sum (see
+    ``forms._labelled``) of the basis forms that this share of ``shares``
+    checks: the share takes every shares-th form-index tuple of the
+    windows in turn, with all of that tuple's monomials, so each index
+    group of a labelled form is whole."""
+    before = 0  # the index tuples of the earlier windows
+    for r in range(2 * l + 1):
+        win = FormWindow(l, r, D)
+        groups: dict = {}
+        for c, (idx, e) in enumerate(win.basis):
+            g = groups.get(idx)
+            if g is None:
+                g = groups[idx] = {}
+            g[e + (c,)] = (1, 0)
+        kept = {idx: g for n, (idx, g) in enumerate(groups.items(), before) if n % shares == share}
+        before += len(groups)
+        yield win, SpinorForm._trusted(l, kept, 1)
 
 
-def _columns(x) -> set:
-    """The columns of the labelled form x that hold a term."""
-    return {e[-1] for (_idx, e) in x.keys()}
-
-
-def _differ(x, y) -> int:
-    """On how many columns the labelled forms x and y differ, compared per
-    key and cross-multiplied, as ``SpinorForm.__eq__`` does."""
-    mine, theirs, d, f = x._c, y._c, x._d, y._d
-    out = {e[-1] for (_idx, e) in mine.keys() ^ theirs.keys()}
-    for key, (a, b) in mine.items():
-        t = theirs.get(key)
-        if t is not None and (a * f != t[0] * d or b * f != t[1] * d):
-            out.add(key[1][-1])
-    return len(out)
-
-
-def _window_defects(sp, win, cols, vectors, covectors, bad) -> None:
-    """Add to ``bad[name]`` on how many of the window's columns in cols each
-    relation fails, checked once on their ``_labelled`` sum (the y^c part of
-    a side is that side on psi_c); each failing ordered pair (a, b) counts."""
-    psi = _labelled(win, cols)
+def _window_defects(sp, win, psi, vectors, covectors, bad) -> None:
+    """Add to ``bad[name]`` on how many basis forms of the window each
+    relation fails, checked once on psi, a labelled sum of them (the y^c
+    part of a side is that side on basis form c); each failing ordered pair
+    (a, b) counts."""
     fplus = raising(sp, psi)
     fminus = lowering(sp, psi)
     eplus = omega_wedge(sp, psi)
@@ -116,11 +115,11 @@ def _window_defects(sp, win, cols, vectors, covectors, bad) -> None:
     iota = [contract(sp, v, psi) for v in vectors]
     cliff = [clifford_apply(sp, v, psi) for v in vectors]
     lhs = omega_wedge(sp, eminus) - omega_trace(sp, eplus)
-    bad["quadratic_commutator_is_twice_grading"] += _differ(lhs, h.scale(2))
-    bad["trace_raising_commutator"] += _differ(omega_trace(sp, fplus) - raising(sp, eminus), -fminus)
-    bad["grading_scalar"] += _differ(h, psi.scale(Fraction(win.r - win.l, 2)))
-    bad["omega_wedge_closed_form"] += _differ(eplus, raising(sp, fplus).scale(4))
-    bad["omega_trace_closed_form"] += _differ(eminus, lowering(sp, fminus).scale(-4))
+    bad["quadratic_commutator_is_twice_grading"] += len(_differing(lhs, h.scale(2)))
+    bad["trace_raising_commutator"] += len(_differing(omega_trace(sp, fplus) - raising(sp, eminus), -fminus))
+    bad["grading_scalar"] += len(_differing(h, psi.scale(Fraction(win.r - win.l, 2))))
+    bad["omega_wedge_closed_form"] += len(_differing(eplus, raising(sp, fplus).scale(4)))
+    bad["omega_trace_closed_form"] += len(_differing(eminus, lowering(sp, fminus).scale(-4)))
     # a column fails when F+ or F- gives it a term of its own parity
     bad["parity_reversal"] += len({
         e[-1] for img in (fplus, fminus) for (_i, e) in img.keys()
@@ -128,48 +127,44 @@ def _window_defects(sp, win, cols, vectors, covectors, bad) -> None:
     })
     for a, v in enumerate(vectors):
         lhs = raising(sp, iota[a]) + contract(sp, v, fplus)
-        bad["raising_contraction_anticommutator"] += _differ(lhs, cliff[a].scale(_HALF_I))
+        bad["raising_contraction_anticommutator"] += len(_differing(lhs, cliff[a].scale(_HALF_I)))
         lhs = lowering(sp, cliff[a]) - clifford_apply(sp, v, fminus)
-        bad["lowering_clifford_commutator"] += _differ(lhs, iota[a].scale(_HALF_I))
+        bad["lowering_clifford_commutator"] += len(_differing(lhs, iota[a].scale(_HALF_I)))
         # iota_a iota_a psi, then the sums of (a, b) and (b, a), pair by pair
-        bad["contraction_anticommutation"] += len(_columns(contract(sp, v, iota[a])))
+        bad["contraction_anticommutation"] += len(_labels(contract(sp, v, iota[a])))
         for b in range(a + 1, len(vectors)):
             both = contract(sp, v, iota[b]) + contract(sp, vectors[b], iota[a])
-            bad["contraction_anticommutation"] += 2 * len(_columns(both))
+            bad["contraction_anticommutation"] += 2 * len(_labels(both))
         for b, w in enumerate(vectors):
             rhs = clifford_apply(sp, w, iota[a])
-            bad["contraction_clifford_commute"] += _differ(contract(sp, v, cliff[b]), rhs)
+            bad["contraction_clifford_commute"] += len(_differing(contract(sp, v, cliff[b]), rhs))
     for xi in covectors:
-        bad["wedge_square_zero"] += len(_columns(wedge(xi, wedge(xi, psi))))
+        bad["wedge_square_zero"] += len(_labels(wedge(xi, wedge(xi, psi))))
 
 
 def run_relations(sp: SymplecticSpace, D: int) -> dict:
     """The commutation identities on every basis form of the degree-D
     windows, each checked once per window on the labelled sum of the basis
-    forms of a share (``_share_count``, ``_in_shares``); the counts are
-    sums, so the report does not depend on the split.  No labelled form
+    forms of a share (``_share_windows``, ``_share_count``, ``_in_shares``);
+    the counts are sums, so the report does not depend on the split.  No labelled form
     leaves: weight, fits_window and spinor_degree would misread one."""
     l = sp.l
     vectors = [basis_vector(sp, k) for k in range(2 * l)]
     covectors = [basis_covector(sp, k) for k in range(2 * l)]
     pairs = [(v, w) for v in vectors for w in vectors]
     spinors = FormWindow(l, 0, D)
-    # the windows of form degree 0..2l hold 4^l times the spinor window's forms
-    shares = _share_count(spinors.dim << (2 * l))
+    # a share takes whole index tuples, and the windows hold 4^l of them
+    shares = _share_count(1 << (2 * l))
 
     def work(share):
-        spin = _labelled(spinors, range(spinors.dim))
-        clifford = sum(len(_columns(commutator_defect(sp, v, w, spin))) for v, w in pairs[share::shares])
+        spin = _labelled(l, spinors)
+        clifford = sum(len(_labels(commutator_defect(sp, v, w, spin))) for v, w in pairs[share::shares])
         bad = dict.fromkeys(_RELATIONS, 0)
-        before = checked = 0  # the forms of the earlier windows; the forms this share checks
-        for r in range(2 * l + 1):
-            win = FormWindow(l, r, D)
-            # this share takes every shares-th form of the windows in turn
-            cols = range((share - before) % shares, win.dim, shares)
-            before += win.dim
-            checked += len(cols)
-            if cols:
-                _window_defects(sp, win, cols, vectors, covectors, bad)
+        checked = 0  # the forms this share checks
+        for win, psi in _share_windows(l, D, share, shares):
+            if not psi.is_zero():
+                checked += len(psi.keys())
+                _window_defects(sp, win, psi, vectors, covectors, bad)
         return {"clifford_commutation": clifford, "relations": bad, "vectors_checked": checked}
 
     results = _in_shares(work, shares)
@@ -289,10 +284,8 @@ def run_decompose(sp: SymplecticSpace, D: int) -> dict:
     for (r, j) in labels:
         cb = component_basis(sp, r, j, D)
         dims[f"({r},{j})"] = len(cb)
-        c = component_scalar(l, r, j)
-        for b in cb:
-            if not (ff_plus(sp, b) - b.scale(c)).is_zero():
-                eigen_bad += 1
+        psi = _labelled(l, cb)
+        eigen_bad += len(_labels(ff_plus(sp, psi) - psi.scale(component_scalar(l, r, j))))
     checks.append(_check("eigenvalue_action_on_component_bases", eigen_bad == 0, defects=eigen_bad))
 
     agree = True
@@ -329,16 +322,15 @@ def run_decompose(sp: SymplecticSpace, D: int) -> dict:
             chain_dims[f"({r},{j})"] = len(vecs)
             if len(vecs) != cm.primitive_dims[j]:
                 count_ok = False
-        for (_j, v) in slice_vectors:
-            acc = None
-            for j2, pv in enumerate(column_projections(sp, r, v)):
-                acc = pv if acc is None else acc + pv
-                if j2 != _j and not pv.is_zero():
-                    ortho_bad += 1
-                if j2 == _j and pv != v:
-                    ortho_bad += 1
-            if acc != v:
-                resolve_bad += 1
+        # every projection of the slice at once, vector c under the label c
+        js = [j for j, _v in slice_vectors]
+        psi = _labelled(l, [v for _j, v in slice_vectors])
+        acc = None
+        for j2, pv in enumerate(column_projections(sp, r, psi)):
+            acc = pv if acc is None else acc + pv
+            ortho_bad += sum(1 for c in _labels(pv) if js[c] != j2)
+            ortho_bad += sum(1 for c in _differing(pv, psi) if js[c] == j2)
+        resolve_bad += len(_differing(acc, psi))
     checks.append(_check("chain_vectors_independent", indep_ok))
     checks.append(_check("chain_dims_match_primitives", count_ok, dims=chain_dims))
     checks.append(_check("projectors_resolve_identity_on_chains", resolve_bad == 0, defects=resolve_bad))
@@ -352,10 +344,11 @@ def run_decompose(sp: SymplecticSpace, D: int) -> dict:
         if r == j:
             continue
         DD = D + (r - j)
-        c = component_scalar(l, r, j)
-        for w in raised:
-            if not fits_window(w, r, DD) or ff_plus(sp, w) != w.scale(c):
-                span_ok = False
+        psi = _labelled(l, raised)
+        # the label is the last exponent entry, not a spinor degree
+        fits = all(len(idx) == r and sum(e) - e[-1] <= DD for idx, e in psi.keys())
+        if not fits or ff_plus(sp, psi) != psi.scale(component_scalar(l, r, j)):
+            span_ok = False
     checks.append(_check("raised_primitives_inside_component_bases", span_ok))
 
     covectors = [basis_covector(sp, k) for k in range(2 * l)]
@@ -369,16 +362,17 @@ def run_decompose(sp: SymplecticSpace, D: int) -> dict:
         far = [k for k in targets if abs(k - j) > 1]
         if not far:
             continue
-        for psi in component_basis(sp, i, j, D):
-            for xi in covectors:
-                w = wedge(xi, psi)
-                transfer_total += len(far)
-                # a w that passes the screen has no far projection; any
-                # other w is projected onto each far label
-                if passes_component_screen(sp, i + 1, near, w):
-                    continue
-                proj = column_projections(sp, i + 1, w)
-                transfer_bad += sum(1 for k in far if not proj[k].is_zero())
+        basis = component_basis(sp, i, j, D)
+        psi = _labelled(l, basis)
+        for xi in covectors:
+            w = wedge(xi, psi)
+            transfer_total += len(far) * len(basis)
+            # a label that passes the screen has no far projection, so the
+            # batch is projected only when some label fails it
+            if component_screen(sp, i + 1, near, w).is_zero():
+                continue
+            proj = column_projections(sp, i + 1, w)
+            transfer_bad += sum(len(_labels(proj[k])) for k in far)
     checks.append(
         _check(
             "wedge_transfers_to_adjacent_components_only",
@@ -429,24 +423,22 @@ def run_project(sp: SymplecticSpace, D: int) -> dict:
                 "beta_equals_minus_half_alpha1": beta == -(a1 * Scalar(Fraction(1, 2))),
                 "gamma_equals_minus_i_alpha2_over_16": gamma == -(I * a2 * Scalar(Fraction(1, 16))),
             }
+        # every edge basis vector at once, vector c under the label c
+        psi = _labelled(l, eb)
         for xi in covectors:
-            for psi in eb:
-                inputs += 1
-                a = project_wedge(sp, i, xi, psi)
-                w = wedge(xi, psi)
-                if a != edge_projector(sp, i + 1, w):
-                    closed_bad += 1
-                if i <= l - 1:
-                    nf = (
-                        w
-                        + raising(sp, lowering(sp, w)).scale(a1)
-                        + raising(sp, raising(sp, lowering(sp, lowering(sp, w)))).scale(a2)
-                    )
-                    if a != nf:
-                        normal_bad += 1
-                else:
-                    if a != w:
-                        plain_bad += 1
+            inputs += len(eb)
+            a = project_wedge(sp, i, xi, psi)
+            w = wedge(xi, psi)
+            closed_bad += len(_differing(a, edge_projector(sp, i + 1, w)))
+            if i <= l - 1:
+                nf = (
+                    w
+                    + raising(sp, lowering(sp, w)).scale(a1)
+                    + raising(sp, raising(sp, lowering(sp, lowering(sp, w)))).scale(a2)
+                )
+                normal_bad += len(_differing(a, nf))
+            else:
+                plain_bad += len(_differing(a, w))
     checks.append(
         _check("closed_form_equals_spectral_projection", closed_bad == 0, inputs=inputs, defects=closed_bad)
     )

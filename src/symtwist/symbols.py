@@ -45,6 +45,9 @@ from .forms import (
     FormWindow,
     SpinorForm,
     _combine,
+    _differing,
+    _labelled,
+    _labels,
     contract,
     form_to_coords,
     operator_matrix,
@@ -85,11 +88,10 @@ def check_complex(sp: SymplecticSpace, D: int, xi: Covector, xi_label=None) -> d
         if i == 2 * l - 1:
             # the next symbol is zero by convention, composite trivially zero
             note = "upper symbol is zero by convention"
-        else:
-            for b in basis:
-                comp = symbol_apply(sp, i + 1, xi, symbol_apply(sp, i, xi, b))
-                if not comp.is_zero():
-                    nonzero += 1
+        elif basis:
+            # every composite at once, basis vector c under the label c
+            psi = _labelled(l, basis)
+            nonzero = len(_labels(symbol_apply(sp, i + 1, xi, symbol_apply(sp, i, xi, psi))))
         rec = {
             "i": i,
             "side": "left" if i <= l - 2 else "right",
@@ -191,12 +193,17 @@ def _preimage_degrees(sp, i_prev, Dbig, xi, targets):
         weights = {weight(sp.l, key) - step for phi in targets for key in phi.keys()}
     basis = edge_basis(sp, i_prev, Dbig, weights)
     mat = operator_matrix(lambda b: symbol_apply(sp, i_prev, xi, b), basis)
-    degrees = []
-    for phi, x in zip(targets, _solutions(mat, targets)):
-        witness = None if x is None else _combine(sp.l, basis, x.items())
-        # belt and braces: re-apply the symbol to the witness
-        ok = witness is not None and (symbol_apply(sp, i_prev, xi, witness) - phi).is_zero()
-        degrees.append(witness.spinor_degree() if ok else None)
+    witnesses = [None if x is None else _combine(sp.l, basis, x.items()) for x in _solutions(mat, targets)]
+    found = [t for t, w in enumerate(witnesses) if w is not None]
+    degrees = [None] * len(targets)
+    if found:
+        # belt and braces: re-apply the symbol to every witness at once,
+        # witness n of found under the label n
+        image = symbol_apply(sp, i_prev, xi, _labelled(sp.l, [witnesses[t] for t in found]))
+        wrong = _differing(image, _labelled(sp.l, [targets[t] for t in found]))
+        for n, t in enumerate(found):
+            if n not in wrong:
+                degrees[t] = witnesses[t].spinor_degree()
     return degrees
 
 
@@ -216,11 +223,12 @@ def _position(sp, i, D, xi, xs, slack):
         rec["dim_domain"] = len(basis)
     rec["dim_kernel"] = len(kernel)
     if i < l:
-        # counts, not in the status: they can fail on vectors with preimages
-        contracted = [contract(sp, xs, v) for v in kernel]
-        squared = [clifford_apply(sp, xs, clifford_apply(sp, xs, v)) for v in kernel]
-        rec["kernel_contraction_violations"] = sum(not v.is_zero() for v in contracted)
-        rec["kernel_clifford_square_violations"] = sum(not v.is_zero() for v in squared)
+        # counts, not in the status: they can fail on vectors with
+        # preimages; every kernel vector at once, vector c under the label c
+        psi = _labelled(l, kernel)
+        rec["kernel_contraction_violations"] = len(_labels(contract(sp, xs, psi)))
+        squared = clifford_apply(sp, xs, clifford_apply(sp, xs, psi))
+        rec["kernel_clifford_square_violations"] = len(_labels(squared))
     if i == 0:
         rec["preimages_found"] = 0
         rec["status"] = "pass" if not kernel else "fail"
@@ -268,9 +276,11 @@ def _untruncated_count(sp, i, D, xi, slack, targets):
     are solved first at Dq = D + slack + 1: its matrix is smaller, and every
     target with a solution found so far had one there, so the exact window
     only confirms the "no" of the targets left.  A solution counts when the
-    images of its columns sum to phi (by linearity, the wedge and lowering
-    of its halves); they are rebuilt from the column keys, since holding
-    the column forms beside the matrix raised the peak memory.
+    block map takes its halves, on the (i-1)- and the (i+1)-forms, to phi;
+    the halves of every solution are mapped at once, as labelled sums.  The
+    columns are the two windows' labelled sums (see
+    ``forms.operator_matrix``), and no column form is held beside the
+    matrix: holding them raised the peak memory.
 
     When xi lies in one half, xi ^ . moves the weight by its step (see
     _weight_step) and F- keeps it, so the block matrix is block-diagonal by
@@ -286,24 +296,28 @@ def _untruncated_count(sp, i, D, xi, slack, targets):
         if step is not None:
             weights = {weight(l, key) for phi in left for key in phi.keys()}
             shifted = {w - step for w in weights}
-        keys = FormWindow(l, i - 1, D + slack, shifted).basis
-        if i < 2 * l:
-            keys += FormWindow(l, i + 1, Dq, weights).basis
-        mat = operator_matrix(lambda key: _block_column(sp, i, xi, key), keys)
-        solved = []
-        for phi, x in zip(left, _solutions(mat, left)):
-            images = {c: _block_column(sp, i, xi, keys[c]) for c in x or ()}
-            solved.append(x is not None and _combine(l, images, x.items()) == phi)
-        left = [phi for phi, ok in zip(left, solved) if not ok]
+        p_win = FormWindow(l, i - 1, D + slack, shifted)
+        domain = (p_win,) if i == 2 * l else (p_win, FormWindow(l, i + 1, Dq, weights))
+        mat = operator_matrix(lambda psi: _block_image(sp, i, xi, psi), domain)
+        xs = list(_solutions(mat, left))
+        found = [t for t, x in enumerate(xs) if x is not None]
+        # a solution counts when the block map takes its halves to phi;
+        # every solution at once, the halves of found[k] under the label k
+        n = p_win.dim
+        p = [_combine(l, p_win, [(c, z) for c, z in xs[t].items() if c < n]) for t in found]
+        q = [_combine(l, domain[-1], [(c - n, z) for c, z in xs[t].items() if c >= n]) for t in found]
+        image = wedge(xi, _labelled(l, p)) + lowering(sp, _labelled(l, q))
+        wrong = _differing(image, _labelled(l, [left[t] for t in found]))
+        ok = {t for k, t in enumerate(found) if k not in wrong}
+        left = [phi for t, phi in enumerate(left) if t not in ok]
         if not left:
             break
     return len(targets) - len(left)
 
 
-def _block_column(sp, i, xi, key):
-    """The column of [xi ^ . | F-] at the key of an (i-1)- or (i+1)-form."""
-    b = SpinorForm._trusted(sp.l, {key: (1, 0)}, 1)
-    return wedge(xi, b) if len(key[0]) == i - 1 else lowering(sp, b)
+def _block_image(sp, i, xi, psi):
+    """[xi ^ . | F-] on an (i-1)-form (xi ^ psi) or an (i+1)-form (F- psi)."""
+    return wedge(xi, psi) if psi.form_degree() == i - 1 else lowering(sp, psi)
 
 
 def describe_covector(xi: Covector) -> list:

@@ -76,6 +76,22 @@ def window_matrix(fn, domain, codomain):
     return OperatorMatrix(codomain.dim, len(domain), entries, index)
 
 
+def ref_operator_matrix(fn, domain):
+    """The column-at-a-time builder that ``forms.operator_matrix``
+    replaced: fn applied to each domain form on its own, column c read from
+    fn(domain[c]), one row per distinct image key in sorted order, with the
+    key -> row map kept as ``row_index``.  The batched builder applies fn
+    once to a labelled sum; the tests compare ``.entries`` and
+    ``row_index`` of the two."""
+    from symtwist.linalg import OperatorMatrix
+
+    images = [fn(b).terms for b in domain]
+    keys = sorted({key for img in images for key in img})
+    index = {key: k for k, key in enumerate(keys)}
+    entries = {(index[key], c): z for c, img in enumerate(images) for key, z in img.items()}
+    return OperatorMatrix(len(keys), len(images), entries, index)
+
+
 def bianchi_solutions_l2():
     """Basis of tensors over the 4-dim space satisfying both stored
     curvature invariants, parametrized by entries with k < m (antisymmetry

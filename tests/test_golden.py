@@ -27,7 +27,10 @@ denominators, on the weight-blocked path), ``symbol-check`` at l=3, D=2
 with slack 4 on the covector (0, 1, 0, 0, 0, 0) (sharp in the second
 Lagrangian, so every symbol map lowers the weight by one) and on
 (0, 0, 0, 1, -2, 1/2) (three components in the second half, so the
-symbol raises the weight by one), and
+symbol raises the weight by one), ``relations`` at l=5, D=1 (form-index
+groups of up to six monomials, each moved whole by every operator),
+``project`` at l=4, D=1 (many narrow edge forms, projected in labelled
+batches), and
 ``curvature --input`` on the tensor from ``gen-curvature --l 2 --seed 7``.
 ``SYMBOL_GRID`` adds ``symbol-check`` at slack 0, 1 and 2 on l=2, D=1 and
 2 at four covectors (one in each Lagrangian half, one meeting both and
@@ -178,6 +181,16 @@ GOLDEN = {
         ("symbol-check", "--l", "3", "--degree", "2", "--slack", "4", "--xi", "0,0,0,1,-2,1/2"),
         1,
         "851a64ee2a4b7d2337dfcc98a4c23b03f67796643ebec263e307e05ba66bac2c",
+    ),
+    "relations-l5d1": (
+        ("relations", "--l", "5", "--degree", "1"),
+        0,
+        "e8007030662f0720860b644486a1df6fae1117e3d2a10f276bb328e9445ee62a",
+    ),
+    "project-l4d1": (
+        ("project", "--l", "4", "--degree", "1"),
+        0,
+        "9bfda5e36d982b50753b3b9c10c9d868b37a283835b4497e127c6210fec6ed57",
     ),
 }
 

@@ -3,7 +3,7 @@
 Each case replaces one operator by a wrong one, in every ``symtwist``
 module that binds it, runs ``run_relations`` at l=2, D=1 and compares the
 failing checks and their defect counts with values recorded once, with
-the checks run in one share and in two.  A rewrite of the suite that
+the checks run in one share, in two and in three.  A rewrite of the suite that
 reuses operator values must fail exactly the same checks, with the same
 counts: a check that stops seeing a fault has become vacuous.  The
 recorded values are not to be rewritten to make a change pass.
@@ -112,13 +112,14 @@ EXPECTED = {
     "fault, shares",
     [
         pytest.param(fault, shares, id=fault if shares == 1 else f"{fault}-{shares}-shares")
-        for shares in (1, 2)
+        for shares in (1, 2, 3)
         for fault in sorted(FAULTS)
     ],
 )
 def test_injected_fault_fails_the_recorded_checks(monkeypatch, fault, shares):
-    # with two shares, the forms of share 1 are checked in a forked child:
-    # a fault seen only there must still reach the report
+    # with two or three shares, the index tuples of share 1 and on are
+    # checked in forked children: a fault seen only there must still reach
+    # the report
     monkeypatch.setattr(suites, "_share_count", lambda n: shares)
     original, make = FAULTS[fault]
     assert _patch_everywhere(monkeypatch, original, make(original)) >= 2

@@ -3,7 +3,9 @@
 ``run_relations`` checks each relation on whole windows of basis forms.
 The first test compares its defect counts with ``ref_form_defects``
 summed over every basis form, with and without the faults of
-``test_relations_faults``, at one share and at two.  The second checks
+``test_relations_faults``, at one, two and three shares.  The next ones
+check the split: the shares partition each window's basis forms into
+whole index-tuple groups, and the split is sized by index tuples.  The second checks
 what the batching rests on: every operator the suite applies reads and
 changes only the first l exponent entries of a key and carries the rest.
 The last pins how many operator calls one run makes.
@@ -53,12 +55,48 @@ def test_window_counts_match_the_per_form_reference(monkeypatch, l, D, fault):
     sp = standard_space(l)
     want = _reference_counts(sp, D)
     forms_checked = sum(FormWindow(l, r, D).dim for r in range(2 * l + 1))
-    for shares in (1, 2):
+    for shares in (1, 2, 3):
         monkeypatch.setattr(suites, "_share_count", lambda n, shares=shares: shares)
         checks = run_relations(sp, D)["checks"]
         assert {c["name"]: c["defects"] for c in checks} == want, shares
         assert checks[0]["basis_pairs"] == (2 * l) ** 2
         assert {c["vectors_checked"] for c in checks[1:]} == {forms_checked}
+
+
+@pytest.mark.parametrize("shares", [1, 2, 3, 5])
+@pytest.mark.parametrize("l, D", [(1, 2), (2, 1), (3, 2)])
+def test_shares_partition_each_window_into_whole_index_groups(l, D, shares):
+    split = [list(suites._share_windows(l, D, s, shares)) for s in range(shares)]
+    tuples = [0] * shares  # index tuples per share, over all windows
+    for r in range(2 * l + 1):
+        win = FormWindow(l, r, D)
+        group = {}  # index tuple -> the columns of its basis forms
+        for c, (idx, _e) in enumerate(win.basis):
+            group.setdefault(idx, set()).add(c)
+        taken = []
+        for s in range(shares):
+            w, psi = split[s][r]
+            assert w.basis == win.basis
+            # each term is basis form c of the window, under the label c
+            assert all(win.basis[e[-1]] == (idx, e[:-1]) for idx, e in psi.keys())
+            labels = [e[-1] for _idx, e in psi.keys()]
+            held = {idx for idx, _e in psi.keys()}
+            assert sorted(labels) == sorted(c for idx in held for c in group[idx])
+            taken += labels
+            tuples[s] += len(held)
+        assert sorted(taken) == list(range(win.dim)), r
+    # every shares-th tuple of the windows in turn: the tuple counts differ by
+    # at most one, and all 4^l tuples are taken
+    assert max(tuples) - min(tuples) <= 1
+    assert sum(tuples) == 4**l
+
+
+def test_the_split_is_sized_by_index_tuples(monkeypatch):
+    asked = []
+    monkeypatch.setattr(suites, "_share_count", lambda n: asked.append(n) or 1)
+    for l in (1, 2, 3):
+        run_relations(standard_space(l), 1)
+    assert asked == [4, 16, 64]
 
 
 def _operators(sp):

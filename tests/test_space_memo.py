@@ -47,10 +47,11 @@ def test_space_keeps_edge_and_component_bases(monkeypatch):
     columns = [
         [component_basis(sp, r, j, D) for j in range(m_index(l, r) + 1)] for r in range(2 * l + 1)
     ]
-    # one matrix per label, and the F-F+ image of each window element is
-    # built once for all the labels of its column
+    # one matrix per label, and one F-F+ call per column, on the labelled
+    # sum of its window: each window element's image is built once for all
+    # the labels of its column
     assert len(built) == 2 * l - 1 + len(triangle_labels(l))
-    assert len(images) == sum(FormWindow(l, r, D).dim for r in range(2 * l + 1))
+    assert [len(psi.keys()) for psi in images] == [FormWindow(l, r, D).dim for r in range(2 * l + 1)]
     before = len(built), len(images)
     assert all(edge_basis(sp, r, D) is edges[r] for r in range(2 * l + 1))
     assert all(
